@@ -107,8 +107,9 @@ def init_gru(rng, d_mix: int, width: int, dtype=np.float32) -> GruParams:
 
 
 def init_attention(rng, width: int, d_k: int, heads: int = 1, dtype=np.float32) -> AttentionParams:
-    if d_k % heads or width % heads:
-        raise ValueError(f"head count {heads} must divide d_k={d_k} and width={width}")
+    if heads < 1 or d_k % heads or width % heads:
+        raise ValueError(f"head count {heads} must be positive and divide d_k={d_k} "
+                         f"and width={width}")
     return AttentionParams(
         wq=glorot_uniform(rng, width, d_k).astype(dtype),
         bq=np.zeros(d_k, dtype=dtype),

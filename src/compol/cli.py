@@ -9,9 +9,9 @@ CSV tables).
 Exit codes: 0 success, 1 verification or numeric failure (gradient
 check failed, solver blow-up, non-finite loss, incompatible
 checkpoint/data pair), 2 usage or I/O error (bad flags, bad config
-schema, missing files).  Every artifact written embeds the hash of the
-configuration that produced it.  ``COMPOL_THREADS`` caps internal
-parallelism.
+schema, missing files, corrupt or truncated datasets and checkpoints).
+Every artifact written embeds the hash of the configuration that
+produced it.  ``COMPOL_THREADS`` caps internal parallelism.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from . import datagen as D
 from . import model as M
 from . import training as TR
-from .dataio import (DataFormatError, MANIFEST_FILENAME, config_hash,
-                     load_dataset, write_fields, write_manifest)
+from .dataio import (MANIFEST_FILENAME, config_hash, load_dataset, write_fields,
+                     write_manifest)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -297,20 +297,13 @@ def cmd_eval(args) -> int:
     if args.dump_error_fields is not None:
         out_dir = args.dump_error_fields
         os.makedirs(out_dir, exist_ok=True)
-        fields = [
-            [[np.asarray(result.error_fields[m][i], dtype=np.float32)]
-             for m in range(dataset.processes)]
-            for i in range(dataset.n_samples)]
         header = {
             "groups": ["error"],
-            "samples": dataset.n_samples,
-            "shapes": [{"error": list(result.error_fields[m].shape[1:])}
-                       for m in range(dataset.processes)],
             "config_hash": (extra or {}).get("experiment_hash"),
             "data_signature": data_sig,
         }
         dump_path = os.path.join(out_dir, "error_fields.cmpd")
-        write_fields(dump_path, header, fields)
+        write_fields(dump_path, header, [[err] for err in result.error_fields])
         write_manifest(os.path.join(out_dir, MANIFEST_FILENAME), {
             "format": "CMPLDATA", "version": 1,
             "files": [{"name": "error_fields.cmpd"}],
@@ -448,13 +441,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DataFormatError, M.CheckpointError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, OSError, ValueError) as e:  # bad input files are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (D.BlowUpError, TR.TrainingError, IncompatibleError) as e:

@@ -12,7 +12,6 @@ Run via ``compol gradcheck`` or :func:`run`, which returns a list of
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -53,30 +52,11 @@ def _rng(tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([20259, tag]))
 
 
-def _substitute(obj, table: dict, prefix: str = ""):
-    """Clone a parameter tree, replacing each array with table[dotted-name].
-
-    The replacement values are leaf tensors, so forward passes through
-    the cloned tree are recorded on their tape.
-    """
-    if isinstance(obj, np.ndarray):
-        return table[prefix]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kwargs = {
-            f.name: _substitute(getattr(obj, f.name), table,
-                                f"{prefix}.{f.name}" if prefix else f.name)
-            for f in dataclasses.fields(obj)}
-        return dataclasses.replace(obj, **kwargs)
-    if isinstance(obj, list):
-        return [_substitute(v, table, f"{prefix}.{i}" if prefix else str(i))
-                for i, v in enumerate(obj)]
-    if isinstance(obj, tuple):
-        return tuple(_substitute(v, table, f"{prefix}.{i}" if prefix else str(i))
-                     for i, v in enumerate(obj))
-    if isinstance(obj, dict):
-        return {k: _substitute(v, table, f"{prefix}.{k}" if prefix else str(k))
-                for k, v in obj.items()}
-    return obj
+def _leaves(tree):
+    """A parameter tree's arrays, and a function rebuilding it around given leaves."""
+    named = P.named_arrays(tree)
+    names = [k for k, _ in named]
+    return [a for _, a in named], lambda leaves: P.with_leaves(tree, dict(zip(names, leaves)))
 
 
 def _real(rng, *shape):
@@ -197,14 +177,10 @@ def _suite_layers(results):
            lambda v_, r_: T.reduce_sum(L.spectral_conv(v_, r_) * pr),
            [vw, r], results)
 
-    p1 = L.init_fourier_layer(_rng(21), w, m, 1, dtype=np.float64)
-    arrs_fl = P.named_arrays(p1, "p")
-
-    def fl(*leaves):
-        tree = _substitute(p1, dict(zip([k for k, _ in arrs_fl], leaves)), "p")
-        return T.reduce_sum(L.fourier_layer(T.Tensor(vw), tree) * pr)
-
-    _check("layers", "fourier_layer", fl, [a for _, a in arrs_fl], results)
+    arrs_fl, fl_tree = _leaves(L.init_fourier_layer(_rng(21), w, m, 1, dtype=np.float64))
+    _check("layers", "fourier_layer",
+           lambda *ls: T.reduce_sum(L.fourier_layer(T.Tensor(vw), fl_tree(ls)) * pr),
+           arrs_fl, results)
 
     r2 = _cplx(rng, w, w, 2, 3)
     v2 = _real(rng, b, w, 8, 8)
@@ -213,24 +189,18 @@ def _suite_layers(results):
            lambda v_, r_: T.reduce_sum(L.spectral_conv(v_, r_) * pr2),
            [v2, r2], results)
 
-    hp = L.init_lift_project(_rng(22), d_in=2, d_out=1, width=w, dtype=np.float64)
-    arrs_h = P.named_arrays(hp, "h")
+    arrs_h, h_tree = _leaves(
+        L.init_lift_project(_rng(22), d_in=2, d_out=1, width=w, dtype=np.float64))
     fin = _real(rng, b, 1, n)
     prl = T.Tensor(_real(rng, b, w, n))
-
-    def lift_f(*leaves):
-        tree = _substitute(hp, dict(zip([k for k, _ in arrs_h], leaves)), "h")
-        return T.reduce_sum(L.lift(T.Tensor(fin), tree) * prl)
-
-    _check("layers", "lift", lift_f, [a for _, a in arrs_h], results)
+    _check("layers", "lift",
+           lambda *ls: T.reduce_sum(L.lift(T.Tensor(fin), h_tree(ls)) * prl),
+           arrs_h, results)
 
     prq = T.Tensor(_real(rng, b, 1, n))
-
-    def project_f(*leaves):
-        tree = _substitute(hp, dict(zip([k for k, _ in arrs_h], leaves)), "h")
-        return T.reduce_sum(L.project(T.Tensor(vw), tree) * prq)
-
-    _check("layers", "project", project_f, [a for _, a in arrs_h], results)
+    _check("layers", "project",
+           lambda *ls: T.reduce_sum(L.project(T.Tensor(vw), h_tree(ls)) * prq),
+           arrs_h, results)
 
 
 # ---------------------------------------------------------------------------
@@ -243,74 +213,44 @@ def _suite_aggregation(results):
     fields = [_real(rng, b, w, n) for _ in range(3)]
     pr = T.Tensor(_real(rng, b, w, n))
 
-    mixp = agg.init_mix(_rng(31), 3, w, w, dtype=np.float64)
-    arrs = P.named_arrays(mixp, "mix")
-
-    def mix_f(f0, f1, f2, *leaves):
-        tree = _substitute(mixp, dict(zip([k for k, _ in arrs], leaves)), "mix")
-        return T.reduce_sum(agg.mix_processes([f0, f1, f2], "linear", tree) * pr)
-
-    _check("aggregation", "mix_linear", mix_f,
-           fields + [a for _, a in arrs], results)
+    arrs, mix_tree = _leaves(agg.init_mix(_rng(31), 3, w, w, dtype=np.float64))
+    _check("aggregation", "mix_linear",
+           lambda f0, f1, f2, *ls: T.reduce_sum(
+               agg.mix_processes([f0, f1, f2], "linear", mix_tree(ls)) * pr),
+           fields + arrs, results)
     _check("aggregation", "mix_add",
            lambda f0, f1, f2: T.reduce_sum(
                agg.mix_processes([f0, f1, f2], "add") * pr),
            fields, results)
 
-    gp = agg.init_gru(_rng(32), w, w, dtype=np.float64)
-    arrs_g = P.named_arrays(gp, "gru")
+    arrs_g, gru_tree = _leaves(agg.init_gru(_rng(32), w, w, dtype=np.float64))
     mixed = _real(rng, b, w, n)
     zprev = _real(rng, b, w, n)
+    _check("aggregation", "gru_step",
+           lambda m_, z_, *ls: T.reduce_sum(agg.gru_step(m_, z_, gru_tree(ls)) * pr),
+           [mixed, zprev] + arrs_g, results)
 
-    def gru_f(m_, z_, *leaves):
-        tree = _substitute(gp, dict(zip([k for k, _ in arrs_g], leaves)), "gru")
-        return T.reduce_sum(agg.gru_step(m_, z_, tree) * pr)
+    for name, seed, heads in (("attention", 33, 1), ("attention_2head", 34, 2)):
+        arrs_a, attn_tree = _leaves(
+            agg.init_attention(_rng(seed), w, w, heads=heads, dtype=np.float64))
+        _check("aggregation", name,
+               lambda f0, f1, f2, *ls, _tree=attn_tree: T.reduce_sum(
+                   agg.attention_aggregate([f0, f1, f2], _tree(ls)) * pr),
+               fields + arrs_a, results)
 
-    _check("aggregation", "gru_step", gru_f,
-           [mixed, zprev] + [a for _, a in arrs_g], results)
+    arrs_s, skip_tree = _leaves(agg.init_skip(_rng(35), w, w, dtype=np.float64))
+    _check("aggregation", "skip",
+           lambda m_, z_, *ls: T.reduce_sum(agg.skip_aggregate(m_, z_, skip_tree(ls)) * pr),
+           [mixed, zprev] + arrs_s, results)
 
-    ap = agg.init_attention(_rng(33), w, w, heads=1, dtype=np.float64)
-    arrs_a = P.named_arrays(ap, "attn")
-
-    def attn_f(f0, f1, f2, *leaves):
-        tree = _substitute(ap, dict(zip([k for k, _ in arrs_a], leaves)), "attn")
-        return T.reduce_sum(agg.attention_aggregate([f0, f1, f2], tree) * pr)
-
-    _check("aggregation", "attention", attn_f,
-           fields + [a for _, a in arrs_a], results)
-
-    ap2 = agg.init_attention(_rng(34), w, w, heads=2, dtype=np.float64)
-    arrs_a2 = P.named_arrays(ap2, "attn2")
-
-    def attn2_f(f0, f1, f2, *leaves):
-        tree = _substitute(ap2, dict(zip([k for k, _ in arrs_a2], leaves)), "attn2")
-        return T.reduce_sum(agg.attention_aggregate([f0, f1, f2], tree) * pr)
-
-    _check("aggregation", "attention_2head", attn2_f,
-           fields + [a for _, a in arrs_a2], results)
-
-    sp = agg.init_skip(_rng(35), w, w, dtype=np.float64)
-    arrs_s = P.named_arrays(sp, "skip")
-
-    def skip_f(m_, z_, *leaves):
-        tree = _substitute(sp, dict(zip([k for k, _ in arrs_s], leaves)), "skip")
-        return T.reduce_sum(agg.skip_aggregate(m_, z_, tree) * pr)
-
-    _check("aggregation", "skip", skip_f,
-           [mixed, zprev] + [a for _, a in arrs_s], results)
-
-    ip = agg.init_inject(_rng(36), w, dtype=np.float64)
-    arrs_i = P.named_arrays(ip, "inject")
+    arrs_i, inject_tree = _leaves(agg.init_inject(_rng(36), w, dtype=np.float64))
     _check("aggregation", "inject_add",
            lambda v_, z_: T.reduce_sum(agg.inject(v_, z_, "add") * pr),
            [mixed, zprev], results)
-
-    def inj_f(v_, z_, *leaves):
-        tree = _substitute(ip, dict(zip([k for k, _ in arrs_i], leaves)), "inject")
-        return T.reduce_sum(agg.inject(v_, z_, "concat_reduce", tree) * pr)
-
-    _check("aggregation", "inject_concat_reduce", inj_f,
-           [mixed, zprev] + [a for _, a in arrs_i], results)
+    _check("aggregation", "inject_concat_reduce",
+           lambda v_, z_, *ls: T.reduce_sum(
+               agg.inject(v_, z_, "concat_reduce", inject_tree(ls)) * pr),
+           [mixed, zprev] + arrs_i, results)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +267,16 @@ def _model_config(aggregation: str) -> M.CompolConfig:
 def _suite_model(results, grid: int = 32):
     rng = _rng(4)
     for kind in ("gru", "attention"):
-        cfg = _model_config(kind)
-        model = M.init_params(cfg)
-        named = model.named_parameters()
-        names = [k for k, _ in named]
+        arrs, model_tree = _leaves(M.init_params(_model_config(kind)))
         xs = [_real(rng, 2, 1, grid) for _ in range(2)]
         probes = [T.Tensor(_real(rng, 2, 1, grid)) for _ in range(2)]
 
-        def full(*leaves, _names=names, _model=model, _xs=xs, _probes=probes):
-            table = dict(zip(_names, leaves))
-            proc = _substitute(_model.processes, table, "processes")
-            ag = _substitute(_model.aggregation, table, "aggregation")
-            bound = dataclasses.replace(_model, processes=proc, aggregation=ag)
-            outs = M.forward(bound, _xs, None)
+        def full(*leaves, _tree=model_tree, _xs=xs, _probes=probes):
+            outs = M.forward(_tree(leaves), _xs, None)
             total = T.reduce_sum(outs[0] * _probes[0])
             return total + T.reduce_sum(outs[1] * _probes[1])
 
-        _check("model", f"compol_{kind}", full, [a for _, a in named], results)
+        _check("model", f"compol_{kind}", full, arrs, results)
 
 
 SUITES = {

@@ -8,16 +8,13 @@ Fourier layer.  With aggregation ``none`` the branches never talk, which
 makes an M=1 model exactly the plain FNO used as the channel-concatenated
 baseline.
 
-Checkpoints are a single binary file: magic ``CMPLCKPT``, little-endian
-u32 format version, u32 length-prefixed JSON header (config, extra
-metadata, named parameter table with offsets), then raw array payloads.
+Checkpoints hold the config, extra metadata and every named parameter
+array; :mod:`compol.dataio` owns their framing and byte layout.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +22,13 @@ import numpy as np
 from . import aggregation as agg
 from . import layers as L
 from . import tensor as T
-from .params import bind, named_arrays
+from .dataio import CheckpointError, read_checkpoint, write_checkpoint
+from .params import bind, load_named, named_arrays
 from .tensor import Tape, Tensor
 
 __all__ = [
     "CompolConfig", "CompolModel", "init_params", "forward",
-    "make_fno_concat", "forward_fno_concat",
+    "make_fno_concat",
     "param_count", "total_params", "PARAM_COUNT_CONVENTION",
     "save_checkpoint", "load_checkpoint", "CheckpointError",
     "MODEL_KINDS", "config_for_kind",
@@ -145,8 +143,7 @@ class CompolModel:
     aggregation: list[LayerAggregation]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return (named_arrays(self.processes, "processes")
-                + named_arrays(self.aggregation, "aggregation"))
+        return named_arrays(self)
 
 
 def _process_rng(seed: int, m: int, offset: int) -> np.random.Generator:
@@ -270,12 +267,6 @@ def make_fno_concat(total_channels: int, layers: int = 4, width: int = 64,
     return init_params(cfg)
 
 
-def forward_fno_concat(model: CompolModel, stacked, tape: Tape | None = None) -> Tensor:
-    if model.config.processes != 1:
-        raise ValueError("baseline forward expects a single-branch model")
-    return forward(model, [stacked], tape)[0]
-
-
 def config_for_kind(kind: str, base: CompolConfig) -> CompolConfig:
     """Translate a CLI model name into configuration overrides."""
     if kind == "compol-rnn":
@@ -313,88 +304,16 @@ def total_params(model: CompolModel) -> int:
 # checkpoints
 
 
-class CheckpointError(ValueError):
-    """Malformed, mismatched, or truncated checkpoint file."""
-
-
-CKPT_MAGIC = b"CMPLCKPT"
-CKPT_VERSION = 1
-
-_DTYPE_CODES = {
-    np.dtype(np.float32): "<f4",
-    np.dtype(np.float64): "<f8",
-    np.dtype(np.complex64): "<c8",
-    np.dtype(np.complex128): "<c16",
-}
-
-
 def save_checkpoint(path, model: CompolModel, extra: dict | None = None) -> None:
-    entries = []
-    payload = bytearray()
-    for name, arr in model.named_parameters():
-        arr = np.ascontiguousarray(arr)
-        entries.append({
-            "name": name,
-            "dtype": _DTYPE_CODES[arr.dtype],
-            "shape": list(arr.shape),
-            "offset": len(payload),
-        })
-        payload.extend(arr.tobytes())
-    header = {
-        "config": model.config.to_dict(),
-        "extra": extra or {},
-        "params": entries,
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+    write_checkpoint(path, {"config": model.config.to_dict(), "extra": extra or {}},
+                     model.named_parameters())
 
 
 def load_checkpoint(path) -> tuple[CompolModel, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = struct.unpack_from("<I", raw, 8)[0]
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: format version {version}, expected {CKPT_VERSION}")
-    hlen = struct.unpack_from("<I", raw, 12)[0]
+    header, table = read_checkpoint(path)
     try:
-        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header: {e}") from e
-    body = raw[16 + hlen:]
-
-    model = init_params(CompolConfig.from_dict(header["config"]))
-    table = {}
-    for entry in header["params"]:
-        dt = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + count * dt.itemsize
-        if end > len(body):
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']}")
-        table[entry["name"]] = np.frombuffer(body[start:end], dtype=dt).reshape(shape).copy()
-    try:
-        current = dict(model.named_parameters())
-        load_named_pairs(current, table)
-    except (KeyError, ValueError) as e:
+        model = init_params(CompolConfig.from_dict(header["config"]))
+        load_named(model, table)
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     return model, header.get("extra", {})
-
-
-def load_named_pairs(current: dict[str, np.ndarray], table: dict[str, np.ndarray]) -> None:
-    if set(current) != set(table):
-        missing = sorted(set(current) - set(table))
-        extra = sorted(set(table) - set(current))
-        raise KeyError(f"parameter names differ: missing={missing} unexpected={extra}")
-    for name, arr in current.items():
-        new = table[name]
-        if new.shape != arr.shape or new.dtype != arr.dtype:
-            raise ValueError(f"{name}: stored {new.dtype}{new.shape} != expected {arr.dtype}{arr.shape}")
-        arr[...] = new

@@ -1,50 +1,79 @@
 """Parameter-tree helpers.
 
-Model parameters live in nested dataclasses holding numpy arrays.  These
-helpers flatten a tree into dotted names (for the optimizer, checkpoints
-and parameter counting) and clone it with every array registered as a
-leaf on a tape (for one forward/backward pass).
+Model parameters live in nested dataclasses holding numpy arrays.  One
+walker visits every array (or, in a bound tree, every tensor) under its
+dotted name.  The helpers below use it to flatten a tree (for the
+optimizer, checkpoints and parameter counting), to clone it with every
+array registered as a leaf on a tape (for one forward/backward pass), to
+swap in given leaves, and to overwrite its arrays in place.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .tensor import Tape, Tensor
 
-__all__ = ["named_arrays", "named_tensors", "bind", "load_named", "as_param_dict"]
+__all__ = ["named_arrays", "named_tensors", "bind", "with_leaves", "load_named"]
+
+
+@functools.cache
+def _field_names(cls) -> "tuple[str, ...] | None":
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
+def _map(obj, fn, prefix: str = ""):
+    """Rebuild a tree with each ndarray or Tensor replaced by ``fn(name, leaf)``.
+
+    Only dataclasses, lists and tuples are descended into; scalars,
+    strings and None are configuration, not parameters, and are kept.  A
+    subtree whose leaves all come back unchanged is returned as is, so a
+    walk that only reads builds nothing.
+    """
+    if isinstance(obj, (np.ndarray, Tensor)):
+        return fn(prefix, obj)
+    if isinstance(obj, (list, tuple)):
+        new = [_map(v, fn, f"{prefix}.{i}" if prefix else str(i)) for i, v in enumerate(obj)]
+        if all(a is b for a, b in zip(new, obj)):
+            return obj
+        return tuple(new) if isinstance(obj, tuple) else new
+    names = _field_names(type(obj))
+    if names is None:
+        return obj
+    changed = {}
+    for name in names:
+        old = getattr(obj, name)
+        new = _map(old, fn, f"{prefix}.{name}" if prefix else name)
+        if new is not old:
+            changed[name] = new
+    return dataclasses.replace(obj, **changed) if changed else obj
+
+
+def _collect(obj, prefix: str, kind) -> list:
+    out = []
+
+    def visit(name, leaf):
+        if isinstance(leaf, kind):
+            out.append((name, leaf))
+        return leaf
+
+    _map(obj, visit, prefix)
+    return out
 
 
 def named_arrays(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
     """Flatten every ndarray in a nested structure to (dotted-name, array)."""
-    out: list[tuple[str, np.ndarray]] = []
-    _walk_read(obj, prefix, out, np.ndarray)
-    return out
+    return _collect(obj, prefix, np.ndarray)
 
 
 def named_tensors(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
     """Flatten every Tensor in a bound tree; names mirror named_arrays."""
-    out: list[tuple[str, Tensor]] = []
-    _walk_read(obj, prefix, out, Tensor)
-    return out
-
-
-def _walk_read(obj, prefix, out, kind):
-    if isinstance(obj, kind):
-        out.append((prefix, obj))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            _walk_read(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name,
-                       out, kind)
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            _walk_read(item, f"{prefix}.{i}" if prefix else str(i), out, kind)
-    elif isinstance(obj, dict):
-        for k in obj:
-            _walk_read(obj[k], f"{prefix}.{k}" if prefix else str(k), out, kind)
-    # scalars / strings / None are configuration, not parameters
+    return _collect(obj, prefix, Tensor)
 
 
 def bind(obj, tape: Tape | None):
@@ -52,23 +81,23 @@ def bind(obj, tape: Tape | None):
 
     With ``tape=None`` the arrays are wrapped as raw tensors instead, so
     the same forward code runs without recording (inference mode).
+    Tensors are passed through, so binding a bound tree returns it.
     """
-    if isinstance(obj, np.ndarray):
-        return tape.leaf(obj) if tape is not None else Tensor(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kwargs = {f.name: bind(getattr(obj, f.name), tape) for f in dataclasses.fields(obj)}
-        return dataclasses.replace(obj, **kwargs)
-    if isinstance(obj, list):
-        return [bind(item, tape) for item in obj]
-    if isinstance(obj, tuple):
-        return tuple(bind(item, tape) for item in obj)
-    if isinstance(obj, dict):
-        return {k: bind(v, tape) for k, v in obj.items()}
-    return obj
+    wrap = Tensor if tape is None else tape.leaf
+    return _map(obj, lambda _, leaf: wrap(leaf) if isinstance(leaf, np.ndarray) else leaf)
+
+
+def with_leaves(obj, table: dict, prefix: str = ""):
+    """Clone a tree with each array replaced by ``table[dotted-name]``."""
+    return _map(obj, lambda name, _: table[name], prefix)
 
 
 def load_named(obj, table: dict[str, np.ndarray], prefix: str = "") -> None:
-    """Overwrite every array in the tree with its entry from ``table``."""
+    """Overwrite every array in the tree with its entry from ``table``.
+
+    Raises KeyError when the names differ and ValueError on a shape or
+    dtype mismatch.
+    """
     current = dict(named_arrays(obj, prefix))
     if set(current) != set(table):
         missing = sorted(set(current) - set(table))
@@ -81,7 +110,3 @@ def load_named(obj, table: dict[str, np.ndarray], prefix: str = "") -> None:
         if new.dtype != arr.dtype:
             raise ValueError(f"{name}: dtype {new.dtype} != expected {arr.dtype}")
         arr[...] = new
-
-
-def as_param_dict(obj, prefix: str = "") -> dict[str, np.ndarray]:
-    return dict(named_arrays(obj, prefix))

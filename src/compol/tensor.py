@@ -27,7 +27,7 @@ from . import fft as _kernels
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
-    "elementwise", "matmul", "reduce_sum", "reduce_mean", "reduce",
+    "matmul", "reduce_sum", "reduce_mean",
     "fft", "ifft", "rfft", "irfft", "mode_mix", "softmax",
     "take", "put", "concat", "moveaxis", "reshape", "real", "imag",
     "backward", "finite_diff_check", "finite_diff_report",
@@ -320,23 +320,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _record("sqrt", r, (a,), bwd)
 
 
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
-_ELEMENTWISE_UNARY = {"tanh": tanh, "sigmoid": sigmoid, "gelu": gelu}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by kind; unary kinds ignore ``b``."""
-    if kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"elementwise {kind!r} needs two operands")
-        return _ELEMENTWISE_BINARY[kind](a, b)
-    if kind == "scale":
-        return scale(a, b)
-    if kind in _ELEMENTWISE_UNARY:
-        return _ELEMENTWISE_UNARY[kind](a)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # matmul and reductions
 
@@ -415,14 +398,6 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
         return (_expand_reduced(g / count, shape, ax),)
 
     return _record("reduce_mean", out, (a,), bwd)
-
-
-def reduce(kind: str, a: Tensor, axes=None) -> Tensor:
-    if kind == "sum":
-        return reduce_sum(a, axes)
-    if kind == "mean":
-        return reduce_mean(a, axes)
-    raise ValueError(f"unknown reduce kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

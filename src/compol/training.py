@@ -195,7 +195,7 @@ class TrainResult:
 
     def best_model(self) -> "M.CompolModel":
         clone = M.init_params(self.config)
-        M.load_named_pairs(dict(clone.named_parameters()), self.best_params)
+        P.load_named(clone, self.best_params)
         return clone
 
 
@@ -318,10 +318,7 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
             idx = order[b0:b0 + batch_size]
             xs, ys = _model_inputs(train_data, stats, idx, dtype, mode)
             tape = T.Tape()
-            bound = dataclasses.replace(
-                model,
-                processes=P.bind(model.processes, tape),
-                aggregation=P.bind(model.aggregation, tape))
+            bound = P.bind(model, tape)
             outs = M.forward(bound, xs, tape)
             loss = _batch_loss(outs, ys, out_stats, dtype)
             value = float(loss.data.reshape(-1)[0])
@@ -329,9 +326,7 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} batch {b0 // batch_size}")
             grads = T.backward(tape, loss)
-            leaf_pairs = (P.named_tensors(bound.processes, "processes")
-                          + P.named_tensors(bound.aggregation, "aggregation"))
-            by_name = {name: grads[leaf] for name, leaf in leaf_pairs}
+            by_name = {name: grads[leaf] for name, leaf in P.named_tensors(bound)}
             adam_step(named, by_name, state, lr_e)
             losses.append(value)
         test = evaluate(model, eval_data, stats=stats, batch_size=batch_size)
@@ -350,10 +345,6 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
         records=records, model=model, best_params=best_table,
         best_epoch=best_epoch,
         best_err=best_err if math.isfinite(best_err) else 0.0)
-
-
-def _forward_inference(model: "M.CompolModel", xs):
-    return M.forward(model, xs, None)
 
 
 def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
@@ -379,7 +370,7 @@ def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
         idx = np.arange(b0, min(b0 + batch_size, n))
         xs, _ = _model_inputs(dataset, stats, idx, dtype, mode)
         ys = [y[idx] for y in dataset.outputs]
-        outs = _forward_inference(model, xs)
+        outs = M.forward(model, xs, None)
         if mode == "stacked":
             full = destandardize(outs[0].data.astype(np.float64), stacked_out)
             preds = np.split(full, bounds, axis=1)

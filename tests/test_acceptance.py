@@ -41,6 +41,13 @@ def test_c01_gradient_checks_every_operation_and_a_full_model():
     assert ok
     assert worst < 1e-4, worst
     assert any(r.suite == "model" for r in results)
+    # every entry that substitutes leaves into a parameter tree still runs
+    assert [r.name for r in results if r.suite != "tensor"] == [
+        "channel_affine", "spectral_conv", "fourier_layer", "spectral_conv_2d",
+        "lift", "project",
+        "mix_linear", "mix_add", "gru_step", "attention", "attention_2head", "skip",
+        "inject_add", "inject_concat_reduce",
+        "compol_gru", "compol_attention"]
     assert elapsed < 120.0, f"gradcheck took {elapsed:.0f}s"
 
 

@@ -261,8 +261,8 @@ def test_eval_dumps_error_fields(run_dir, lv_data, tmp_path):
     header, fields = D.read_fields(dump / "error_fields.cmpd")
     assert header["groups"] == ["error"]
     assert header["samples"] == 6
-    assert fields[0][0][0].shape == (1, 32)
-    assert np.all(fields[0][0][0] >= 0)
+    assert fields[0][0].shape == (6, 1, 32)
+    assert np.all(fields[0][0] >= 0)
     meta = D.read_manifest(dump / D.MANIFEST_FILENAME)
     assert meta["data_signature"] == cli.data_signature(
         D.read_manifest(lv_data / D.MANIFEST_FILENAME))

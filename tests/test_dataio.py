@@ -11,17 +11,13 @@ from compol import dataio as D
 
 
 def tiny_fields(n=3, procs=2, grid=8, seed=0):
+    """``fields[process][group]``, each [n, 1, grid]."""
     rng = np.random.default_rng(seed)
-    return [[[rng.normal(size=(1, grid)).astype(np.float32)]
-             for _ in range(procs)] for _ in range(n)]
+    return [[rng.normal(size=(n, 1, grid)).astype(np.float32)] for _ in range(procs)]
 
 
-def tiny_header(n=3, procs=2, grid=8):
-    return {
-        "groups": ["field"],
-        "samples": n,
-        "shapes": [{"field": [1, grid]} for _ in range(procs)],
-    }
+def tiny_header():
+    return {"groups": ["field"]}
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +30,30 @@ def test_fields_roundtrip(tmp_path):
     D.write_fields(path, tiny_header(), fields)
     header, back = D.read_fields(path)
     assert header["samples"] == 3
-    for s in range(3):
-        for p in range(2):
-            assert np.array_equal(back[s][p][0], fields[s][p][0])
+    assert header["shapes"] == [{"field": [1, 8]}] * 2
+    for p in range(2):
+        assert back[p][0].dtype == np.float32 and back[p][0].flags.c_contiguous
+        assert np.array_equal(back[p][0], fields[p][0])
+
+
+def test_fields_interleave_sample_major(tmp_path):
+    # payload order is sample, process, group; each field row-major
+    path = tmp_path / "x.cmpd"
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    b = -np.arange(4, dtype=np.float32).reshape(2, 2)
+    D.write_fields(path, {"groups": ["a", "b"]}, [[a, b]])
+    raw = path.read_bytes()
+    payload = np.frombuffer(raw[-4 * 10:], "<f4")
+    assert payload.tolist() == [0, 1, 2, 0, -1, 3, 4, 5, -2, -3]
+    _, back = D.read_fields(path)
+    assert np.array_equal(back[0][0], a) and np.array_equal(back[0][1], b)
+
+
+def test_write_fields_rejects_uneven_sample_counts(tmp_path):
+    fields = tiny_fields()
+    fields[1][0] = fields[1][0][:1]
+    with pytest.raises(D.DataFormatError):
+        D.write_fields(tmp_path / "x.cmpd", tiny_header(), fields)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -268,6 +268,16 @@ def test_checkpoint_truncated_payload(tmp_path):
         M.load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes(tmp_path):
+    model = M.init_params(small_cfg())
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, model)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x00\x00\x00")
+    with pytest.raises(M.CheckpointError):
+        M.load_checkpoint(path)
+
+
 def test_checkpoint_version_gate(tmp_path):
     model = M.init_params(small_cfg())
     path = tmp_path / "model.ckpt"
@@ -295,3 +305,41 @@ def test_bind_passes_tensors_through_and_registers_arrays():
     # binding an already-bound tree is a no-op
     again = P.bind(bound, None)
     assert P.named_tensors(again, "p")[0][1] is pairs[0][1]
+
+
+def test_with_leaves_replaces_every_array():
+    model = M.init_params(small_cfg(aggregation="attention"))
+    named = model.named_parameters()
+    table = {name: T.Tensor(arr) for name, arr in named}
+    bound = P.with_leaves(model, table)
+    assert P.named_arrays(bound) == []
+    assert [n for n, _ in P.named_tensors(bound)] == [n for n, _ in named]
+    xs = rand_inputs(model.config)
+    a = M.forward(model, xs)
+    b = M.forward(bound, xs)
+    assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+
+
+def test_load_named_overwrites_in_place():
+    src = M.init_params(small_cfg(seed=1))
+    dst = M.init_params(small_cfg(seed=2))
+    before = dict(dst.named_parameters())
+    P.load_named(dst, {n: a.copy() for n, a in src.named_parameters()})
+    for name, arr in src.named_parameters():
+        assert before[name] is dict(dst.named_parameters())[name]
+        assert np.array_equal(before[name], arr)
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda t: t.pop(next(iter(t))), KeyError, r"missing=\['processes"),
+    (lambda t: t.update(ghost=np.zeros(1)), KeyError, r"unexpected=\['ghost'\]"),
+    (lambda t: t.update({k: v[..., :1] for k, v in list(t.items())[:1]}), ValueError, "shape"),
+    (lambda t: t.update({k: v.astype(np.float32) for k, v in list(t.items())[:1]}),
+     ValueError, "dtype"),
+], ids=["missing", "unexpected", "shape", "dtype"])
+def test_load_named_rejects_mismatched_tables(edit, error, match):
+    model = M.init_params(small_cfg())
+    table = {n: a.copy() for n, a in model.named_parameters()}
+    edit(table)
+    with pytest.raises(error, match=match):
+        P.load_named(model, table)
