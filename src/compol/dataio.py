@@ -79,7 +79,7 @@ def _write_frame(path, magic: bytes, header: dict, chunks) -> None:
         fh.write(_PREFIX.pack(FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for chunk in chunks:
-            fh.write(chunk.tobytes())
+            fh.write(np.ascontiguousarray(chunk).data)
 
 
 def _read_frame(path, magic: bytes, layout, error):
@@ -183,9 +183,12 @@ def read_fields(path: str) -> "tuple[dict, list[list[np.ndarray]]]":
     """Read a ``.cmpd`` file; returns the header and ``fields[process][group]``."""
     header, payload, (n, width, columns) = _read_frame(
         path, MAGIC, _fields_layout, DataFormatError)
-    rows = payload.view("<f4").reshape(n, width)
-    return header, [[rows[:, lo:hi].reshape((n,) + shape).copy() for lo, hi, shape in cols]
-                    for cols in columns]
+    try:
+        rows = payload.view("<f4").reshape(n, width)
+        return header, [[rows[:, lo:hi].reshape((n,) + shape).copy() for lo, hi, shape in cols]
+                        for cols in columns]
+    except ValueError as e:  # numpy refuses a dimension such as the 2**70 in [0, 2**70]
+        raise DataFormatError(f"{path}: bad header: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +232,11 @@ def write_checkpoint(path, header: dict, named: "list[tuple[str, np.ndarray]]") 
 def read_checkpoint(path) -> "tuple[dict, dict[str, np.ndarray]]":
     """Read a checkpoint; returns the header and read-only arrays by name."""
     header, payload, table = _read_frame(path, CKPT_MAGIC, _params_layout, CheckpointError)
-    return header, {name: payload[lo:hi].view(code).reshape(shape)
-                    for name, code, shape, lo, hi in table}
+    try:
+        return header, {name: payload[lo:hi].view(code).reshape(shape)
+                        for name, code, shape, lo, hi in table}
+    except ValueError as e:  # numpy refuses a dimension such as the 2**70 in [0, 2**70]
+        raise CheckpointError(f"{path}: bad header: {e}") from e
 
 
 # ---------------------------------------------------------------------------

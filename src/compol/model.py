@@ -15,6 +15,7 @@ array; :mod:`compol.dataio` owns their framing and byte layout.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +196,30 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     return CompolModel(config=cfg, processes=processes, aggregation=layer_aggs)
 
 
+def _param_elements(cfg: CompolConfig) -> int:
+    """Array elements ``init_params(cfg)`` allocates, counted without allocating them."""
+    P, n_layers, w = int(cfg.processes), int(cfg.layers), int(cfg.width)
+    d, kw, ph = int(cfg.effective_d_mix), int(cfg.effective_key_width), L.PROJECT_HIDDEN
+    n_coords = cfg.spatial_dims if cfg.coords else 0
+    k = math.prod(L._mode_counts(cfg.modes, cfg.spatial_dims))
+    total = sum((c + n_coords + 1 + ph) * w + ph + (ph + 1) * c for c in cfg.channels)
+    total += P * n_layers * (w * w * k + w * w + w)
+    if cfg.aggregation == "none":
+        return total
+    per_layer = 0
+    if cfg.aggregation in ("gru", "skip") and cfg.mix == "linear":
+        per_layer += P * w * d + d
+    if cfg.aggregation == "gru":
+        per_layer += 3 * (d * w + w * w + w)
+    elif cfg.aggregation == "attention":
+        per_layer += 2 * w * kw + kw + w * w + w
+    elif cfg.aggregation == "skip":
+        per_layer += d * w + w
+    if cfg.inject == "concat_reduce":
+        per_layer += P * (2 * w * w + w)
+    return total + n_layers * per_layer
+
+
 def _as_input_tensors(model: CompolModel, inputs) -> list[Tensor]:
     cfg = model.config
     if len(inputs) != cfg.processes:
@@ -312,8 +337,13 @@ def save_checkpoint(path, model: CompolModel, extra: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[CompolModel, dict]:
     header, table = read_checkpoint(path)
     try:
-        model = init_params(CompolConfig.from_dict(header["config"]))
+        cfg = CompolConfig.from_dict(header["config"])
+        # A config must not make init_params allocate more than the file holds.
+        implied, stored = _param_elements(cfg), sum(a.size for a in table.values())
+        if implied != stored:
+            raise ValueError(f"config implies {implied} parameter values, file holds {stored}")
+        model = init_params(cfg)
         load_named(model, table)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     return model, header.get("extra", {})

@@ -87,9 +87,9 @@ def bind(obj, tape: Tape | None):
     return _map(obj, lambda _, leaf: wrap(leaf) if isinstance(leaf, np.ndarray) else leaf)
 
 
-def with_leaves(obj, table: dict, prefix: str = ""):
+def with_leaves(obj, table: dict):
     """Clone a tree with each array replaced by ``table[dotted-name]``."""
-    return _map(obj, lambda name, _: table[name], prefix)
+    return _map(obj, lambda name, _: table[name])
 
 
 def load_named(obj, table: dict[str, np.ndarray], prefix: str = "") -> None:

@@ -22,7 +22,7 @@ from compol import model as M
 
 TINY = dict(processes=2, channels=[1, 1], layers=1, width=2, modes=2,
             aggregation="gru", mix="linear", seed=11)
-RETYPES = [None, True, -1, 2.5, "x", [], {}, [-1], [2 ** 40]]
+RETYPES = [None, True, -1, 2.5, "x", [], {}, [-1], [2 ** 40], [0, 2 ** 70]]
 
 
 def split(raw: bytes):
@@ -140,6 +140,13 @@ def _entry0(edit):
     return apply
 
 
+def _append_empty(h):
+    """Add a [0, 2**70] array after the last: no bytes, but more than numpy can index."""
+    last = h["params"][-1]
+    end = last["offset"] + np.dtype(last["dtype"]).itemsize * int(np.prod(last["shape"]))
+    h["params"].append({"name": "empty", "dtype": "<f4", "shape": [0, 2 ** 70], "offset": end})
+
+
 CHECKPOINT_PROBES = {
     "no-params": lambda h: h.pop("params"),
     "negative-shape": _entry0(lambda e: e.update(shape=[-1])),
@@ -150,6 +157,10 @@ CHECKPOINT_PROBES = {
     "config-unknown-key": lambda h: h["config"].update(dropout=0.5),
     "config-missing-key": lambda h: h["config"].pop("processes"),
     "config-zero-heads": lambda h: h["config"].update(aggregation="attention", heads=0),
+    "config-huge-modes": lambda h: h["config"].update(modes=[2 ** 40]),
+    "config-huge-width": lambda h: h["config"].update(width=2 ** 40),
+    "config-infinite-modes": lambda h: h["config"].update(modes=[float("inf")]),
+    "huge-empty-array": _append_empty,
     "extra-not-object": lambda h: h.update(extra=[1]),
 }
 
@@ -159,6 +170,8 @@ DATASET_PROBES = {
     "fractional-samples": lambda h: h.update(samples=3.0),
     "negative-shape": lambda h: h["shapes"][0].update(input=[-1, 8]),
     "other-groups": lambda h: h.update(groups=["output", "input"]),
+    "huge-empty-group": lambda h: (h["groups"].append("empty"),
+                                   [s.update(empty=[0, 2 ** 70]) for s in h["shapes"]]),
 }
 
 
@@ -186,9 +199,10 @@ def test_ten_byte_checkpoint_exits_2(good, tmp_path, capsys):
     assert c.eval_exit(capsys) == 2
 
 
-def test_trailing_bytes_exit_2(case, capsys):
-    assert not case.load(case.raw + b"\x00" * 4)
-    assert case.eval_exit(capsys) == 2
+def test_checkpoint_trailing_bytes_exit_2(good, tmp_path, capsys):
+    c = Case(good, tmp_path, "checkpoint")
+    assert not c.load(c.raw + b"\x00" * 4)
+    assert c.eval_exit(capsys) == 2
 
 
 @pytest.mark.parametrize("manifest", [
@@ -252,8 +266,6 @@ def _key_edits(header):
     for path in paths(header):
         yield f"drop {path}", lambda h, p=path: at(h, p).pop(p[-1])
         for value in RETYPES:
-            if path[:1] == ("config",) and value == [2 ** 40]:
-                continue  # a model that large is a real allocation, not a bad file
             yield (f"{path}={value!r}",
                    lambda h, p=path, v=value: at(h, p).__setitem__(p[-1], v))
 
