@@ -3,9 +3,9 @@
 Subpackages
 -----------
 ``tensor``
-    Reverse-mode autodiff over numpy arrays, including spectral ops.
+    Reverse-mode autodiff over numpy arrays, including truncated DFTs.
 ``fft``
-    Radix-2 FFT primitives used by the tensor ops.
+    Radix-2 FFT primitives used by the data generators.
 ``layers`` / ``aggregation`` / ``model``
     Fourier-operator building blocks, cross-process latent aggregation
     (recurrent, attention, skip), and the assembled architectures.

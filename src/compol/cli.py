@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,6 +40,9 @@ _TOP_KEYS = {"system", "data", "model", "train", "paths"}
 _OUTPUT_KEYS = {"config_hash", "model_kind"}  # written back into config copies
 _DATA_KEYS = {"n_train", "n_test", "resolution", "seed"}
 _TRAIN_KEYS = {"epochs", "batch", "lr", "schedule"}
+# integer keys of the data and train sections, with their least values
+_DATA_LEAST = {"n_train": 0, "n_test": 0, "resolution": 1, "seed": 0}
+_TRAIN_LEAST = {"epochs": 0, "batch": 1}
 _PATH_KEYS = {"data", "out"}
 
 _KIND_BY_AGGREGATION = {"gru": "compol-rnn", "attention": "compol-atn",
@@ -78,6 +82,9 @@ def load_experiment_config(path: str) -> dict:
     for name in ("model", "train", "data"):
         if name not in doc:
             raise UsageError(f"config {path} is missing the {name!r} section")
+    for name in _TOP_KEYS & set(doc):
+        if not isinstance(doc[name], dict):
+            raise UsageError(f"config {path}: the {name!r} section must be an object")
     _reject_unknown(doc["data"], _DATA_KEYS, "data section")
     _reject_unknown(doc["train"], _TRAIN_KEYS, "train section")
     if "paths" in doc:
@@ -85,10 +92,16 @@ def load_experiment_config(path: str) -> dict:
     for key in ("n_train", "n_test"):
         if key not in doc["data"]:
             raise UsageError(f"data section is missing {key!r}")
-        if int(doc["data"][key]) < 0:
-            raise UsageError(f"data.{key} must be >= 0")
     if "epochs" not in doc["train"]:
         raise UsageError("train section is missing 'epochs'")
+    for where, least in (("data", _DATA_LEAST), ("train", _TRAIN_LEAST)):
+        for key, value in doc[where].items():
+            if key in least and (type(value) is not int or value < least[key]):
+                raise UsageError(f"{where}.{key} must be an integer >= {least[key]}, "
+                                 f"got {value!r}")
+    lr = doc["train"].get("lr", 1e-3)
+    if type(lr) not in (int, float) or not 0 < lr < math.inf:
+        raise UsageError(f"train.lr must be a positive number, got {lr!r}")
     try:
         M.CompolConfig.from_dict(doc["model"])
     except (ValueError, TypeError) as e:
@@ -194,14 +207,14 @@ def cmd_train(args) -> int:
     kind = args.model or model_kind(cfg)
 
     data_sec = doc["data"]
-    n_train, n_test = int(data_sec["n_train"]), int(data_sec["n_test"])
+    n_train, n_test = data_sec["n_train"], data_sec["n_test"]
     if n_train + n_test > dataset.n_samples:
         raise UsageError(
             f"split needs {n_train}+{n_test} samples but dataset has "
             f"{dataset.n_samples}")
     if "resolution" in data_sec:
         grid = dataset.inputs[0].shape[2:]
-        if any(g != int(data_sec["resolution"]) for g in grid):
+        if any(g != data_sec["resolution"] for g in grid):
             raise UsageError(
                 f"data.resolution {data_sec['resolution']} does not match "
                 f"dataset grid {tuple(grid)}")
@@ -216,18 +229,14 @@ def cmd_train(args) -> int:
                if n_test else None)
 
     train_sec = doc["train"]
-    result = TR.train(
-        cfg, train_ds, test_ds,
-        epochs=int(train_sec["epochs"]),
-        batch_size=int(train_sec.get("batch", 32)),
-        lr=float(train_sec.get("lr", 1e-3)),
-        schedule=train_sec.get("schedule", "cosine"))
+    train_args = {"epochs": train_sec["epochs"], "batch": train_sec.get("batch", 32),
+                  "lr": float(train_sec.get("lr", 1e-3)),
+                  "schedule": train_sec.get("schedule", "cosine")}
+    result = TR.train(cfg, train_ds, test_ds, epochs=train_args["epochs"],
+                      batch_size=train_args["batch"], lr=train_args["lr"],
+                      schedule=train_args["schedule"])
 
-    resolved = {"data": data_sec, "model": result.config.to_dict(),
-                "train": {"epochs": int(train_sec["epochs"]),
-                          "batch": int(train_sec.get("batch", 32)),
-                          "lr": float(train_sec.get("lr", 1e-3)),
-                          "schedule": train_sec.get("schedule", "cosine")}}
+    resolved = {"data": data_sec, "model": result.config.to_dict(), "train": train_args}
     if "system" in doc:
         resolved["system"] = doc["system"]
     exp_hash = experiment_hash(resolved)

@@ -109,28 +109,23 @@ def _suite_tensor(results):
     _check("tensor", "reduce_mean",
            lambda a: T.reduce_sum(T.reduce_mean(a, (1,)) * pr3), [x], results)
 
-    x8 = _real(rng, 2, 8)
-    pc8 = T.Tensor(_cplx(rng, 2, 8))
+    half, rows = np.arange(5), np.array([0, 1, 7, 2, 6])
     pc5 = T.Tensor(_cplx(rng, 2, 5))
     p8 = T.Tensor(_real(rng, 2, 8))
-    _check("tensor", "fft",
-           lambda a: T.reduce_sum(T.real(T.fft(a, (-1,)) * pc8)), [x8 + 0j], results)
-    _check("tensor", "ifft",
-           lambda a: T.reduce_sum(T.real(T.ifft(a, (-1,)) * pc8)),
-           [_cplx(rng, 2, 8)], results)
-    _check("tensor", "rfft",
-           lambda a: T.reduce_sum(T.real(T.rfft(a, (-1,)) * pc5)), [x8], results)
-    _check("tensor", "irfft",
-           lambda a: T.reduce_sum(T.irfft(a, (-1,)) * p8),
+    pc53 = T.Tensor(_cplx(rng, 2, 5, 3))
+    pc83 = T.Tensor(_cplx(rng, 2, 8, 3))
+    _check("tensor", "dft_analysis_real",
+           lambda a: T.reduce_sum(T.real(T.dft_analysis(a, half) * pc5)),
+           [_real(rng, 2, 8)], results)
+    _check("tensor", "dft_analysis_complex",
+           lambda a: T.reduce_sum(T.real(T.dft_analysis(a, rows, -2) * pc53)),
+           [_cplx(rng, 2, 8, 3)], results)
+    _check("tensor", "dft_synthesis_real",
+           lambda a: T.reduce_sum(T.dft_synthesis(a, half, 8, real=True) * p8),
            [_cplx(rng, 2, 5)], results)
-    _check("tensor", "rfft_irfft_chain",
-           lambda a: T.reduce_sum(T.irfft(T.rfft(a, (-1,)), (-1,)) * p8),
-           [x8], results)
-    x2d = _real(rng, 2, 4, 4)
-    p2d = T.Tensor(_real(rng, 2, 4, 4))
-    _check("tensor", "irfft_rfft_2d",
-           lambda a: T.reduce_sum(T.irfft(T.rfft(a, (-2, -1)), (-2, -1)) * p2d),
-           [x2d], results)
+    _check("tensor", "dft_synthesis_complex",
+           lambda a: T.reduce_sum(T.real(T.dft_synthesis(a, rows, 8, -2) * pc83)),
+           [_cplx(rng, 2, 5, 3)], results)
 
     v = _cplx(rng, 2, 3, 6)
     r = _cplx(rng, 3, 3, 6)

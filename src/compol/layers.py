@@ -138,7 +138,9 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
     """Multiply retained Fourier modes of ``v`` by ``r``, zero the rest.
 
     ``v`` is [batch, width, n] or [batch, width, n1, n2]; ``r`` carries
-    the retained mode counts in its trailing axes.
+    the retained mode counts in its trailing axes.  Only the retained
+    bins are ever computed: truncated DFTs in, per-mode mixing, truncated
+    DFTs out, one axis at a time.
     """
     spatial = v.ndim - 2
     if spatial == 1:
@@ -146,23 +148,18 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
         k1 = r.shape[-1]
         if k1 > n // 2 + 1:
             raise T.ShapeError(f"k1={k1} exceeds {n // 2 + 1} real-axis bins")
-        vhat = T.rfft(v, axes=(-1,))
-        sel = T.take(vhat, np.arange(k1), -1)
-        mixed = T.mode_mix(sel, r)
-        full = T.put(mixed, np.arange(k1), -1, n // 2 + 1)
-        return T.irfft(full, axes=(-1,), n=n)
+        mixed = T.mode_mix(T.dft_analysis(v, np.arange(k1), -1), r)
+        return T.dft_synthesis(mixed, np.arange(k1), n, -1, real=True)
     if spatial == 2:
         n1, n2 = v.shape[-2], v.shape[-1]
         k1, k2 = r.shape[-2], r.shape[-1]
         if k1 > n2 // 2 + 1:
             raise T.ShapeError(f"k1={k1} exceeds {n2 // 2 + 1} real-axis bins")
-        idx_full = full_axis_mode_indices(k2, n1)
-        vhat = T.rfft(v, axes=(-2, -1))
-        sel = T.take(T.take(vhat, np.arange(k1), -1), idx_full, -2)
+        cols, rows = np.arange(k1), full_axis_mode_indices(k2, n1)
+        sel = T.dft_analysis(T.dft_analysis(v, cols, -1), rows, -2)
         # r is stored [w, w, k1, k2]; the field block is [b, w, k2, k1]
         mixed = T.mode_mix(sel, T.moveaxis(r, -1, -2))
-        full = T.put(T.put(mixed, idx_full, -2, n1), np.arange(k1), -1, n2 // 2 + 1)
-        return T.irfft(full, axes=(-2, -1), n=n2)
+        return T.dft_synthesis(T.dft_synthesis(mixed, rows, n1, -2), cols, n2, -1, real=True)
     raise T.ShapeError(f"spectral_conv expects 1 or 2 spatial axes, got {spatial}")
 
 

@@ -47,6 +47,18 @@ PARAM_COUNT_CONVENTION = "complex entries count as two reals; biases included"
 MODEL_KINDS = ("compol-rnn", "compol-atn", "compol-skip", "fno-c")
 
 
+# integer fields and their least values; d_mix and key_width may be None
+_INT_LEAST = {"processes": 1, "layers": 1, "width": 1, "spatial_dims": 1, "heads": 1,
+              "d_mix": 1, "key_width": 1, "seed": 0, "process_seed_offset": 0}
+
+
+def _require_int(name: str, value, least: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class CompolConfig:
     """Architecture and initialization choices for one model."""
@@ -71,13 +83,25 @@ class CompolConfig:
     process_seed_offset: int = 0
 
     def __post_init__(self):
-        self.channels = [int(c) for c in self.channels]
         if isinstance(self.modes, list):
             self.modes = tuple(self.modes)
         self.validate()
 
     def validate(self) -> None:
-        if self.processes < 1 or len(self.channels) != self.processes:
+        """Check every field's type (a bool is not an int), then its value."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("channels", "modes"):
+                if f.name == "channels" and not isinstance(value, list):
+                    raise TypeError(f"channels must be a list, got {value!r}")
+                for v in value if isinstance(value, (list, tuple)) else [value]:
+                    _require_int(f.name, v, 1)
+            elif f.name in _INT_LEAST:
+                if value is not None or f.default is not None:
+                    _require_int(f.name, value, _INT_LEAST[f.name])
+            elif not isinstance(value, type(f.default)):      # the str and bool fields
+                raise TypeError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
+        if len(self.channels) != self.processes:
             raise ValueError("need one channel count per process")
         if self.spatial_dims not in (1, 2):
             raise ValueError("spatial_dims must be 1 or 2")
@@ -89,8 +113,6 @@ class CompolConfig:
             raise ValueError(f"inject must be one of {INJECT_KINDS}")
         if self.dtype not in _DTYPES:
             raise ValueError("dtype must be real32 or real64")
-        if self.layers < 1 or self.width < 1:
-            raise ValueError("layers and width must be positive")
         L.activation_fn(self.activation)
         if self.mix == "add" and self.effective_d_mix != self.width:
             raise ValueError("additive mixing requires d_mix == width")

@@ -6,9 +6,11 @@ compute; as soon as an operand carries a tape node, the result is
 recorded so :func:`backward` can sweep the chain once in reverse,
 accumulating cotangents at fan-out points.
 
-Complex cotangents use the ``d/dRe + i*d/dIm`` convention.  Under it the
-backward of the unnormalized DFT is the conjugate-transposed DFT, i.e.
-``N * ifft``, which keeps real-in/real-out spectral pipelines exactly
+Complex cotangents use the ``d/dRe + i*d/dIm`` convention.  Under it a
+truncated DFT ``y = x @ M``, with ``M`` the cached [n, k] analysis or
+[k, n] synthesis matrix, has the backward ``g @ M^H``; a real input takes
+its real part, and a real output is the real part of the weighted
+synthesis.  That keeps real-in/real-out spectral pipelines exactly
 consistent with finite differences.
 
 Tensors are treated as immutable once created, and a tape must only be
@@ -17,19 +19,18 @@ used from the thread that recorded it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fft as _kernels
-
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
     "matmul", "reduce_sum", "reduce_mean",
-    "fft", "ifft", "rfft", "irfft", "mode_mix", "softmax",
-    "take", "put", "concat", "moveaxis", "reshape", "real", "imag",
+    "dft_analysis", "dft_synthesis", "mode_mix", "softmax",
+    "take", "concat", "moveaxis", "reshape", "real",
     "backward", "finite_diff_check", "finite_diff_report",
 ]
 
@@ -401,102 +402,103 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fourier transforms
+# truncated discrete Fourier transforms
 
 
-def _axes_extent(shape, axes) -> int:
-    p = 1
-    for ax in axes:
-        p *= shape[ax]
-    return p
+@functools.lru_cache(maxsize=32)
+def _dft_matrix(synthesis: bool, real: bool, n: int, bins: tuple[int, ...],
+                dtype: str) -> np.ndarray:
+    """Read-only DFT matrix for ``bins`` of an ``n``-point axis, built in float64.
+
+    Analysis is [n, k], ``F = exp(-2 pi i t b / n)``; synthesis is [k, n],
+    ``G = exp(2 pi i b t / n) / n``, with the Hermitian weights 1 (DC and
+    Nyquist) and 2 (other bins) when its output is real.  A ``real`` matrix
+    interleaves real and imaginary parts, columns (Re F, Im F) or rows
+    (Re G, -Im G), so complex data meets it as (re, im) pairs in one real
+    matmul (see :func:`_dft_apply`).
+    """
+    b = np.asarray(bins)
+    # reduce t*b modulo n in integers so the angle is exact before rounding
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(n), b) % n) / n)   # [n, k]
+    edge = (b == 0) | (2 * b == n)
+    phase[:, edge] = phase[:, edge].real      # DC and Nyquist phases are ±1
+    if synthesis:
+        mat = (phase * (np.where(edge, 1.0, 2.0) if real else 1.0) / n).T
+        if real:
+            mat = np.stack([mat.real, -mat.imag], axis=1).reshape(2 * len(b), n)
+    else:
+        mat = np.conj(phase)
+        if real:
+            mat = np.stack([mat.real, mat.imag], axis=-1).reshape(n, 2 * len(b))
+    mat = np.ascontiguousarray(mat.astype(dtype))
+    mat.flags.writeable = False
+    return mat
 
 
-def fft(a: Tensor, axes=(-1,)) -> Tensor:
-    a = _wrap(a)
-    out = _kernels.fft(a.data, axes)
-    was_real = not a.is_complex
-    norm_axes = _kernels._normalize_axes(out.ndim, axes)
-    n_total = _axes_extent(out.shape, norm_axes)
+def _dft_apply(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    """``x @ mat`` over ``axis``.  Against a real ``mat`` of (re, im) pairs,
+    complex ``x`` is viewed as reals and real ``x`` gives complex pairs."""
+    moved = np.moveaxis(x, axis, -1)
+    rows = moved.reshape(-1, moved.shape[-1])
+    if mat.dtype.kind == "f" and rows.dtype.kind == "c":
+        rows = np.ascontiguousarray(rows).view(mat.dtype)
+    out = rows @ mat
+    if mat.dtype.kind == "f" and x.dtype.kind == "f":
+        out = out.view(np.result_type(mat.dtype, np.complex64))
+    out = out.reshape(moved.shape[:-1] + out.shape[-1:])
+    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+
+
+def _dft(name: str, a: Tensor, bins, n: int, axis: int, synthesis: bool, real: bool) -> Tensor:
+    key = tuple(int(b) for b in np.asarray(bins, dtype=np.intp).reshape(-1))
+    if not key or not all(0 <= b < n for b in key):
+        raise ShapeError(f"{name}: bins must be non-empty and within [0, {n}), got {list(key)}")
+    if synthesis and a.shape[axis] != len(key):
+        raise ShapeError(f"{name}: {a.shape[axis]} entries on axis {axis} but {len(key)} bins")
+
+    def matrix(dtype):
+        dtype = np.finfo(dtype).dtype if real else np.result_type(dtype, np.complex64)
+        return _dft_matrix(synthesis, real, n, key, dtype.str)
 
     def bwd(g):
-        gi = _kernels.ifft(g, norm_axes) * n_total
-        return (gi.real.copy() if was_real else gi,)
+        # g @ M^H, in the cotangent's precision, which may exceed the input's
+        return (_dft_apply(g, axis, _conj_t(matrix(g.dtype))),)
 
-    return _record("fft", out, (a,), bwd)
+    return _record(name, _dft_apply(a.data, axis, matrix(a.dtype)), (a,), bwd)
 
 
-def ifft(a: Tensor, axes=(-1,)) -> Tensor:
+def dft_analysis(a: Tensor, bins, axis: int = -1) -> Tensor:
+    """Selected bins ``X_j = sum_t a_t exp(-2 pi i t bins_j / n)`` along ``axis``.
+
+    Real or complex ``[..., n, ...]`` becomes complex ``[..., k, ...]``; a
+    real input's gradient is the real part of ``g @ F^H``.
+    """
     a = _wrap(a)
-    out = _kernels.ifft(a.data, axes)
-    was_real = not a.is_complex
-    norm_axes = _kernels._normalize_axes(out.ndim, axes)
-    n_total = _axes_extent(out.shape, norm_axes)
-
-    def bwd(g):
-        gi = _kernels.fft(g, norm_axes) * (1.0 / n_total)
-        return (gi.real.copy() if was_real else gi,)
-
-    return _record("ifft", out, (a,), bwd)
+    return _dft("dft_analysis", a, bins, a.shape[axis], axis, False, not a.is_complex)
 
 
-def rfft(a: Tensor, axes=(-1,)) -> Tensor:
-    a = _wrap(a)
-    if a.is_complex:
-        raise DtypeError("rfft expects a real tensor")
-    out = _kernels.rfft(a.data, axes)
-    norm_axes = _kernels._normalize_axes(a.ndim, axes)
-    last = norm_axes[-1]
-    n_last = a.shape[last]
-    n_total = _axes_extent(a.shape, norm_axes)
-    in_shape = a.shape
+def dft_synthesis(a: Tensor, bins, n: int, axis: int = -1, real: bool = False) -> Tensor:
+    """Rebuild ``n`` points from the complex ``bins`` along ``axis``.
 
-    def bwd(g):
-        pad = list(in_shape)
-        full = np.zeros(pad, dtype=g.dtype)
-        sl = [slice(None)] * len(pad)
-        sl[last] = slice(0, n_last // 2 + 1)
-        full[tuple(sl)] = g
-        gi = _kernels.ifft(full, norm_axes) * n_total
-        return (gi.real.copy(),)
-
-    return _record("rfft", out, (a,), bwd)
-
-
-def irfft(a: Tensor, axes=(-1,), n: int | None = None) -> Tensor:
+    ``real=False`` gives ``y_t = sum_j a_j exp(2 pi i bins_j t / n) / n``,
+    the inverse DFT of a spectrum that is zero off ``bins``.  ``real=True``
+    gives the real signal whose half spectrum is ``a`` on ``bins``, as
+    ``irfft`` does: every bin but DC and Nyquist counts twice, and their
+    imaginary parts are ignored.
+    """
     a = _wrap(a)
     if not a.is_complex:
-        raise DtypeError("irfft expects a complex tensor")
-    norm_axes = _kernels._normalize_axes(a.ndim, axes)
-    last = norm_axes[-1]
-    n_last = 2 * (a.shape[last] - 1) if n is None else int(n)
-    out = _kernels.irfft(a.data, norm_axes, n_last)
-    n_other = _axes_extent(out.shape, norm_axes[:-1])
-    k_last = a.shape[last]
-
-    def bwd(g):
-        # Adjoint in reverse order of the forward pipeline: last axis
-        # transform, Hermitian fold, then the remaining axes.  The fold
-        # conjugates mirrored bins, so it must precede the other axes.
-        gf = _kernels.fft(g, (last,)) * (1.0 / n_last)
-        moved = np.moveaxis(gf, last, -1)
-        folded = moved[..., :k_last].copy()
-        if n_last > 2:
-            folded[..., 1:-1] += np.conj(moved[..., : n_last // 2 : -1])
-        folded = np.moveaxis(folded, -1, last)
-        if norm_axes[:-1]:
-            folded = _kernels.fft(folded, norm_axes[:-1]) * (1.0 / n_other)
-        return (np.ascontiguousarray(folded),)
-
-    return _record("irfft", out, (a,), bwd)
+        raise DtypeError("dft_synthesis expects a complex tensor")
+    return _dft("dft_synthesis", a, bins, int(n), axis, True, bool(real))
 
 
-def _modes_last_to_batch(x: np.ndarray) -> np.ndarray:
-    """View ``[a, b, k..]`` as ``[k.., a, b]`` so matmul batches over modes."""
-    return np.moveaxis(x, (0, 1), (-2, -1))
+def _modes_first(x: np.ndarray) -> np.ndarray:
+    """``[a, b, k..]`` as contiguous ``[k.., a, b]``, so matmul batches over modes."""
+    return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
 
 
-def _modes_batch_to_last(x: np.ndarray) -> np.ndarray:
-    return np.moveaxis(x, (-2, -1), (0, 1))
+def _modes_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
 
 
 def mode_mix(v: Tensor, r: Tensor) -> Tensor:
@@ -509,20 +511,13 @@ def mode_mix(v: Tensor, r: Tensor) -> Tensor:
         raise ShapeError(f"mode_mix supports 1 or 2 mode axes, got rank {rank}")
     if r.ndim != rank + 2 or v.shape[1] != r.shape[0] or v.shape[2:] != r.shape[2:]:
         raise ShapeError(f"mode_mix shapes incompatible: {v.shape} with {r.shape}")
-    vd, rd = v.data, r.data
     # Stacked matmul over the mode axes hits BLAS; einsum on complex does not.
-    vb = np.ascontiguousarray(_modes_last_to_batch(vd))  # [k.., b, i]
-    rb = np.ascontiguousarray(_modes_last_to_batch(rd))  # [k.., i, o]
-    out = np.ascontiguousarray(_modes_batch_to_last(vb @ rb))
+    vb, rb = _modes_first(v.data), _modes_first(r.data)    # [k.., b, i], [k.., i, o]
+    out = _modes_last(vb @ rb)
 
     def bwd(g):
-        gb = np.ascontiguousarray(_modes_last_to_batch(g))  # [k.., b, o]
-        gv = gb @ np.conj(np.swapaxes(rb, -2, -1))          # [k.., b, i]
-        gr = np.conj(np.swapaxes(vb, -2, -1)) @ gb          # [k.., i, o]
-        return (
-            np.ascontiguousarray(_modes_batch_to_last(gv)),
-            np.ascontiguousarray(_modes_batch_to_last(gr)),
-        )
+        gb = _modes_first(g)                                  # [k.., b, o]
+        return _modes_last(gb @ _conj_t(rb)), _modes_last(_conj_t(vb) @ gb)
 
     return _record("mode_mix", out, (v, r), bwd)
 
@@ -543,23 +538,6 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
         return (full,)
 
     return _record("take", out, (a,), bwd)
-
-
-def put(a: Tensor, indices, axis: int, size: int) -> Tensor:
-    """Embed ``a`` into zeros of extent ``size`` along ``axis``."""
-    a = _wrap(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if len(idx) != a.shape[axis]:
-        raise ShapeError("put: index count must match the source extent")
-    shape = list(a.shape)
-    shape[axis] = int(size)
-    out = np.zeros(shape, dtype=a.data.dtype)
-    np.moveaxis(out, axis, 0)[idx] = np.moveaxis(a.data, axis, 0)
-
-    def bwd(g):
-        return (np.take(g, idx, axis=axis),)
-
-    return _record("put", out, (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -613,20 +591,6 @@ def real(a: Tensor) -> Tensor:
         return (g.astype(cdtype) if was_complex else g,)
 
     return _record("real", out, (a,), bwd)
-
-
-def imag(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = a.data.imag.copy() if a.is_complex else np.zeros_like(a.data)
-    was_complex = a.is_complex
-    cdtype = a.data.dtype
-
-    def bwd(g):
-        if was_complex:
-            return ((1j * g).astype(cdtype),)
-        return (np.zeros_like(g),)
-
-    return _record("imag", out, (a,), bwd)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

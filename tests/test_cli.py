@@ -200,6 +200,30 @@ def test_train_config_schema_violations(tmp_path, lv_data, capsys, mutate, phras
     assert phrase in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "width", 2.5), ("model", "layers", 1.5), ("model", "modes", 4.5),
+    ("model", "seed", 1.5), ("model", "channels", [1.7, 1]), ("model", "heads", True),
+    ("model", "coords", 1), ("model", "aggregation", ["gru"]),
+    ("data", "n_train", [2]), ("data", "n_train", 2.5), ("data", "seed", True),
+    ("train", "batch", 2.5), ("train", "epochs", 1.5), ("train", "lr", "fast"),
+    ("train", None, None),
+])
+def test_train_config_types_exit_2(tmp_path, lv_data, capsys, section, key, value):
+    """A value of the wrong type (bools are not integers) is one error line,
+    never a traceback and never silently truncated."""
+    doc = experiment_doc(lv_data, tmp_path / "out")
+    if key is None:
+        doc[section] = []
+    else:
+        doc[section][key] = value
+    cfg = write_config(tmp_path / "exp.json", doc)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

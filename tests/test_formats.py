@@ -160,6 +160,9 @@ CHECKPOINT_PROBES = {
     "config-huge-modes": lambda h: h["config"].update(modes=[2 ** 40]),
     "config-huge-width": lambda h: h["config"].update(width=2 ** 40),
     "config-infinite-modes": lambda h: h["config"].update(modes=[float("inf")]),
+    "config-fractional-width": lambda h: h["config"].update(width=2.5),
+    "config-fractional-channels": lambda h: h["config"].update(channels=[1.7, 1]),
+    "config-bool-heads": lambda h: h["config"].update(heads=True),
     "huge-empty-array": _append_empty,
     "extra-not-object": lambda h: h.update(extra=[1]),
 }

@@ -92,11 +92,32 @@ def test_spectral_conv_translation_equivariance_1d():
         assert np.max(np.abs(shifted - np.roll(base, s, -1))) < 1e-12, s
 
 
+def test_spectral_conv_records_only_truncated_dft_nodes():
+    """1-D: analysis, mode mixing, synthesis; 2-D adds one DFT per extra
+    axis and the weight transpose.  No gather, scatter or full FFT."""
+    rng = np.random.default_rng(9)
+    for v_shape, r_shape, want in [
+        ((2, 3, 16), (3, 3, 5), ["dft_analysis", "mode_mix", "dft_synthesis"]),
+        ((2, 3, 8, 8), (3, 3, 4, 3), ["dft_analysis", "dft_analysis", "moveaxis",
+                                      "mode_mix", "dft_synthesis", "dft_synthesis"]),
+    ]:
+        tape = T.Tape()
+        v = tape.leaf(rng.normal(size=v_shape))
+        r = tape.leaf(rng.normal(size=r_shape) + 0j)
+        L.spectral_conv(v, r)
+        assert [node.name for node in tape._nodes[2:]] == want
+
+
 def test_spectral_conv_too_many_modes():
     v = T.Tensor(np.zeros((1, 2, 8)))
     r = T.Tensor(np.zeros((2, 2, 6), dtype=complex))  # 8//2+1 = 5 bins
     with pytest.raises(T.ShapeError):
         L.spectral_conv(v, r)
+    v2 = T.Tensor(np.zeros((1, 2, 4, 8)))
+    with pytest.raises(T.ShapeError):       # k1 = 6 > 8//2+1 real-axis bins
+        L.spectral_conv(v2, T.Tensor(np.zeros((2, 2, 6, 2), dtype=complex)))
+    with pytest.raises(ValueError):         # k2 = 5 > n1 = 4 full-axis bins
+        L.spectral_conv(v2, T.Tensor(np.zeros((2, 2, 3, 5), dtype=complex)))
 
 
 def test_spectral_param_count_formula():

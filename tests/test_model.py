@@ -207,6 +207,27 @@ def test_config_for_kind_mappings():
         M.config_for_kind("transformer-xxl", base)
 
 
+@pytest.mark.parametrize("kw,grid,batches", [
+    (dict(layers=4, width=32, modes=12), (64,), (32, 7, 1)),                  # c07
+    (dict(layers=4, width=32, modes=[12, 12], spatial_dims=2), (64, 64), (16, 7, 1)),
+], ids=["c07", "eval-gs64"])
+def test_sample_output_does_not_depend_on_its_batch(kw, grid, batches):
+    """A sample's output is the same in a batch of any size, to a stated
+    tolerance: BLAS blocks float32 matmuls by the row count, so bitwise
+    equality does not hold (about 3e-7 of the output scale is seen)."""
+    cfg = M.CompolConfig(processes=2, channels=[1, 1], aggregation="attention",
+                         seed=3, **kw)
+    model = M.init_params(cfg)
+    rng = np.random.default_rng(5)
+    xs = [rng.standard_normal((batches[0], 1) + grid).astype(np.float32) for _ in range(2)]
+    full = [o.data for o in M.forward(model, xs, None)]
+    scale = max(float(np.abs(o).max()) for o in full)
+    for b in batches[1:]:
+        part = M.forward(model, [x[:b] for x in xs], None)
+        for p, f in zip(part, full):
+            assert np.abs(p.data - f[:b]).max() <= 1e-6 * scale, b
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -220,6 +241,19 @@ def test_config_rejects_bad_values():
         small_cfg(spatial_dims=3)
     with pytest.raises(ValueError):
         small_cfg(mix="add", d_mix=4)  # additive mixing needs d_mix == width
+
+
+@pytest.mark.parametrize("field,value", [
+    ("width", 2.5), ("layers", 1.5), ("modes", 4.5), ("modes", (4, 2.5)), ("seed", 1.5),
+    ("channels", [1.7, 1]), ("channels", "11"), ("heads", True), ("spatial_dims", True),
+    ("processes", 2.0), ("d_mix", 8.0), ("key_width", False), ("coords", 1),
+    ("attend_history", 0), ("aggregation", ["gru"]), ("activation", None), ("dtype", 32),
+])
+def test_config_rejects_wrong_types(field, value):
+    """Every field is type-checked; bools are not integers, and nothing is
+    truncated to fit."""
+    with pytest.raises(TypeError):
+        small_cfg(**{field: value})
 
 
 def test_config_round_trips_through_dict():

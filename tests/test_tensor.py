@@ -2,8 +2,8 @@
 
 The exhaustive per-op finite-difference sweep lives in the gradcheck
 module; here we pin the op semantics, the error paths, and the complex
-spectral-transform gradient conventions that are easy to get
-silently wrong (scaling and conjugation of the FFT adjoints).
+truncated-DFT gradient conventions that are easy to get silently
+wrong (scaling, conjugation and Hermitian weights of the adjoints).
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compol import fft as K
 from compol import tensor as T
 
 
@@ -140,21 +141,18 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_take_put_concat_moveaxis_reshape():
+def test_take_concat_moveaxis_reshape():
     x = np.arange(6.0).reshape(2, 3)
     t = T.Tensor(x)
     assert np.allclose(T.take(t, np.array([1, 0]), 0).data, x[[1, 0]])
     assert np.allclose(T.concat([t, t], 1).data, np.concatenate([x, x], 1))
     assert np.allclose(T.moveaxis(t, 0, 1).data, x.T)
     assert np.allclose(T.reshape(t, (6,)).data, x.reshape(6))
-    scattered = T.put(T.Tensor(np.ones((2, 2))), np.array([0, 3]), 1, 5).data
-    assert np.allclose(scattered, [[1, 0, 0, 1, 0], [1, 0, 0, 1, 0]])
 
 
-def test_real_imag():
+def test_real():
     z = np.array([1 + 2j, 3 - 4j])
     assert np.allclose(T.real(T.Tensor(z)).data, [1, 3])
-    assert np.allclose(T.imag(T.Tensor(z)).data, [2, -4])
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +165,15 @@ def test_real_complex_mixing_rejected():
         a + b
 
 
-def test_rfft_requires_real_irfft_requires_complex():
+def test_dft_ops_dtype_and_bin_errors():
     with pytest.raises(T.DtypeError):
-        T.rfft(T.Tensor(np.ones(8, dtype=complex)), (-1,))
+        T.dft_synthesis(T.Tensor(np.ones(5)), np.arange(5), 8, real=True)
     with pytest.raises(T.DtypeError):
-        T.irfft(T.Tensor(np.ones(8)), (-1,))
+        T.dft_synthesis(T.Tensor(np.ones(5)), np.arange(5), 8)
+    with pytest.raises(T.ShapeError):
+        T.dft_analysis(T.Tensor(np.ones(8)), [0, 8])
+    with pytest.raises(T.ShapeError):
+        T.dft_synthesis(T.Tensor(np.ones(4, dtype=complex)), np.arange(5), 8)
 
 
 def test_matmul_shape_mismatch():
@@ -190,49 +192,139 @@ def test_non_numeric_dtype_rejected():
 
 
 # ---------------------------------------------------------------------------
-# spectral gradient conventions
+# truncated DFTs: the matrices, and their gradient conventions
 #
 # The loss L(x) = sum(Re(op(x) * g)) is linear in x, so collecting the
 # coefficient of each x entry gives the exact gradient in closed form.
 # Because the op is linear, L = Re(sum(x * h)) for some h, and in the
 # d/dRe + i*d/dIm convention the gradient is conj(h).  The DFT matrix
-# is symmetric, so h = fft(g) for the forward transform and ifft(g)
-# for the inverse — no transposes to fudge.
+# is symmetric, so h is the forward transform of g embedded at the bins
+# for analysis, and the inverse transform of g read at the bins for
+# synthesis — no transposes to fudge.
 
 
-def _spectral_adjoint(op, g):
-    """Gradient of sum(Re(op(x) * g)) w.r.t. complex x, from the tape."""
+def _embed(a, bins, n):
+    full = np.zeros(a.shape[:-1] + (n,), dtype=complex)
+    full[..., bins] = a
+    return full
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_dft_ops_match_fft_and_direct_definition(n):
+    rng = np.random.default_rng(3)
+    half = np.arange(n // 2 + 1)
+    rows = np.array([0, 1, n - 1, 2, n - 2])
+    t = np.arange(n)
+    x = rng.normal(size=(3, n))
+    z = x + 1j * rng.normal(size=(3, n))
+    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    h = rng.normal(size=(3, len(half))) + 1j * rng.normal(size=(3, len(half)))
+    direct = np.exp(-2j * np.pi * np.outer(t, t) / n)         # O(N^2) definition
+
+    got = T.dft_analysis(T.Tensor(x), half).data
+    assert np.abs(got - K.rfft(x)).max() < 1e-12
+    assert np.abs(got - x @ direct[:, half]).max() < 1e-12
+    got = T.dft_analysis(T.Tensor(z), rows).data
+    assert np.abs(got - K.fft(z)[:, rows]).max() < 1e-12
+    assert np.abs(got - z @ direct[:, rows]).max() < 1e-12
+
+    got = T.dft_synthesis(T.Tensor(a), rows, n).data
+    assert np.abs(got - K.ifft(_embed(a, rows, n))).max() < 1e-12
+    assert np.abs(got - a @ np.conj(direct[rows]) / n).max() < 1e-12
+    got = T.dft_synthesis(T.Tensor(h), half, n, real=True).data
+    assert got.dtype == np.float64
+    assert np.abs(got - K.irfft(h, (-1,), n)).max() < 1e-12
+    spectrum = _embed(h, half, n)
+    spectrum[:, n // 2 + 1:] = np.conj(spectrum[:, n // 2 - 1:0:-1])
+    spectrum[:, [0, n // 2]] = spectrum[:, [0, n // 2]].real   # irfft drops these
+    assert np.abs(got - (spectrum @ np.conj(direct) / n).real).max() < 1e-12
+
+
+def test_dft_ops_work_along_any_axis_and_keep_float32():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2, 8, 3)).astype(np.float32)
+    got = T.dft_analysis(T.Tensor(x), [0, 1, 7], 1)
+    assert got.dtype == np.complex64 and got.shape == (2, 3, 3)
+    want = np.fft.fft(x.astype(np.float64), axis=1)[:, [0, 1, 7]]
+    assert np.abs(got.data - want).max() < 1e-5
+    back = T.dft_synthesis(got, [0, 1, 7], 8, 1)
+    assert back.dtype == np.complex64 and back.shape == (2, 8, 3)
+    want = np.fft.ifft(_embed(np.moveaxis(want, 1, -1), [0, 1, 7], 8), axis=-1)
+    assert np.abs(back.data - np.moveaxis(want, -1, 1)).max() < 1e-5
+
+
+@pytest.mark.parametrize("op,shape,complex_in", [
+    (lambda x: T.dft_analysis(x, [0, 1, 2]), (2, 8), False),
+    (lambda x: T.dft_analysis(x, [0, 1, 7], -2), (2, 8, 3), True),
+    (lambda x: T.dft_synthesis(x, [0, 1, 2], 8, real=True), (2, 3), True),
+    (lambda x: T.dft_synthesis(x, [0, 1, 7], 8, -2), (2, 3, 4), True),
+], ids=["analysis-real", "analysis-complex", "synthesis-real", "synthesis-complex"])
+def test_dft_backward_keeps_a_wider_cotangent(op, shape, complex_in):
+    """A float64 cotangent reaching a float32 op (a float64 loss term does
+    that) is transformed in float64, as the float64 op would."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_in else 0)
+    x32 = x.astype(np.complex64 if complex_in else np.float32)
+    grads = []
+    for arr in (x32, x):
+        tape = T.Tape()
+        y = op(tape.leaf(arr))
+        if not grads:
+            g = rng.normal(size=y.shape) + (1j * rng.normal(size=y.shape) if y.is_complex else 0)
+        grads.append(tape._nodes[y.node_id].backward(g)[0])
+    assert grads[0].dtype == grads[1].dtype == x.dtype
+    assert np.array_equal(grads[0], grads[1])
+
+
+def _dft_adjoint(op, x0, g):
+    """Gradient of sum(Re(op(x) * g)) w.r.t. x, from the tape."""
     tape = T.Tape()
-    x = tape.leaf(np.zeros_like(g))
+    x = tape.leaf(x0)
     loss = T.reduce_sum(T.real(op(x) * T.Tensor(g)))
     return T.backward(tape, loss)[x]
 
 
-def test_fft_adjoint_closed_form():
+def test_dft_analysis_adjoint_closed_form():
     rng = np.random.default_rng(4)
-    g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    got = _spectral_adjoint(lambda x: T.fft(x, (-1,)), g)
-    want = np.conj(np.fft.fft(g, axis=-1))
-    assert np.max(np.abs(got - want)) < 1e-10
+    bins = np.array([0, 1, 7, 2, 6])
+    g = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    want = np.conj(np.fft.fft(_embed(g, bins, 8), axis=-1))
+    got = _dft_adjoint(lambda x: T.dft_analysis(x, bins), np.zeros((2, 8), complex), g)
+    assert np.max(np.abs(got - want)) < 1e-12
+    # real input: the same gradient, real part taken
+    got = _dft_adjoint(lambda x: T.dft_analysis(x, bins), np.zeros((2, 8)), g)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want.real)) < 1e-12
 
 
-def test_ifft_adjoint_closed_form():
+def test_dft_synthesis_adjoint_closed_form():
     rng = np.random.default_rng(5)
+    bins = np.array([0, 1, 7, 2, 6])
     g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    got = _spectral_adjoint(lambda x: T.ifft(x, (-1,)), g)
-    want = np.conj(np.fft.ifft(g, axis=-1))
-    assert np.max(np.abs(got - want)) < 1e-10
+    got = _dft_adjoint(lambda x: T.dft_synthesis(x, bins, 8), np.zeros((2, 5), complex), g)
+    want = np.conj(np.fft.ifft(g, axis=-1)[:, bins])
+    assert np.max(np.abs(got - want)) < 1e-12
+    # real output: g @ G^H with the Hermitian weights 1 (DC, Nyquist) and 2
+    half = np.arange(5)
+    gr = g.real
+    got = _dft_adjoint(lambda x: T.dft_synthesis(x, half, 8, real=True),
+                       np.zeros((2, 5), complex), gr)
+    want = np.fft.fft(gr, axis=-1)[:, half] * np.array([1, 2, 2, 2, 1]) / 8
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_rfft_irfft_chain_gradient_is_identity():
-    """irfft(rfft(x)) == x exactly, so its gradient must be the probe."""
+def test_dft_round_trip_gradient_is_identity():
+    """Real synthesis of every real-axis bin inverts analysis exactly, so
+    the chain's gradient must be the probe."""
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 16))
     probe = rng.normal(size=(2, 16))
+    half = np.arange(9)
     tape = T.Tape()
     lx = tape.leaf(x)
-    loss = T.reduce_sum(T.irfft(T.rfft(lx, (-1,)), (-1,)) * T.Tensor(probe))
-    grads = T.backward(tape, loss)
+    y = T.dft_synthesis(T.dft_analysis(lx, half), half, 16, real=True)
+    assert np.max(np.abs(y.data - x)) < 1e-12
+    grads = T.backward(tape, T.reduce_sum(y * T.Tensor(probe)))
     assert np.max(np.abs(grads[lx] - probe)) < 1e-12
 
 
@@ -279,7 +371,8 @@ def test_finite_diff_through_nonlinear_chain():
 
     def f(a):
         h = T.gelu(a) * T.sigmoid(a)
-        return T.reduce_sum(T.irfft(T.rfft(h, (-1,)), (-1,)) * probe)
+        low = np.arange(3)
+        return T.reduce_sum(T.dft_synthesis(T.dft_analysis(h, low), low, 8, real=True) * probe)
 
     err, _ = T.finite_diff_report(f, [x])
     assert err < 1e-6
