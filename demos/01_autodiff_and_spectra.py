@@ -3,7 +3,7 @@ Autodiff tape and spectral primitives
 =====================================
 
 Everything downstream (Fourier layers, aggregation, training) sits on a
-small reverse-mode tape over numpy arrays plus a radix-2 FFT.  This demo
+small reverse-mode tape over numpy arrays plus a power-of-two FFT.  This demo
 pokes both with the checks we trust day to day: a finite-difference
 gradient probe, round trips, Parseval, the brute-force DFT, and the tape's
 truncated DFT against the FFT.
@@ -49,7 +49,7 @@ print("round trip max |ifft(fft(u)) - u|:", np.abs(fft.ifft(U) - u).max())
 lhs, rhs = np.sum(np.abs(u) ** 2), np.sum(np.abs(U) ** 2) / len(u)
 print("Parseval relative gap:", abs(lhs - rhs) / lhs)
 
-# the radix-2 butterflies must agree with the plain definition
+# the blocked transform must agree with the plain definition
 n = 64
 k, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
 dft = np.exp(-2j * np.pi * k * j / n) @ u[:n]

@@ -5,7 +5,7 @@ Subpackages
 ``tensor``
     Reverse-mode autodiff over numpy arrays, including truncated DFTs.
 ``fft``
-    Radix-2 FFT primitives used by the data generators.
+    Power-of-two FFTs as dense DFT blocks, used by the data generators.
 ``layers`` / ``aggregation`` / ``model``
     Fourier-operator building blocks, cross-process latent aggregation
     (recurrent, attention, skip), and the assembled architectures.

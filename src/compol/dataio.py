@@ -82,17 +82,19 @@ def _write_frame(path, magic: bytes, header: dict, chunks) -> None:
             fh.write(np.ascontiguousarray(chunk).data)
 
 
-def _read_frame(path, magic: bytes, layout, error):
+def _read_frame(path, magic: bytes, layout, error, sha256: "str | None" = None):
     """Read a framed file whole; return ``(header, payload, table)``.
 
     ``layout(header)`` checks the header against the format's schema,
     raising ValueError where it does not fit, and returns the exact
     payload length in bytes with the offset table that slices it.
-    ``payload`` is the uint8 array after the header.  Every fault is
-    raised as ``error``.
+    ``payload`` is the uint8 array after the header.  A ``sha256`` given
+    must match the bytes read.  Every fault is raised as ``error``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise error(f"{path}: checksum mismatch against manifest")
     if raw[:len(magic)] != magic:
         raise error(f"{path}: bad magic {raw[:len(magic)]!r}")
     start = len(magic) + _PREFIX.size
@@ -179,10 +181,14 @@ def write_fields(path: str, header: dict, fields: "list[list[np.ndarray]]") -> N
     _write_frame(path, MAGIC, head, [rows])
 
 
-def read_fields(path: str) -> "tuple[dict, list[list[np.ndarray]]]":
-    """Read a ``.cmpd`` file; returns the header and ``fields[process][group]``."""
+def read_fields(path: str, sha256: "str | None" = None
+                ) -> "tuple[dict, list[list[np.ndarray]]]":
+    """Read a ``.cmpd`` file; returns the header and ``fields[process][group]``.
+
+    With ``sha256``, the file's digest must match it.
+    """
     header, payload, (n, width, columns) = _read_frame(
-        path, MAGIC, _fields_layout, DataFormatError)
+        path, MAGIC, _fields_layout, DataFormatError, sha256)
     try:
         rows = payload.view("<f4").reshape(n, width)
         return header, [[rows[:, lo:hi].reshape((n,) + shape).copy() for lo, hi, shape in cols]
@@ -359,9 +365,7 @@ def load_dataset(directory: str, verify: bool = True) -> FieldDataset:
     if not (isinstance(name, str) and isinstance(digest, str)):
         raise DataFormatError(f"{path}: manifest files[0].name and .sha256 must be strings")
     data_path = os.path.join(directory, name)
-    if verify and sha256_file(data_path) != digest:
-        raise DataFormatError(f"{data_path}: checksum mismatch against manifest")
-    header, fields = read_fields(data_path)
+    header, fields = read_fields(data_path, digest if verify else None)
     if header["groups"] != ["input", "output"]:
         raise DataFormatError(f"{data_path}: groups {header['groups']} are not input, output")
     return FieldDataset(inputs=[x for x, _ in fields], outputs=[y for _, y in fields],

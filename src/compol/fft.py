@@ -1,29 +1,39 @@
-"""Iterative radix-2 FFT kernels for power-of-two grids.
+"""Power-of-two FFTs as dense DFT blocks.
 
 Forward transforms are unnormalized; inverse transforms carry the 1/N
 factor per transformed axis.  The real-input variant keeps only the
-``N//2 + 1`` non-negative frequency bins of the last transformed axis,
-and ``irfft`` rebuilds the full spectrum from Hermitian symmetry before
-inverting.
+``N//2 + 1`` non-negative frequency bins of the last transformed axis.
 
-All kernels are vectorized over leading axes: the decimation-in-time
-butterflies run as whole-array numpy operations, one pass per stage, so
-a batch of transforms costs log2(N) vector operations.
+A length ``n <= BLOCK`` is one matmul by a cached DFT matrix: ``n x n``
+complex, or for real data the ``[n, n + 2]`` analysis and ``[n + 2, n]``
+synthesis matrices that act on (re, im) pairs.  A longer length takes one
+four-step split ``n = n1 n2`` (Bailey 1990): ``n1``-point DFTs down the
+columns of the ``[n1, n2]`` view, one twiddle multiply, then ``n2``-point
+DFTs along its rows, recursing while a factor exceeds ``BLOCK``.  A longer
+real transform reads its ``N`` reals as ``N/2`` complex values
+``x[2j] + i x[2j+1]`` and separates the spectra of the even and odd samples
+with the post-twiddle of Sorensen et al. (1987), so it costs half a
+complex transform.
+
+Every matmul is stacked over the first axis of its operand, with shapes
+that do not depend on that axis's extent: a slice of the first axis
+transforms to the same bits however many slices share the array.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["fft", "ifft", "rfft", "irfft", "UnsupportedLengthError"]
 
+BLOCK = 64
+
 
 class UnsupportedLengthError(ValueError):
     """Raised when a transform extent is not a power of two (>= 2)."""
-
-
-_bitrev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[tuple[int, bool, str], np.ndarray] = {}
 
 
 def _check_pow2(n: int) -> None:
@@ -33,75 +43,116 @@ def _check_pow2(n: int) -> None:
         )
 
 
-def _bitrev_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation of 0..n-1 for n a power of two."""
-    rev = _bitrev_cache.get(n)
-    if rev is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.intp)
-        rev = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        _bitrev_cache[n] = rev
-    return rev
+def _phase(rows: int, cols: int, n: int, inverse: bool) -> np.ndarray:
+    """``exp(-+2 pi i r c / n)`` for r < rows, c < cols, in float64.
 
-
-def _twiddles(m: int, inverse: bool, dtype: np.dtype) -> np.ndarray:
-    """Stage-m twiddle factors exp(sign*2*pi*i*j/m), j < m/2."""
-    key = (m, inverse, np.dtype(dtype).str)
-    tw = _twiddle_cache.get(key)
-    if tw is None:
-        sign = 1.0 if inverse else -1.0
-        tw = np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)
-        tw = tw.astype(dtype)
-        _twiddle_cache[key] = tw
-    return tw
-
-
-def _as_complex(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return a
-    out_dtype = np.complex64 if a.dtype == np.float32 else np.complex128
-    return a.astype(out_dtype)
-
-
-def _transform_last(x: np.ndarray, inverse: bool) -> np.ndarray:
-    """Radix-2 DIT transform of the last axis of a complex array.
-
-    Works on the transposed layout [n, batch] so every butterfly touches
-    contiguous runs of the full batch, and ping-pongs between two buffers
-    to keep each stage down to three allocation-free vector operations.
+    ``r c`` is reduced mod n in integers first, and quarter turns are
+    exact, so DC and Nyquist terms carry no stray imaginary part.
     """
-    n = x.shape[-1]
-    _check_pow2(n)
-    shape = x.shape
-    flat = x.reshape(-1, n)
-    lead = flat.shape[0]
-    # Fancy-indexing rows of the transpose fuses bit reversal with the
-    # layout change and yields a fresh C-contiguous [n, lead] array.
-    a = flat.T[_bitrev_indices(n)]
-    if not a.flags.c_contiguous:
-        a = np.ascontiguousarray(a)
-    b = np.empty_like(a)
-    tmp = np.empty((n // 2, lead), dtype=a.dtype)
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = _twiddles(m, inverse, a.dtype)[:, None]
-        av = a.reshape(n // m, m, lead)
-        bv = b.reshape(n // m, m, lead)
-        tv = tmp.reshape(n // m, half, lead)
-        np.multiply(av[:, half:, :], tw, out=tv)
-        np.add(av[:, :half, :], tv, out=bv[:, :half, :])
-        np.subtract(av[:, :half, :], tv, out=bv[:, half:, :])
-        a, b = b, a
-        m *= 2
-    out = np.ascontiguousarray(a.T)
-    if inverse:
-        out *= np.asarray(1.0 / n, dtype=out.real.dtype)
+    r = np.outer(np.arange(rows), np.arange(cols)) % n
+    w = np.exp((2j if inverse else -2j) * np.pi * r / n)
+    quarter = (4 * r) % n == 0
+    w[quarter] = np.round(w[quarter])
+    return w
+
+
+def _frozen(a: np.ndarray, dtype) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _matrix(n: int, inverse: bool, dtype: str) -> np.ndarray:
+    """``n x n`` complex DFT matrix, with the 1/n when inverse."""
+    return _frozen(_phase(n, n, n, inverse) / (n if inverse else 1), dtype)
+
+
+@lru_cache(maxsize=64)
+def _real_matrix(n: int, inverse: bool, dtype: str) -> np.ndarray:
+    """Real DFT of ``n`` points on (re, im) pairs of bins 0..n/2.
+
+    Analysis is [n, n + 2], columns (Re, Im) of ``exp(-2 pi i t k / n)``;
+    synthesis is [n + 2, n], rows (Re, -Im) of ``exp(2 pi i k t / n) / n``
+    times 2 for every bin but DC and Nyquist, whose Im rows are zero.
+    """
+    m = n // 2
+    if not inverse:
+        w = _phase(n, m + 1, n, False)
+        return _frozen(np.stack([w.real, w.imag], axis=-1).reshape(n, n + 2), dtype)
+    w = _phase(m + 1, n, n, True) * np.where(np.arange(m + 1) % m == 0, 1, 2)[:, None] / n
+    return _frozen(np.stack([w.real, -w.imag], axis=1).reshape(n + 2, n), dtype)
+
+
+@lru_cache(maxsize=64)
+def _twiddle(n1: int, n2: int, inverse: bool, dtype: str) -> np.ndarray:
+    """Four-step twiddles ``w^(k1 t2)`` of ``n = n1 n2``, as [n1, n2, 1]."""
+    return _frozen(_phase(n1, n2, n1 * n2, inverse)[:, :, None], dtype)
+
+
+@lru_cache(maxsize=64)
+def _sorensen(m: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(1 -+ i w^k) / 2`` and ``(1 +- i w^k) / 2`` for 0 < k < m.
+
+    ``w = exp(-+2 pi i / 2m)``: the forward pair turns the packed spectrum
+    ``Z`` into ``X[k] = A_k Z[k] + B_k conj(Z[m-k])``; the inverse pair
+    (the conjugates) turns ``X`` back into ``Z``.
+    """
+    w = _phase(2, m, 2 * m, inverse)[1, 1:]
+    i = 1j if inverse else -1j
+    return _frozen((1 + i * w) / 2, dtype), _frozen((1 - i * w) / 2, dtype)
+
+
+def _rows(x: np.ndarray, n: int) -> np.ndarray:
+    """``x[..., n]`` as [first axis, rows, n]: the stack a dense matmul runs over."""
+    if x.ndim == 1:
+        return x.reshape(1, 1, n)
+    return x.reshape(x.shape[0], math.prod(x.shape[1:-1]), n)
+
+
+def _dft(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """DFT along axis 1 of a complex [p, n, q] array, into a new array."""
+    p, n, q = x.shape
+    if n <= BLOCK:
+        return np.matmul(_matrix(n, inverse, x.dtype.str), x)
+    n1 = min(BLOCK, 1 << ((n.bit_length() - 1) // 2))
+    n2 = n // n1
+    # x[t1 n2 + t2] -> y[k1, t2], times w^(k1 t2) -> X[k1 + n1 k2]
+    y = np.matmul(_matrix(n1, inverse, x.dtype.str), x.reshape(p, n1, n2 * q))
+    y = y.reshape(p, n1, n2, q)
+    y *= _twiddle(n1, n2, inverse, x.dtype.str)
+    if q == 1 and n2 <= BLOCK:
+        # rows through the transposed view, so the product lands as [k2, k1]
+        y = y.reshape(p, n1, n2).transpose(0, 2, 1)
+        return np.matmul(_matrix(n2, inverse, x.dtype.str), y).reshape(p, n, 1)
+    y = _dft(y.reshape(p * n1, n2, q), inverse).reshape(p, n1, n2, q)
+    return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(p, n, q)
+
+
+def _along(x: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
+    """Complex DFT of ``x`` along ``axis``, into a new C-ordered array."""
+    axis %= x.ndim
+    shape, n = x.shape, x.shape[axis]
+    if axis < x.ndim - 1:
+        out = _dft(x.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:])), inverse)
+    elif n > BLOCK:
+        # one stacked item per line: the four-step views each line as [n1, n2]
+        out = _dft(x.reshape(math.prod(shape[:-1]), n, 1), inverse)
+    else:
+        # the matrix is symmetric: rows times it transform the last axis
+        out = np.matmul(_rows(x, n), _matrix(n, inverse, x.dtype.str))
     return out.reshape(shape)
+
+
+def _complex_dtype(dtype: np.dtype) -> np.dtype:
+    if dtype.kind == "c":
+        return dtype
+    return np.dtype(np.complex64 if dtype == np.float32 else np.complex128)
+
+
+def _as_complex(a) -> np.ndarray:
+    a = np.asarray(a)
+    return a.astype(_complex_dtype(a.dtype), copy=False)
 
 
 def _normalize_axes(ndim: int, axes) -> tuple[int, ...]:
@@ -122,9 +173,53 @@ def _normalize_axes(ndim: int, axes) -> tuple[int, ...]:
 
 def _apply_along(x: np.ndarray, axes: tuple[int, ...], inverse: bool) -> np.ndarray:
     for ax in axes:
-        moved = np.moveaxis(x, ax, -1)
-        x = np.moveaxis(_transform_last(moved, inverse), -1, ax)
+        _check_pow2(x.shape[ax])
+        x = _along(x, ax, inverse)
     return np.ascontiguousarray(x)
+
+
+def _rfft_last(x: np.ndarray) -> np.ndarray:
+    """Bins 0..n/2 of the last axis of a C-ordered real array."""
+    n = x.shape[-1]
+    cdt = _complex_dtype(x.dtype)
+    if n <= BLOCK:
+        out = np.matmul(_rows(x, n), _real_matrix(n, False, x.dtype.str))
+        return out.view(cdt).reshape(x.shape[:-1] + (n // 2 + 1,))
+    m = n // 2
+    # Z = E + i O, where E and O are the spectra of the even and odd samples
+    z = _along(x.view(cdt), -1, inverse=False)
+    out = np.empty(z.shape[:-1] + (m + 1,), dtype=cdt)
+    re, im = z[..., 0].real, z[..., 0].imag
+    out[..., 0] = re + im
+    out[..., m] = re - im
+    fa, fb = _sorensen(m, False, cdt.str)
+    mid = out[..., 1:m]
+    np.conjugate(z[..., :0:-1], out=mid)
+    mid *= fb
+    mid += z[..., 1:] * fa
+    return out
+
+
+def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
+    """``n`` real points from bins 0..n/2 on the last axis of ``x``."""
+    real = x.real.dtype
+    if n <= BLOCK:
+        pairs = np.ascontiguousarray(x).view(real)
+        out = np.matmul(_rows(pairs, n + 2), _real_matrix(n, True, real.str))
+        return out.reshape(x.shape[:-1] + (n,))
+    m = n // 2
+    # Z[k] = A'_k X[k] + B'_k conj(X[m-k]); only the real parts of X[0], X[m] count
+    z = np.empty(x.shape[:-1] + (m,), dtype=x.dtype)
+    dc, ny = x[..., 0].real, x[..., m].real
+    z.real[..., 0] = (dc + ny) * 0.5
+    z.imag[..., 0] = (dc - ny) * 0.5
+    fa, fb = _sorensen(m, True, x.dtype.str)
+    mid = z[..., 1:]
+    np.conjugate(x[..., m - 1:0:-1], out=mid)
+    mid *= fb
+    mid += x[..., 1:m] * fa
+    # the inverse of Z interleaves the even and odd samples
+    return _along(z, -1, inverse=True).view(real)
 
 
 def fft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
@@ -148,37 +243,28 @@ def rfft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
     if np.iscomplexobj(a):
         raise ValueError("rfft expects a real array")
     axes = _normalize_axes(a.ndim, axes)
-    x = _as_complex(a)
     last = axes[-1]
-    moved = np.moveaxis(x, last, -1)
-    n = moved.shape[-1]
-    half = _transform_last(moved, inverse=False)[..., : n // 2 + 1]
-    x = np.moveaxis(half, -1, last)
-    if axes[:-1]:
-        x = _apply_along(x, axes[:-1], inverse=False)
-    return np.ascontiguousarray(x)
-
-
-def _hermitian_extend(x: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild the full spectrum of a real signal from bins 0..n/2."""
-    k = x.shape[-1]
-    if k != n // 2 + 1:
-        raise ValueError(f"expected {n // 2 + 1} half-spectrum bins, got {k}")
-    mid = x[..., 1:-1]
-    return np.concatenate([x, np.conj(mid[..., ::-1])], axis=-1)
+    _check_pow2(a.shape[last])
+    real = _complex_dtype(a.dtype).char.lower()
+    x = _rfft_last(np.ascontiguousarray(np.moveaxis(a, last, -1), dtype=real))
+    return _apply_along(np.moveaxis(x, -1, last), axes[:-1], inverse=False)
 
 
 def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
-    """Inverse of :func:`rfft`; ``n`` is the last-axis output extent."""
+    """Inverse of :func:`rfft`; ``n`` is the last-axis output extent.
+
+    The imaginary parts of the DC and Nyquist bins are ignored, as
+    ``numpy.fft.irfft`` ignores them.
+    """
     x = _as_complex(a)
     axes = _normalize_axes(x.ndim, axes)
     last = axes[-1]
     if n is None:
         n = 2 * (x.shape[last] - 1)
     _check_pow2(n)
+    if x.shape[last] != n // 2 + 1:
+        raise ValueError(f"expected {n // 2 + 1} half-spectrum bins, got {x.shape[last]}")
     if axes[:-1]:
         x = _apply_along(x, axes[:-1], inverse=True)
-    moved = np.moveaxis(x, last, -1)
-    full = _hermitian_extend(moved, n)
-    out = _transform_last(full, inverse=True).real
+    out = _irfft_last(np.moveaxis(x, last, -1), n)
     return np.ascontiguousarray(np.moveaxis(out, -1, last))

@@ -258,7 +258,8 @@ def scale(a: Tensor, c: float | complex) -> Tensor:
     out = a.data * c
 
     def bwd(g):
-        return (g * np.conj(c),)
+        # a Python scalar's conjugate stays a weak scalar, so g keeps its dtype
+        return (g * c.conjugate(),)
 
     return _record("scale", out, (a,), bwd)
 

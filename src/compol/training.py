@@ -347,15 +347,25 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
         best_err=best_err if math.isfinite(best_err) else 0.0)
 
 
+# latent elements (batch x width x grid points) that one default evaluation
+# batch holds: 8 samples of a width-32 model on a 64 x 64 grid
+EVAL_BUDGET = 1 << 20
+
+
 def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
-             stats: "dict | None" = None, batch_size: int = 64,
+             stats: "dict | None" = None, batch_size: "int | None" = None,
              error_fields: bool = False) -> EvalResult:
     """Relative L2 per process and aggregate over a dataset, de-standardized.
 
     Metrics are always reported per dataset process; a stacked
     single-branch model's prediction is split back at the process
-    channel boundaries before the errors are taken.
+    channel boundaries before the errors are taken.  Without a
+    ``batch_size``, a batch holds as many samples as keep its latent
+    within ``EVAL_BUDGET`` elements.
     """
+    if batch_size is None:
+        grid = math.prod(dataset.inputs[0].shape[2:])
+        batch_size = max(1, EVAL_BUDGET // (model.config.width * grid))
     mode = _channel_mode(model.config, dataset)
     stats = stats or _require_stats(dataset)
     dtype = model.config.np_dtype

@@ -1,6 +1,8 @@
 """Binary field container, manifests, hashing, and dataset round trips."""
 
+import builtins
 import json
+import os
 
 import numpy as np
 import pytest
@@ -161,11 +163,27 @@ def test_dataset_sha256_verification(tmp_path):
     raw = bytearray(data_path.read_bytes())
     raw[-1] ^= 0xFF
     data_path.write_bytes(bytes(raw))
-    with pytest.raises(D.DataFormatError):
+    with pytest.raises(D.DataFormatError, match="checksum mismatch"):
         D.load_dataset(tmp_path)
     # but an explicit opt-out still reads it
     ds = D.load_dataset(tmp_path, verify=False)
     assert ds.n_samples == 4
+
+
+def test_load_dataset_reads_the_data_file_once(tmp_path, monkeypatch):
+    """The checksum is taken over the bytes the reader already holds."""
+    inputs, outputs = make_dataset()
+    D.write_dataset(tmp_path, inputs, outputs, {})
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(os.fspath(path)))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert D.load_dataset(tmp_path).n_samples == 4
+    assert opened.count(D.DATA_FILENAME) == 1
 
 
 def test_empty_dataset_valid(tmp_path):

@@ -1,7 +1,7 @@
 """FFT primitives against a direct O(N^2) DFT oracle.
 
 The oracle below is deliberately naive — an explicit twiddle-matrix
-multiply — so the fast radix-2 path and the check share no code.
+multiply — so the blocked kernel and the check share no code.
 """
 
 import numpy as np
@@ -24,17 +24,47 @@ def naive_dft(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return x @ dft_matrix(x.shape[-1], inverse).T
 
 
+def naive_dft_bins(x: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Direct forward DFT along the last axis at the chosen ``bins`` only."""
+    t = np.arange(x.shape[-1])
+    return x @ np.exp(-2j * np.pi * np.outer(t, bins) / x.shape[-1])
+
+
+def naive_rfft(x: np.ndarray) -> np.ndarray:
+    """Bins 0..n/2 of the direct DFT of a real last axis."""
+    return naive_dft_bins(x.astype(np.float64), np.arange(x.shape[-1] // 2 + 1))
+
+
+def naive_irfft(h: np.ndarray, n: int) -> np.ndarray:
+    """Real part of the direct inverse DFT of the Hermitian extension of ``h``."""
+    full = np.concatenate([h, np.conj(h[..., 1:n // 2][..., ::-1])], axis=-1)
+    return naive_dft(full.astype(np.complex128), inverse=True).real
+
+
 # ---------------------------------------------------------------------------
 # forward/inverse against the oracle
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 512, 1024, 2048])
 def test_fft_matches_naive_dft(n):
     rng = np.random.default_rng(n)
     x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     got = F.fft(x, axes=(-1,))
     want = naive_dft(x)
     assert np.max(np.abs(got - want)) < 1e-10 * n
+
+
+@pytest.mark.parametrize("shape, axis", [((8192, 3), 0), ((2, 8192), -1)])
+def test_fft_recursive_split_matches_naive_bins(shape, axis):
+    """Above BLOCK**2 points a four-step factor splits again, along the
+    last axis and along a leading one."""
+    assert shape[axis] > F.BLOCK ** 2
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    bins = np.concatenate([np.arange(70), rng.integers(0, shape[axis], 130)])
+    got = np.moveaxis(F.fft(x, axes=(axis,)), axis, -1)[..., bins]
+    want = naive_dft_bins(np.moveaxis(x, axis, -1), bins)
+    assert np.max(np.abs(got - want)) < 1e-10 * shape[axis]
 
 
 @pytest.mark.parametrize("n", [2, 8, 32, 128])
@@ -97,6 +127,65 @@ def test_irfft_roundtrip_and_hermitian_consistency():
     y = rng.normal(size=(2, 8, 8))
     back2 = F.irfft(F.rfft(y, axes=(-2, -1)), axes=(-2, -1))
     assert np.max(np.abs(back2 - y)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 4, 64, 128, 1024])
+def test_rfft_irfft_match_naive_dft(n, dtype):
+    """Both real transforms against the direct DFT, in the input's precision:
+    up to BLOCK points one real matmul, beyond it the packed half-length
+    transform with its post-twiddle."""
+    tol = 2e-6 if dtype == np.float32 else 1e-10   # the oracle's own error in float64
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, n)).astype(dtype)
+    got = F.rfft(x, axes=(-1,))
+    assert got.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
+    assert np.max(np.abs(got - naive_rfft(x))) < tol * n
+    h = (rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1)))
+    h[:, [0, -1]] = h[:, [0, -1]].real
+    h = h.astype(got.dtype)
+    back = F.irfft(h, axes=(-1,))
+    assert back.dtype == dtype
+    assert np.max(np.abs(back - naive_irfft(h, n))) < tol
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_irfft_ignores_dc_and_nyquist_imaginary_parts(n, dtype):
+    """A truncated spectrum's new Nyquist bin is complex; only its real part
+    belongs to a real signal, as numpy.fft.irfft has it."""
+    rng = np.random.default_rng(n + 3)
+    h = (rng.normal(size=(2, 3, n // 2 + 1))
+         + 1j * rng.normal(size=(2, 3, n // 2 + 1))).astype(dtype)
+    real_ends = h.copy()
+    real_ends[..., [0, -1]] = real_ends[..., [0, -1]].real
+    assert np.array_equal(F.irfft(h, axes=(-1,)), F.irfft(real_ends, axes=(-1,)))
+    want = naive_irfft(real_ends, n)
+    assert np.max(np.abs(F.irfft(h, axes=(-1,)) - want)) < (2e-6 if dtype == np.complex64 else 1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_first_axis_slices_transform_alike(n):
+    """A slice of the first axis gets the same bits alone as in its array,
+    so a sample's data do not depend on how many samples share a chunk."""
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(5, n))              # a lone row is a different BLAS call
+    for i in (0, 4):
+        assert np.array_equal(F.rfft(rows, axes=(-1,))[i], F.rfft(rows[i:i + 1], axes=(-1,))[0])
+        assert np.array_equal(F.fft(rows + 1j, axes=(-1,))[i],
+                              F.fft(rows[i:i + 1] + 1j, axes=(-1,))[0])
+    x = rng.normal(size=(5, 3, n))
+    for i in (0, 4):
+        assert np.array_equal(F.rfft(x, axes=(-1,))[i], F.rfft(x[i:i + 1], axes=(-1,))[0])
+        h = F.rfft(x, axes=(-1,))
+        assert np.array_equal(F.irfft(h, axes=(-1,))[i], F.irfft(h[i:i + 1], axes=(-1,))[0])
+        c = x + 1j
+        assert np.array_equal(F.fft(c, axes=(-1,))[i], F.fft(c[i:i + 1], axes=(-1,))[0])
+    y = rng.normal(size=(5, 2, n, 32)) if n <= 64 else rng.normal(size=(5, 2, 128, 128))
+    whole = F.rfft(y, axes=(-2, -1))
+    assert np.array_equal(whole[3], F.rfft(y[3:4], axes=(-2, -1))[0])
+    assert np.array_equal(F.irfft(whole, axes=(-2, -1))[3],
+                          F.irfft(whole[3:4], axes=(-2, -1))[0])
 
 
 def test_irfft_explicit_n():

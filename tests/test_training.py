@@ -12,6 +12,8 @@ import pytest
 
 from compol import dataio as D
 from compol import model as M
+from compol import params as P
+from compol import tensor as T
 from compol import training as TR
 
 
@@ -167,6 +169,22 @@ def test_training_reduces_loss(tmp_path):
     assert res.records[-1].lr < 3e-4
 
 
+@pytest.mark.parametrize("aggregation", ["none", "gru", "attention", "skip"])
+def test_real32_step_keeps_gradients_single_precision(tmp_path, aggregation):
+    """The loss's backward stays in float32: no cotangent is promoted."""
+    ds = lowpass_dataset(tmp_path, n=4, grid=16, processes=2)
+    config = small_config(processes=2, channels=[1, 1], modes=4, aggregation=aggregation)
+    model = M.init_params(config)
+    stats = ds.manifest["stats"]
+    xs, ys = TR._model_inputs(ds, stats, np.arange(4), np.float32, "direct")
+    tape = T.Tape()
+    bound = P.bind(model, tape)
+    loss = TR._batch_loss(M.forward(bound, xs, tape), ys, stats["output"], np.float32)
+    grads = T.backward(tape, loss)
+    dtypes = {name: grads[leaf].dtype for name, leaf in P.named_tensors(bound)}
+    assert set(dtypes.values()) <= {np.dtype(np.float32), np.dtype(np.complex64)}, dtypes
+
+
 def test_training_is_deterministic(tmp_path):
     ds = lowpass_dataset(tmp_path, n=12)
     runs = [TR.train(small_config(), ds, epochs=3, batch_size=4, lr=1e-3, seed=5)
@@ -301,6 +319,23 @@ def test_evaluate_batching_invariant(tmp_path):
     a = TR.evaluate(model, ds, batch_size=3)
     b = TR.evaluate(model, ds, batch_size=10)
     assert np.allclose(a.per_sample[0], b.per_sample[0], atol=1e-12)
+
+
+def test_evaluate_default_batch_from_element_budget(tmp_path, monkeypatch):
+    """Without a batch size, each batch holds EVAL_BUDGET latent elements
+    (batch x width x grid points) at most."""
+    ds = lowpass_dataset(tmp_path, n=24, grid=32)
+    model = M.init_params(small_config(width=8))
+    assert TR.EVAL_BUDGET // (8 * 32) >= 24      # the default fits this set in one batch
+    monkeypatch.setattr(TR, "EVAL_BUDGET", 8 * 32 * 5 + 7)
+    batches = []
+    forward = M.forward
+    monkeypatch.setattr(M, "forward", lambda m, xs, tape: batches.append(len(xs[0])) or
+                        forward(m, xs, tape))
+    ev = TR.evaluate(model, ds)
+    assert batches == [5, 5, 5, 5, 4]
+    whole = TR.evaluate(model, ds, batch_size=24)
+    assert np.allclose(ev.per_sample[0], whole.per_sample[0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
