@@ -11,8 +11,11 @@ layer.  Four mechanisms are provided:
 * ``skip``      -- running sum of pointwise-mapped mixed latents,
 * ``none``      -- no shared state; branches stay independent.
 
-All maps act pointwise on channels, so every mechanism commutes with
-spatial translations.
+Latents are channels-last, [batch, *grid, width], as in
+:mod:`compol.layers`: every map is one matmul over the last axis, and
+concatenation, head splits and attention scores all use that axis.  All
+maps act pointwise on channels, so every mechanism commutes with spatial
+translations.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def mix_processes(fields: list[Tensor], kind: str, params: MixParams | None = No
     if kind == "linear":
         if params is None:
             raise ValueError("linear mixing requires parameters")
-        return channel_affine(T.concat(fields, 1), params.w, params.b)
+        return channel_affine(T.concat(fields, -1), params.w, params.b)
     raise ValueError(f"unknown mix kind {kind!r}")
 
 
@@ -160,16 +163,13 @@ def gru_step(mixed: Tensor, z_prev: Tensor, p: GruParams) -> Tensor:
     return T.add(T.mul(q, z_prev), T.mul(one_minus_q, cand))
 
 
-def _split_heads(t: Tensor, heads: int) -> list[Tensor]:
-    per = t.shape[1] // heads
-    return [T.take(t, np.arange(h * per, (h + 1) * per), 1) for h in range(heads)]
-
-
 def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
     """Scaled dot-product attention over process tokens, per grid location.
 
     The query comes from the mean latent, keys/values from each token;
-    attention weights are softmax(q . k / sqrt(d_k)) over tokens.
+    attention weights are softmax(q . k / sqrt(d_k)) over tokens.  With
+    several heads the channel axis is reshaped to [heads, d_head] and all
+    heads go through each step at once.
     """
     m = len(fields)
     mean = fields[0]
@@ -177,35 +177,29 @@ def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
         mean = T.add(mean, f)
     mean = T.scale(mean, 1.0 / m)
 
-    query = channel_affine(mean, p.wq, p.bq)                      # [b, d_k, *grid]
-    keys = [channel_affine(f, p.wk) for f in fields]
-    values = [channel_affine(f, p.wa, p.ba) for f in fields]
-
     heads = p.heads
     d_head = p.wq.shape[1] // heads
     inv = 1.0 / math.sqrt(d_head)
 
-    q_h = _split_heads(query, heads)
-    k_h = [_split_heads(k, heads) for k in keys]
-    v_h = [_split_heads(v, heads) for v in values]
+    def split(t: Tensor) -> Tensor:                               # [b, *grid, (heads,) c]
+        return t if heads == 1 else T.reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads))
 
-    grid_shape = None
-    out_heads = []
-    for h in range(heads):
-        scores = []
-        for j in range(m):
-            s = T.reduce_sum(T.mul(q_h[h], k_h[j][h]), axes=(1,))   # [b, *grid]
-            if grid_shape is None:
-                grid_shape = s.shape
-            scores.append(T.reshape(T.scale(s, inv), (s.shape[0], 1) + s.shape[1:]))
-        alpha = T.softmax(T.concat(scores, 1), 1)                   # [b, m, *grid]
-        z_h = None
-        for j in range(m):
-            a_j = T.take(alpha, np.asarray([j]), 1)                 # [b, 1, *grid]
-            term = T.mul(a_j, v_h[j][h])
-            z_h = term if z_h is None else T.add(z_h, term)
-        out_heads.append(z_h)
-    return out_heads[0] if heads == 1 else T.concat(out_heads, 1)
+    query = split(channel_affine(mean, p.wq, p.bq))
+    keys = [split(channel_affine(f, p.wk)) for f in fields]
+    values = [split(channel_affine(f, p.wa, p.ba)) for f in fields]
+
+    # Tokens go on a leading axis: a softmax over a short last axis runs
+    # one tiny numpy loop per grid point, over a leading one a few slab-wide ops.
+    scores = []
+    for k in keys:
+        s = T.scale(T.reduce_sum(T.mul(query, k), axes=(-1,)), inv)   # [b, *grid, (heads)]
+        scores.append(T.reshape(s, (1,) + s.shape + (1,)))
+    alpha = T.softmax(T.concat(scores, 0), 0)                     # [m, b, *grid, (heads,) 1]
+    z = None
+    for j, v in enumerate(values):
+        term = T.mul(T.take(alpha, j, 0), v)
+        z = term if z is None else T.add(z, term)
+    return z if heads == 1 else T.reshape(z, z.shape[:-2] + (-1,))
 
 
 def skip_aggregate(mixed: Tensor, z_prev: Tensor, p: SkipParams) -> Tensor:
@@ -220,5 +214,5 @@ def inject(v: Tensor, z: Tensor, kind: str, params: InjectParams | None = None) 
     if kind == "concat_reduce":
         if params is None:
             raise ValueError("concat_reduce injection requires parameters")
-        return channel_affine(T.concat([v, z], 1), params.w, params.b)
+        return channel_affine(T.concat([v, z], -1), params.w, params.b)
     raise ValueError(f"unknown inject kind {kind!r}")

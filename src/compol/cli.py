@@ -453,6 +453,9 @@ def main(argv=None) -> int:
     except (UsageError, OSError, ValueError) as e:  # bad input files are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:        # a config sized beyond the machine
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (D.BlowUpError, TR.TrainingError, IncompatibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

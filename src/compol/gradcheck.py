@@ -102,6 +102,10 @@ def _suite_tensor(results):
     prc = T.Tensor(_cplx(rng, 2, 3, 5))
     _check("tensor", "matmul_complex",
            lambda a, b: T.reduce_sum(T.real(T.matmul(a, b) * prc)), [ca, cb], results)
+    pr235 = T.Tensor(_real(rng, 2, 3, 5))
+    _check("tensor", "affine",
+           lambda a, w_, b_: T.reduce_sum(T.affine(a, w_, b_) * pr235),
+           [_real(rng, 2, 3, 4), b45, _real(rng, 5)], results)
 
     pr3 = T.Tensor(_real(rng, 3))
     _check("tensor", "reduce_sum_axis",
@@ -127,9 +131,9 @@ def _suite_tensor(results):
            lambda a: T.reduce_sum(T.real(T.dft_synthesis(a, rows, 8, -2) * pc83)),
            [_cplx(rng, 2, 5, 3)], results)
 
-    v = _cplx(rng, 2, 3, 6)
+    v = _cplx(rng, 2, 6, 3)         # [b, k, i] against [i, o, k]
     r = _cplx(rng, 3, 3, 6)
-    pv = T.Tensor(_cplx(rng, 2, 3, 6))
+    pv = T.Tensor(_cplx(rng, 2, 6, 3))
     _check("tensor", "mode_mix",
            lambda a, b: T.reduce_sum(T.real(T.mode_mix(a, b) * pv)), [v, r], results)
 
@@ -156,13 +160,14 @@ def _suite_tensor(results):
 
 
 def _suite_layers(results):
+    """Latents are channels-last, [batch, *grid, width]."""
     rng = _rng(2)
     b, w, n, m = 2, 4, 8, 3
 
-    vw = _real(rng, b, w, n)
+    vw = _real(rng, b, n, w)
     ww = _real(rng, w, w)
     bw = _real(rng, w)
-    pr = T.Tensor(_real(rng, b, w, n))
+    pr = T.Tensor(_real(rng, b, n, w))
     _check("layers", "channel_affine",
            lambda v_, w_, b_: T.reduce_sum(L.channel_affine(v_, w_, b_) * pr),
            [vw, ww, bw], results)
@@ -178,8 +183,8 @@ def _suite_layers(results):
            arrs_fl, results)
 
     r2 = _cplx(rng, w, w, 2, 3)
-    v2 = _real(rng, b, w, 8, 8)
-    pr2 = T.Tensor(_real(rng, b, w, 8, 8))
+    v2 = _real(rng, b, 8, 8, w)
+    pr2 = T.Tensor(_real(rng, b, 8, 8, w))
     _check("layers", "spectral_conv_2d",
            lambda v_, r_: T.reduce_sum(L.spectral_conv(v_, r_) * pr2),
            [v2, r2], results)
@@ -187,7 +192,7 @@ def _suite_layers(results):
     arrs_h, h_tree = _leaves(
         L.init_lift_project(_rng(22), d_in=2, d_out=1, width=w, dtype=np.float64))
     fin = _real(rng, b, 1, n)
-    prl = T.Tensor(_real(rng, b, w, n))
+    prl = T.Tensor(_real(rng, b, n, w))
     _check("layers", "lift",
            lambda *ls: T.reduce_sum(L.lift(T.Tensor(fin), h_tree(ls)) * prl),
            arrs_h, results)
@@ -205,8 +210,8 @@ def _suite_layers(results):
 def _suite_aggregation(results):
     rng = _rng(3)
     b, w, n = 2, 4, 8
-    fields = [_real(rng, b, w, n) for _ in range(3)]
-    pr = T.Tensor(_real(rng, b, w, n))
+    fields = [_real(rng, b, n, w) for _ in range(3)]
+    pr = T.Tensor(_real(rng, b, n, w))
 
     arrs, mix_tree = _leaves(agg.init_mix(_rng(31), 3, w, w, dtype=np.float64))
     _check("aggregation", "mix_linear",
@@ -219,8 +224,8 @@ def _suite_aggregation(results):
            fields, results)
 
     arrs_g, gru_tree = _leaves(agg.init_gru(_rng(32), w, w, dtype=np.float64))
-    mixed = _real(rng, b, w, n)
-    zprev = _real(rng, b, w, n)
+    mixed = _real(rng, b, n, w)
+    zprev = _real(rng, b, n, w)
     _check("aggregation", "gru_step",
            lambda m_, z_, *ls: T.reduce_sum(agg.gru_step(m_, z_, gru_tree(ls)) * pr),
            [mixed, zprev] + arrs_g, results)

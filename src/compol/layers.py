@@ -1,12 +1,17 @@
 """Fourier-operator building blocks.
 
-A layer maps a latent field ``v`` of shape [batch, width, *grid] to
-``act(W v + b + spectral_conv(v, R))`` where the spectral convolution
-multiplies retained low-frequency modes by learned complex matrices and
-zeroes the rest.  Mode retention follows the usual convention for real
-transforms: the ``k1`` lowest non-negative frequencies on the
-real-transformed (last) axis, and in 2-D the ``k2`` lowest-|frequency|
-bins of the other axis, alternating signs (0, +1, -1, +2, ...).
+Latents are channels-last: a layer maps a field ``v`` of shape
+[batch, *grid, width] to ``act(v W + b + spectral_conv(v, R))``, where the
+spectral convolution multiplies retained low-frequency modes by learned
+complex matrices and zeroes the rest.  Every channel map is then one
+matmul over the last axis, and the truncated DFTs contract the grid axes
+where they lie.  ``lift`` takes the model's [batch, channels, *grid]
+inputs into this layout and ``project`` returns to it.
+
+Mode retention follows the usual convention for real transforms: the
+``k1`` lowest non-negative frequencies on the real-transformed (last grid)
+axis, and in 2-D the ``k2`` lowest-|frequency| bins of the other grid
+axis, alternating signs (0, +1, -1, +2, ...).
 """
 
 from __future__ import annotations
@@ -126,40 +131,35 @@ def full_axis_mode_indices(k: int, n: int) -> np.ndarray:
 
 
 def channel_affine(v: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Pointwise channel map on axis 1 of [batch, channels, *grid]."""
-    moved = T.moveaxis(v, 1, -1)
-    out = T.matmul(moved, w)
-    if b is not None:
-        out = T.add(out, b)
-    return T.moveaxis(out, -1, 1)
+    """Pointwise channel map on the last axis of [batch, *grid, channels]."""
+    return T.affine(v, w, b)
 
 
 def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
     """Multiply retained Fourier modes of ``v`` by ``r``, zero the rest.
 
-    ``v`` is [batch, width, n] or [batch, width, n1, n2]; ``r`` carries
-    the retained mode counts in its trailing axes.  Only the retained
-    bins are ever computed: truncated DFTs in, per-mode mixing, truncated
-    DFTs out, one axis at a time.
+    ``v`` is [batch, n, width] or [batch, n1, n2, width]; ``r`` is stored
+    [width, width, k1] or [width, width, k1, k2].  Only the retained bins
+    are ever computed: truncated DFTs in, per-mode mixing, truncated DFTs
+    out, one grid axis at a time and in place.
     """
     spatial = v.ndim - 2
     if spatial == 1:
-        n = v.shape[-1]
+        n = v.shape[1]
         k1 = r.shape[-1]
         if k1 > n // 2 + 1:
             raise T.ShapeError(f"k1={k1} exceeds {n // 2 + 1} real-axis bins")
-        mixed = T.mode_mix(T.dft_analysis(v, np.arange(k1), -1), r)
-        return T.dft_synthesis(mixed, np.arange(k1), n, -1, real=True)
+        mixed = T.mode_mix(T.dft_analysis(v, np.arange(k1), 1), r)
+        return T.dft_synthesis(mixed, np.arange(k1), n, 1, real=True)
     if spatial == 2:
-        n1, n2 = v.shape[-2], v.shape[-1]
+        n1, n2 = v.shape[1], v.shape[2]
         k1, k2 = r.shape[-2], r.shape[-1]
         if k1 > n2 // 2 + 1:
             raise T.ShapeError(f"k1={k1} exceeds {n2 // 2 + 1} real-axis bins")
         cols, rows = np.arange(k1), full_axis_mode_indices(k2, n1)
-        sel = T.dft_analysis(T.dft_analysis(v, cols, -1), rows, -2)
-        # r is stored [w, w, k1, k2]; the field block is [b, w, k2, k1]
-        mixed = T.mode_mix(sel, T.moveaxis(r, -1, -2))
-        return T.dft_synthesis(T.dft_synthesis(mixed, rows, n1, -2), cols, n2, -1, real=True)
+        sel = T.dft_analysis(T.dft_analysis(v, cols, 2), rows, 1)     # [b, k2, k1, w]
+        mixed = T.mode_mix(sel, r)
+        return T.dft_synthesis(T.dft_synthesis(mixed, rows, n1, 1), cols, n2, 2, real=True)
     raise T.ShapeError(f"spectral_conv expects 1 or 2 spatial axes, got {spatial}")
 
 
@@ -182,15 +182,21 @@ def coordinate_channels(batch: int, grid: tuple[int, ...], dtype=np.float32) -> 
 
 
 def lift(f: Tensor, p: LiftProjectParams, with_coords: bool = True) -> Tensor:
-    """Append coordinate channels (optional) and apply the channel lift."""
+    """Append coordinate channels (optional), move channels last, and lift.
+
+    ``f`` is [batch, channels, *grid]; the latent is [batch, *grid, width].
+    """
     if with_coords:
         grid = f.shape[2:]
         coords = Tensor(coordinate_channels(f.shape[0], grid, dtype=f.data.real.dtype))
         f = T.concat([f, coords], 1)
-    return channel_affine(f, p.p, p.p_b)
+    return channel_affine(T.moveaxis(f, 1, -1), p.p, p.p_b)
 
 
 def project(v: Tensor, p: LiftProjectParams) -> Tensor:
-    """Two-stage head: width -> 128 -> d_out with a GELU in between."""
+    """Two-stage head: width -> 128 -> d_out with a GELU in between.
+
+    ``v`` is [batch, *grid, width]; the output is [batch, d_out, *grid].
+    """
     hidden = T.gelu(channel_affine(v, p.q1, p.q1_b))
-    return channel_affine(hidden, p.q2, p.q2_b)
+    return T.moveaxis(channel_affine(hidden, p.q2, p.q2_b), -1, 1)

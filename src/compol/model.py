@@ -8,6 +8,10 @@ Fourier layer.  With aggregation ``none`` the branches never talk, which
 makes an M=1 model exactly the plain FNO used as the channel-concatenated
 baseline.
 
+Inputs and outputs are [batch, channels, *grid].  Between the end of the
+lift and the start of the projection every latent is channels-last,
+[batch, *grid, width], so each channel map is a single matmul.
+
 Checkpoints hold the config, extra metadata and every named parameter
 array; :mod:`compol.dataio` owns their framing and byte layout.
 """
@@ -263,8 +267,10 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     """Run the coupled forward pass.
 
     ``inputs`` is one [batch, channels_m, *grid] array or tensor per
-    process.  Returns per-process outputs, plus the per-layer latents
-    (list indexed [layer][process], layer 0 = post-lift) when asked.
+    process, and each output is [batch, channels_m, *grid] too.  With
+    ``return_latents`` it also returns the per-layer latents (list indexed
+    [layer][process], layer 0 = post-lift) in the layout the model holds
+    them, channels-last: [batch, *grid, width].
     """
     cfg = model.config
     xs = _as_input_tensors(model, inputs)

@@ -28,7 +28,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
-    "matmul", "reduce_sum", "reduce_mean",
+    "matmul", "affine", "reduce_sum", "reduce_mean",
     "dft_analysis", "dft_synthesis", "mode_mix", "softmax",
     "take", "concat", "moveaxis", "reshape", "real",
     "backward", "finite_diff_check", "finite_diff_report",
@@ -214,6 +214,14 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 # elementwise
 
 
+def _times(d: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``d * g``, into the scratch array ``d`` unless ``g`` is wider."""
+    if d.dtype != np.result_type(d, g):
+        return d * g
+    d *= g
+    return d
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _require_same_kind(a, b, "add")
@@ -221,7 +229,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (None if a.tape is None else _unbroadcast(g, a.shape),
+                None if b.tape is None else _unbroadcast(g, b.shape))
 
     return _record("add", out, (a, b), bwd)
 
@@ -233,7 +242,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (None if a.tape is None else _unbroadcast(g, a.shape),
+                None if b.tape is None else _unbroadcast(-g, b.shape))
 
     return _record("sub", out, (a, b), bwd)
 
@@ -246,7 +256,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * np.conj(bd), a.shape), _unbroadcast(g * np.conj(ad), b.shape)
+        ca, cb = (np.conj(ad), np.conj(bd)) if a.is_complex else (ad, bd)
+        return (None if a.tape is None else _unbroadcast(g * cb, a.shape),
+                None if b.tape is None else _unbroadcast(g * ca, b.shape))
 
     return _record("mul", out, (a, b), bwd)
 
@@ -270,7 +282,9 @@ def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
 
     def bwd(g):
-        return (g * (1.0 - t * t),)
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        return (_times(d, g),)
 
     return _record("tanh", t, (a,), bwd)
 
@@ -280,13 +294,16 @@ def sigmoid(a: Tensor) -> Tensor:
     _require_real(a, "sigmoid")
     # Clipping at |x| = 60 avoids exp overflow; the result is already
     # saturated to within 1e-26 there, far below float64 resolution of 1.
-    x = np.clip(a.data, -60.0, 60.0)
-    s = 1.0 / (1.0 + np.exp(-x))
-    if s.dtype != a.data.dtype:
-        s = s.astype(a.data.dtype)
+    s = np.clip(a.data, -60.0, 60.0)          # 1 / (1 + exp(-x)), in place
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
 
     def bwd(g):
-        return (g * (s * (1.0 - s)),)
+        d = 1.0 - s
+        d *= s
+        return (_times(d, g),)
 
     return _record("sigmoid", s, (a,), bwd)
 
@@ -296,17 +313,37 @@ _GELU_K = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximation GELU with its exact analytic derivative."""
+    """Tanh-approximation GELU with its exact analytic derivative.
+
+    Temporaries are updated in place, in the order of the textbook
+    expression, so the output has its bits; the backward allocates one
+    full-size array besides the gradient it returns.
+    """
     a = _wrap(a)
     _require_real(a, "gelu")
     x = a.data
-    inner = _GELU_C * (x + _GELU_K * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = _GELU_K * x                     # t = tanh(C (x + K x^3))
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0                       # 0.5 x (1 + t); halving is exact
+    out *= x
+    out *= 0.5
 
     def bwd(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 K x^2), where 0.5 x (1 - t^2) = out (1 - t)
+        d = x * x
+        d *= 3.0 * _GELU_K * _GELU_C
+        d += _GELU_C
+        dg = 1.0 - t
+        dg *= out
+        dg *= d
+        np.multiply(t, 0.5, out=d)
+        d += 0.5
+        dg += d
+        return (_times(dg, g),)
 
     return _record("gelu", out, (a,), bwd)
 
@@ -348,6 +385,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record("matmul", out, (a, b), bwd)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one node.
+
+    The product runs on the ``[rows, c]`` view of ``x``, so a latent of any
+    rank is one matmul forward and two backward, with no copies around them.
+    """
+    x, w = _wrap(x), _wrap(w)
+    ins = (x, w) if b is None else (x, w, _wrap(b))
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} over the last axis")
+    if b is not None and ins[2].shape != (w.shape[1],):
+        raise ShapeError(f"affine: bias {ins[2].shape} for {w.shape[1]} outputs")
+    for t in ins[1:]:
+        _require_same_kind(x, t, "affine")
+    rows = x.data.reshape(-1, w.shape[0])
+    wd = w.data
+    out = rows @ wd
+    if b is not None:
+        bd = ins[2].data
+        if out.dtype == np.result_type(out, bd):
+            out += bd
+        else:
+            out = out + bd
+    shape = x.shape
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = None if x.tape is None else (g2 @ _conj_t(wd)).reshape(shape)
+        gw = _conj_t(rows) @ g2
+        if b is None:
+            return gx, gw
+        # column sums as one matvec: numpy's axis-0 reduction is ~10x slower here
+        return gx, gw, np.ones(g2.shape[0], g2.dtype) @ g2
+
+    return _record("affine", out.reshape(shape[:-1] + (wd.shape[1],)), ins, bwd)
 
 
 def _normalize_axes(t: Tensor, axes) -> tuple[int, ...]:
@@ -437,17 +511,29 @@ def _dft_matrix(synthesis: bool, real: bool, n: int, bins: tuple[int, ...],
 
 
 def _dft_apply(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    """``x @ mat`` over ``axis``.  Against a real ``mat`` of (re, im) pairs,
-    complex ``x`` is viewed as reals and real ``x`` gives complex pairs."""
-    moved = np.moveaxis(x, axis, -1)
-    rows = moved.reshape(-1, moved.shape[-1])
-    if mat.dtype.kind == "f" and rows.dtype.kind == "c":
-        rows = np.ascontiguousarray(rows).view(mat.dtype)
-    out = rows @ mat
-    if mat.dtype.kind == "f" and x.dtype.kind == "f":
-        out = out.view(np.result_type(mat.dtype, np.complex64))
-    out = out.reshape(moved.shape[:-1] + out.shape[-1:])
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+    """``x @ mat`` contracted over ``axis`` where it lies, with no transpose of ``x``.
+
+    ``x`` is viewed as ``[pre, n, post]``; a middle axis is a left-multiply
+    by ``mat^T`` batched over ``pre``, the last axis one ``[pre, n] @ mat``.
+    Against a real ``mat`` of (re, im) pairs, complex ``x`` is split into
+    pairs and real ``x`` gives complex pairs.  Both happen on the truncated
+    side, which holds the retained bins, not the grid.
+    """
+    axis %= x.ndim
+    shape = x.shape
+    pairs = mat.dtype.kind == "f"
+    x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+    if pairs and x.dtype.kind == "c":          # [pre, k, post] as [pre, (k, re|im), post]
+        x3 = np.stack([x3.real, x3.imag], axis=2).reshape(x3.shape[0], -1, x3.shape[2])
+    if x3.shape[2] == 1:
+        out = (x3[:, :, 0] @ mat)[:, :, None]
+    else:
+        out = np.matmul(mat.T, x3)
+    if pairs and x.dtype.kind == "f":          # [pre, (k, re|im), post] as complex [pre, k, post]
+        pre, k2, post = out.shape
+        out = out.reshape(pre, k2 // 2, 2, post).swapaxes(2, 3)
+        out = np.ascontiguousarray(out).view(np.result_type(mat.dtype, np.complex64))
+    return out.reshape(shape[:axis] + (-1,) + shape[axis + 1:])
 
 
 def _dft(name: str, a: Tensor, bins, n: int, axis: int, synthesis: bool, real: bool) -> Tensor:
@@ -493,32 +579,31 @@ def dft_synthesis(a: Tensor, bins, n: int, axis: int = -1, real: bool = False) -
     return _dft("dft_synthesis", a, bins, int(n), axis, True, bool(real))
 
 
-def _modes_first(x: np.ndarray) -> np.ndarray:
-    """``[a, b, k..]`` as contiguous ``[k.., a, b]``, so matmul batches over modes."""
-    return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
-
-
-def _modes_last(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
-
-
 def mode_mix(v: Tensor, r: Tensor) -> Tensor:
-    """Per-mode channel mixing ``out[b,o,k..] = sum_i v[b,i,k..] r[i,o,k..]``."""
+    """Per-mode channel mixing ``out[b,k..,o] = sum_i v[b,k..,i] r[i,o,k..]``.
+
+    ``r`` lists its mode axes in reverse order: ``[i, o, k1]`` against
+    ``[b, k1, i]``, and ``[i, o, k1, k2]`` against ``[b, k2, k1, i]``, the
+    block a spectral convolution of ``[b, n1, n2, c]`` holds.
+    """
     v, r = _wrap(v), _wrap(r)
     if not (v.is_complex and r.is_complex):
         raise DtypeError("mode_mix expects complex tensors")
     rank = v.ndim - 2
     if rank not in (1, 2):
         raise ShapeError(f"mode_mix supports 1 or 2 mode axes, got rank {rank}")
-    if r.ndim != rank + 2 or v.shape[1] != r.shape[0] or v.shape[2:] != r.shape[2:]:
+    if r.ndim != rank + 2 or v.shape[-1] != r.shape[0] or v.shape[1:-1] != r.shape[:1:-1]:
         raise ShapeError(f"mode_mix shapes incompatible: {v.shape} with {r.shape}")
     # Stacked matmul over the mode axes hits BLAS; einsum on complex does not.
-    vb, rb = _modes_first(v.data), _modes_first(r.data)    # [k.., b, i], [k.., i, o]
-    out = _modes_last(vb @ rb)
+    perm = tuple(range(r.ndim - 1, 1, -1)) + (0, 1)
+    vb = np.ascontiguousarray(np.moveaxis(v.data, 0, -2))       # [k.., b, i]
+    rb = np.ascontiguousarray(r.data.transpose(perm))           # [k.., i, o]
+    out = np.ascontiguousarray(np.moveaxis(vb @ rb, -2, 0))
 
     def bwd(g):
-        gb = _modes_first(g)                                  # [k.., b, o]
-        return _modes_last(gb @ _conj_t(rb)), _modes_last(_conj_t(vb) @ gb)
+        gb = np.ascontiguousarray(np.moveaxis(g, 0, -2))         # [k.., b, o]
+        gv = np.ascontiguousarray(np.moveaxis(gb @ _conj_t(rb), -2, 0))
+        return gv, np.ascontiguousarray((_conj_t(vb) @ gb).transpose(np.argsort(perm)))
 
     return _record("mode_mix", out, (v, r), bwd)
 

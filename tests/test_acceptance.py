@@ -45,7 +45,7 @@ def test_c01_gradient_checks_every_operation_and_a_full_model():
     # leaves into a parameter tree
     assert [r.name for r in results] == [
         "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
-        "matmul", "matmul_complex", "reduce_sum_axis", "reduce_mean",
+        "matmul", "matmul_complex", "affine", "reduce_sum_axis", "reduce_mean",
         "dft_analysis_real", "dft_analysis_complex",
         "dft_synthesis_real", "dft_synthesis_complex",
         "mode_mix", "softmax", "take", "concat", "moveaxis", "reshape",
@@ -107,8 +107,10 @@ def test_c03_translation_equivariance_all_shifts(dtype, tol):
 
     params = L.init_fourier_layer(rng, 6, 5, 1, dtype=np_dtype)
     v = rng.normal(size=(6, 64)).astype(np_dtype)
+    # the layer holds latents channels-last, [shifts, 64, c]
     _all_shifts_equivariant(
-        lambda b: L.fourier_layer(T.Tensor(b.astype(np_dtype)), params).data,
+        lambda b: np.moveaxis(L.fourier_layer(
+            T.Tensor(np.moveaxis(b, 1, -1).astype(np_dtype)), params).data, -1, 1),
         v, tol)
 
     cfg = M.CompolConfig(processes=2, channels=[1, 1], layers=2, width=8,
@@ -166,8 +168,9 @@ def test_c05_aggregation_matches_scalar_references():
     # zero-weight GRU: q = sigmoid(0) = 1/2, candidate = tanh(0) = 0
     zero = A.GruParams(*(np.zeros((1, 1)) if i % 3 != 2 else np.zeros(1)
                          for i in range(9)))
-    z_prev = T.Tensor(rng.normal(size=(2, 1, 8)))
-    mixed = T.Tensor(rng.normal(size=(2, 1, 8)))
+    # latents are channels-last, [batch, grid, width]
+    z_prev = T.Tensor(rng.normal(size=(2, 1, 8)).reshape(2, 8, 1))
+    mixed = T.Tensor(rng.normal(size=(2, 1, 8)).reshape(2, 8, 1))
     out = A.gru_step(mixed, z_prev, zero)
     assert np.array_equal(out.data, 0.5 * z_prev.data)
 
@@ -190,7 +193,7 @@ def test_c05_aggregation_matches_scalar_references():
     ones = A.AttentionParams(wq=ap.wq, bq=ap.bq, wk=ap.wk,
                              wa=np.zeros((width, width)),
                              ba=np.ones(width), heads=1)
-    fields = [T.Tensor(rng.normal(size=(2, width, 8))) for _ in range(m)]
+    fields = [T.Tensor(np.moveaxis(rng.normal(size=(2, width, 8)), 1, -1)) for _ in range(m)]
     summed = A.attention_aggregate(fields, ones).data
     assert np.abs(summed - 1.0).max() < 1e-6
 
@@ -198,7 +201,7 @@ def test_c05_aggregation_matches_scalar_references():
     # uniform and an identity value map returns the latent itself
     ident = A.AttentionParams(wq=ap.wq, bq=ap.bq, wk=ap.wk,
                               wa=np.eye(width), ba=np.zeros(width), heads=1)
-    same = T.Tensor(rng.normal(size=(2, width, 8)))
+    same = T.Tensor(np.moveaxis(rng.normal(size=(2, width, 8)), 1, -1))
     out = A.attention_aggregate([same, same, same], ident).data
     assert np.abs(out - same.data).max() < 1e-12
 

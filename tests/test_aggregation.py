@@ -5,7 +5,8 @@ references computed with plain Python floats (no numpy broadcasting in
 the reference path), and against the structural identities that make
 the mechanisms verifiable: zero weights freeze the recurrence halfway,
 identical tokens attract uniform attention, and a constant key offset
-cannot change anything.
+cannot change anything.  Latents are channels-last, [batch, *grid, width];
+fields are drawn as [batch, width, *grid] and moved with :func:`cl`.
 """
 
 import math
@@ -17,6 +18,11 @@ from hypothesis import strategies as st
 
 from compol import aggregation as agg
 from compol import tensor as T
+
+
+def cl(a):
+    """[batch, channels, *grid] as channels-last [batch, *grid, channels]."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
 
 
 def wrap(*arrays):
@@ -39,8 +45,8 @@ def test_gru_zero_weights_halves_previous_state():
     so the update collapses to z = z_prev / 2 exactly."""
     rng = np.random.default_rng(0)
     width = 4
-    z_prev = rng.normal(size=(2, width, 8))
-    mixed = rng.normal(size=(2, width, 8))
+    z_prev = cl(rng.normal(size=(2, width, 8)))
+    mixed = cl(rng.normal(size=(2, width, 8)))
     p = zeros_gru(width, width)
     out = agg.gru_step(*wrap(mixed, z_prev), p).data
     assert np.array_equal(out, 0.5 * z_prev)
@@ -68,8 +74,8 @@ def test_gru_gate_interpolates_between_states():
     """Extreme gate bias pins the output to one side of the blend."""
     width = 1
     p = zeros_gru(width, width)
-    z_prev = np.full((1, 1, 4), 3.0)
-    mixed = np.ones((1, 1, 4))
+    z_prev = np.full((1, 4, 1), 3.0)
+    mixed = np.ones((1, 4, 1))
     p.bq[:] = 40.0        # gate ~= 1: keep previous state
     keep = agg.gru_step(*wrap(mixed, z_prev), p).data
     assert np.allclose(keep, 3.0, atol=1e-12)
@@ -84,7 +90,7 @@ def test_gru_gate_interpolates_between_states():
 
 def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(2)
-    fields = [rng.normal(size=(2, 4, 8)) for _ in range(3)]
+    fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
     p = agg.init_attention(rng, 4, 4, dtype=np.float64)
     # directly: attention over constant-one values returns exactly 1
     ones = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
@@ -95,7 +101,7 @@ def test_attention_weights_sum_to_one():
 
 def test_attention_identical_tokens_uniform_weights():
     rng = np.random.default_rng(3)
-    f = rng.normal(size=(2, 4, 8))
+    f = cl(rng.normal(size=(2, 4, 8)))
     m = 3
     p = agg.init_attention(rng, 4, 4, dtype=np.float64)
     out = agg.attention_aggregate(wrap(f, f, f), p).data
@@ -138,10 +144,42 @@ def test_attention_key_bias_would_be_dead():
 
 def test_attention_multihead_splits_channels():
     rng = np.random.default_rng(6)
-    fields = [rng.normal(size=(2, 4, 8)) for _ in range(2)]
+    fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(2)]
     p = agg.init_attention(rng, 4, 4, heads=2, dtype=np.float64)
     out = agg.attention_aggregate(wrap(*fields), p)
-    assert out.shape == (2, 4, 8)
+    assert out.shape == (2, 8, 4)
+
+
+def numpy_attention(fields, p):
+    """Per-head attention with one head's channel slice at a time, all numpy."""
+    m, h = len(fields), p.heads
+    q = sum(fields) / m @ p.wq + p.bq
+    keys = [f @ p.wk for f in fields]
+    values = [f @ p.wa + p.ba for f in fields]
+    dk, dv = q.shape[-1] // h, values[0].shape[-1] // h
+    out = np.empty_like(values[0])
+    for i in range(h):
+        qi = q[..., i * dk:(i + 1) * dk]
+        s = np.stack([(qi * k[..., i * dk:(i + 1) * dk]).sum(-1) / math.sqrt(dk) for k in keys])
+        a = np.exp(s - s.max(0))
+        a /= a.sum(0)
+        out[..., i * dv:(i + 1) * dv] = sum(a[j][..., None] * values[j][..., i * dv:(i + 1) * dv]
+                                            for j in range(m))
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_heads_in_one_pass_match_per_head_reference(heads):
+    """Heads come from one reshape of the channel axis: the only takes on
+    the tape pick each token's weight, none split q, k or v."""
+    rng = np.random.default_rng(12)
+    fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
+    p = agg.init_attention(rng, 4, 4, heads=heads, dtype=np.float64)
+    out = agg.attention_aggregate(wrap(*fields), p).data
+    assert np.max(np.abs(out - numpy_attention(fields, p))) < 1e-12
+    tape = T.Tape()
+    agg.attention_aggregate([tape.leaf(f) for f in fields], p)
+    assert [node.name for node in tape._nodes].count("take") == 3
 
 
 def test_attention_head_count_must_divide():
@@ -156,7 +194,7 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
     """With identity value map, each output entry lies inside the range
     of the token entries — softmax weights are a convex combination."""
     rng = np.random.default_rng(seed)
-    fields = [rng.normal(size=(1, 2, 4)) for _ in range(m)]
+    fields = [cl(rng.normal(size=(1, 2, 4))) for _ in range(m)]
     p = agg.init_attention(rng, 2, 2, dtype=np.float64)
     p_id = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
                                wa=np.eye(2), ba=np.zeros(2), heads=1)
@@ -179,13 +217,13 @@ def test_mix_add_equals_sum():
 
 def test_mix_linear_is_concat_then_map():
     rng = np.random.default_rng(8)
-    fields = [rng.normal(size=(2, 3, 4)) for _ in range(2)]
+    fields = [cl(rng.normal(size=(2, 3, 4))) for _ in range(2)]
     p = agg.init_mix(rng, 2, 3, 5, dtype=np.float64)
     out = agg.mix_processes(wrap(*fields), "linear", p).data
-    stacked = np.concatenate(fields, axis=1)
-    want = np.einsum("bcn,cd->bdn", stacked, p.w) + p.b[None, :, None]
+    stacked = np.concatenate(fields, axis=-1)
+    want = np.einsum("bnc,cd->bnd", stacked, p.w) + p.b
     assert np.max(np.abs(out - want)) < 1e-12
-    assert out.shape == (2, 5, 4)
+    assert out.shape == (2, 4, 5)
 
 
 def test_mix_linear_requires_params():
@@ -196,8 +234,8 @@ def test_mix_linear_requires_params():
 def test_skip_is_running_sum():
     rng = np.random.default_rng(9)
     p = agg.init_skip(rng, 3, 3, dtype=np.float64)
-    mixed = rng.normal(size=(1, 3, 4))
-    z0 = np.zeros((1, 3, 4))
+    mixed = cl(rng.normal(size=(1, 3, 4)))
+    z0 = np.zeros((1, 4, 3))
     z1 = agg.skip_aggregate(*wrap(mixed, z0), p).data
     z2 = agg.skip_aggregate(*wrap(mixed, z1), p).data
     assert np.max(np.abs(z2 - 2 * z1)) < 1e-12
@@ -205,12 +243,12 @@ def test_skip_is_running_sum():
 
 def test_inject_add_and_concat_reduce():
     rng = np.random.default_rng(10)
-    v = rng.normal(size=(1, 3, 4))
-    z = rng.normal(size=(1, 3, 4))
+    v = cl(rng.normal(size=(1, 3, 4)))
+    z = cl(rng.normal(size=(1, 3, 4)))
     assert np.allclose(agg.inject(*wrap(v, z), "add").data, v + z)
     p = agg.init_inject(rng, 3, dtype=np.float64)
     out = agg.inject(*wrap(v, z), "concat_reduce", p).data
-    want = np.einsum("bcn,cd->bdn", np.concatenate([v, z], 1), p.w) + p.b[None, :, None]
+    want = np.einsum("bnc,cd->bnd", np.concatenate([v, z], -1), p.w) + p.b
     assert np.max(np.abs(out - want)) < 1e-12
 
 
@@ -222,9 +260,9 @@ def test_inject_unknown_kind():
 def test_aggregations_commute_with_translation():
     """Everything here acts pointwise, so rolling the grid rolls the output."""
     rng = np.random.default_rng(11)
-    fields = [rng.normal(size=(1, 4, 8)) for _ in range(2)]
+    fields = [cl(rng.normal(size=(1, 4, 8))) for _ in range(2)]
     p = agg.init_attention(rng, 4, 4, dtype=np.float64)
     base = agg.attention_aggregate(wrap(*fields), p).data
     rolled = agg.attention_aggregate(
-        wrap(*[np.roll(f, 3, -1) for f in fields]), p).data
-    assert np.max(np.abs(rolled - np.roll(base, 3, -1))) < 1e-12
+        wrap(*[np.roll(f, 3, 1) for f in fields]), p).data
+    assert np.max(np.abs(rolled - np.roll(base, 3, 1))) < 1e-12

@@ -224,6 +224,23 @@ def test_train_config_types_exit_2(tmp_path, lv_data, capsys, section, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model_kw", [
+    {"width": 2 ** 56},                                  # lift weights: 1 EiB
+    {"width": 8, "modes": 2 ** 50},                      # spectral weights: 512 PiB
+    {"width": 8, "aggregation": "attention", "key_width": 2 ** 55},   # 2 EiB
+], ids=["width", "modes", "key_width"])
+def test_train_oversized_model_exits_2(tmp_path, lv_data, capsys, model_kw):
+    """A model no machine can hold is one error line and exit 2.  Each size
+    is far beyond any address space, so the first allocation fails at once."""
+    doc = experiment_doc(lv_data, tmp_path / "out", **model_kw)
+    cfg = write_config(tmp_path / "exp.json", doc)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -2,7 +2,10 @@
 
 The spectral convolution is checked against a literal reference that
 does the whole thing with dense numpy FFTs and an einsum — an
-independent path from the tape ops it is built on.
+independent path from the tape ops it is built on.  Latents are
+channels-last, [batch, *grid, width]; test fields are drawn as
+[batch, width, *grid] and moved with :func:`cl`, so the draws match the
+channels-first layout the package used before.
 """
 
 import numpy as np
@@ -12,27 +15,32 @@ from compol import layers as L
 from compol import tensor as T
 
 
+def cl(a):
+    """[batch, channels, *grid] as channels-last [batch, *grid, channels]."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 def reference_spectral_conv_1d(v, r):
     """Dense rfft -> per-mode matrix multiply -> irfft, all numpy."""
-    n = v.shape[-1]
+    n = v.shape[1]
     k1 = r.shape[-1]
-    vhat = np.fft.rfft(v, axis=-1)
+    vhat = np.fft.rfft(v, axis=1)
     out = np.zeros_like(vhat)
-    out[..., :k1] = np.einsum("bik,iok->bok", vhat[..., :k1], r)
-    return np.fft.irfft(out, n=n, axis=-1)
+    out[:, :k1] = np.einsum("bki,iok->bko", vhat[:, :k1], r)
+    return np.fft.irfft(out, n=n, axis=1)
 
 
 def reference_spectral_conv_2d(v, r):
-    n1, n2 = v.shape[-2:]
+    n1, n2 = v.shape[1:3]
     k1, k2 = r.shape[-2], r.shape[-1]
     rows = L.full_axis_mode_indices(k2, n1)
-    vhat = np.fft.rfft2(v, axes=(-2, -1))
-    sel = vhat[:, :, rows][..., :k1]                     # [b, w, k2, k1]
-    mixed = np.einsum("bikl,iokl->bokl", sel, np.moveaxis(r, -1, -2))
+    vhat = np.fft.rfft2(v, axes=(1, 2))
+    sel = vhat[:, rows][:, :, :k1]                       # [b, k2, k1, w]
+    mixed = np.einsum("blki,iokl->blko", sel, r)
     out = np.zeros_like(vhat)
     for j, row in enumerate(rows):
-        out[:, :, row, :k1] = mixed[:, :, j, :]
-    return np.fft.irfft2(out, s=(n1, n2), axes=(-2, -1))
+        out[:, row, :k1] = mixed[:, j]
+    return np.fft.irfft2(out, s=(n1, n2), axes=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +64,7 @@ def test_full_axis_mode_indices_rejects_overrun():
 
 def test_spectral_conv_1d_matches_reference():
     rng = np.random.default_rng(0)
-    v = rng.normal(size=(2, 4, 16))
+    v = cl(rng.normal(size=(2, 4, 16)))
     r = (rng.normal(size=(4, 4, 5)) + 1j * rng.normal(size=(4, 4, 5)))
     got = L.spectral_conv(T.Tensor(v), T.Tensor(r)).data
     want = reference_spectral_conv_1d(v, r)
@@ -65,7 +73,7 @@ def test_spectral_conv_1d_matches_reference():
 
 def test_spectral_conv_2d_matches_reference():
     rng = np.random.default_rng(1)
-    v = rng.normal(size=(2, 3, 8, 8))
+    v = cl(rng.normal(size=(2, 3, 8, 8)))
     r = (rng.normal(size=(3, 3, 4, 3)) + 1j * rng.normal(size=(3, 3, 4, 3)))
     got = L.spectral_conv(T.Tensor(v), T.Tensor(r)).data
     want = reference_spectral_conv_2d(v, r)
@@ -74,31 +82,31 @@ def test_spectral_conv_2d_matches_reference():
 
 def test_spectral_conv_output_is_real_and_shaped():
     rng = np.random.default_rng(2)
-    v = rng.normal(size=(3, 4, 32)).astype(np.float32)
+    v = cl(rng.normal(size=(3, 4, 32)).astype(np.float32))
     r = (rng.normal(size=(4, 4, 6)) + 1j * rng.normal(size=(4, 4, 6))).astype(np.complex64)
     out = L.spectral_conv(T.Tensor(v), T.Tensor(r))
-    assert out.shape == (3, 4, 32)
+    assert out.shape == (3, 32, 4)
     assert out.data.dtype == np.float32
 
 
 def test_spectral_conv_translation_equivariance_1d():
     """Keeping only low modes commutes with circular shifts."""
     rng = np.random.default_rng(3)
-    v = rng.normal(size=(1, 3, 32))
+    v = cl(rng.normal(size=(1, 3, 32)))
     r = (rng.normal(size=(3, 3, 7)) + 1j * rng.normal(size=(3, 3, 7)))
     base = L.spectral_conv(T.Tensor(v), T.Tensor(r)).data
     for s in (1, 5, 16, 31):
-        shifted = L.spectral_conv(T.Tensor(np.roll(v, s, -1)), T.Tensor(r)).data
-        assert np.max(np.abs(shifted - np.roll(base, s, -1))) < 1e-12, s
+        shifted = L.spectral_conv(T.Tensor(np.roll(v, s, 1)), T.Tensor(r)).data
+        assert np.max(np.abs(shifted - np.roll(base, s, 1))) < 1e-12, s
 
 
 def test_spectral_conv_records_only_truncated_dft_nodes():
     """1-D: analysis, mode mixing, synthesis; 2-D adds one DFT per extra
-    axis and the weight transpose.  No gather, scatter or full FFT."""
+    axis.  No gather, scatter, full FFT or transpose."""
     rng = np.random.default_rng(9)
     for v_shape, r_shape, want in [
-        ((2, 3, 16), (3, 3, 5), ["dft_analysis", "mode_mix", "dft_synthesis"]),
-        ((2, 3, 8, 8), (3, 3, 4, 3), ["dft_analysis", "dft_analysis", "moveaxis",
+        ((2, 16, 3), (3, 3, 5), ["dft_analysis", "mode_mix", "dft_synthesis"]),
+        ((2, 8, 8, 3), (3, 3, 4, 3), ["dft_analysis", "dft_analysis",
                                       "mode_mix", "dft_synthesis", "dft_synthesis"]),
     ]:
         tape = T.Tape()
@@ -108,12 +116,40 @@ def test_spectral_conv_records_only_truncated_dft_nodes():
         assert [node.name for node in tape._nodes[2:]] == want
 
 
+def test_fourier_layer_records_no_transpose():
+    """The channel map is one affine node and the latent keeps its layout
+    through the layer: no moveaxis in 1-D or 2-D."""
+    rng = np.random.default_rng(10)
+    for v_shape, modes, spatial, dft in [
+        ((2, 16, 3), 5, 1, ["dft_analysis", "mode_mix", "dft_synthesis"]),
+        ((2, 8, 8, 3), (4, 3), 2, ["dft_analysis", "dft_analysis", "mode_mix",
+                                   "dft_synthesis", "dft_synthesis"]),
+    ]:
+        p = L.init_fourier_layer(rng, 3, modes, spatial, dtype=np.float64)
+        tape = T.Tape()
+        leaves = L.FourierLayerParams(*(tape.leaf(a) for a in (p.r, p.w, p.b)))
+        L.fourier_layer(tape.leaf(rng.normal(size=v_shape)), leaves)
+        assert [node.name for node in tape._nodes[4:]] == ["affine"] + dft + ["add", "gelu"]
+
+
+def test_lift_and_project_transpose_once():
+    """The only layout changes are at the ends: the lift moves its few input
+    channels last, the projection moves its d_out channels back."""
+    p = L.init_lift_project(np.random.default_rng(11), d_in=2, d_out=1, width=4,
+                            dtype=np.float64)
+    tape = T.Tape()
+    v = L.lift(tape.leaf(np.ones((2, 1, 8))), p)
+    L.project(v, p)
+    assert [node.name for node in tape._nodes[1:]] == [
+        "concat", "moveaxis", "affine", "affine", "gelu", "affine", "moveaxis"]
+
+
 def test_spectral_conv_too_many_modes():
-    v = T.Tensor(np.zeros((1, 2, 8)))
+    v = T.Tensor(np.zeros((1, 8, 2)))
     r = T.Tensor(np.zeros((2, 2, 6), dtype=complex))  # 8//2+1 = 5 bins
     with pytest.raises(T.ShapeError):
         L.spectral_conv(v, r)
-    v2 = T.Tensor(np.zeros((1, 2, 4, 8)))
+    v2 = T.Tensor(np.zeros((1, 4, 8, 2)))
     with pytest.raises(T.ShapeError):       # k1 = 6 > 8//2+1 real-axis bins
         L.spectral_conv(v2, T.Tensor(np.zeros((2, 2, 6, 2), dtype=complex)))
     with pytest.raises(ValueError):         # k2 = 5 > n1 = 4 full-axis bins
@@ -135,11 +171,11 @@ def test_spectral_param_count_formula():
 
 def test_channel_affine_is_per_point_linear_map():
     rng = np.random.default_rng(4)
-    v = rng.normal(size=(2, 3, 5))
+    v = cl(rng.normal(size=(2, 3, 5)))
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=4)
     got = L.channel_affine(T.Tensor(v), T.Tensor(w), T.Tensor(b)).data
-    want = np.einsum("bcn,cd->bdn", v, w) + b[None, :, None]
+    want = np.einsum("bnc,cd->bnd", v, w) + b
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -158,10 +194,10 @@ def test_lift_appends_coords_then_maps():
     p = L.init_lift_project(rng, d_in=1 + 1, d_out=1, width=6, dtype=np.float64)
     f = rng.normal(size=(2, 1, 8))
     out = L.lift(T.Tensor(f), p, with_coords=True)
-    assert out.shape == (2, 6, 8)
+    assert out.shape == (2, 8, 6)
     coords = L.coordinate_channels(2, (8,), dtype=np.float64)
     stacked = np.concatenate([f, coords], axis=1)
-    want = np.einsum("bcn,cd->bdn", stacked, p.p) + p.p_b[None, :, None]
+    want = np.einsum("bcn,cd->bnd", stacked, p.p) + p.p_b
     assert np.max(np.abs(out.data - want)) < 1e-12
 
 
@@ -169,7 +205,7 @@ def test_lift_without_coords_needs_matching_width():
     rng = np.random.default_rng(6)
     p = L.init_lift_project(rng, d_in=2, d_out=1, width=4, dtype=np.float64)
     f = rng.normal(size=(1, 2, 8))
-    assert L.lift(T.Tensor(f), p, with_coords=False).shape == (1, 4, 8)
+    assert L.lift(T.Tensor(f), p, with_coords=False).shape == (1, 8, 4)
 
 
 def test_project_shapes_and_hidden_width():
@@ -177,7 +213,7 @@ def test_project_shapes_and_hidden_width():
     p = L.init_lift_project(rng, d_in=1, d_out=3, width=6, dtype=np.float64)
     assert p.q1.shape == (6, L.PROJECT_HIDDEN)
     assert p.q2.shape == (L.PROJECT_HIDDEN, 3)
-    v = rng.normal(size=(2, 6, 8))
+    v = cl(rng.normal(size=(2, 6, 8)))
     assert L.project(T.Tensor(v), p).shape == (2, 3, 8)
 
 
@@ -186,7 +222,7 @@ def test_fourier_layer_zero_weights_gives_activation_of_zero():
         r=np.zeros((3, 3, 2), dtype=complex),
         w=np.zeros((3, 3)),
         b=np.zeros(3))
-    v = np.random.default_rng(8).normal(size=(1, 3, 8))
+    v = cl(np.random.default_rng(8).normal(size=(1, 3, 8)))
     out = L.fourier_layer(T.Tensor(v), p).data
     assert np.max(np.abs(out)) < 1e-15
 

@@ -69,7 +69,7 @@ def test_forward_latents_one_slot_per_layer():
     _, latents = M.forward(model, rand_inputs(cfg), return_latents=True)
     assert len(latents) == 4                       # post-lift + 3 layers
     assert all(len(step) == 2 for step in latents)
-    assert latents[0][0].shape == (2, 8, 16)
+    assert latents[0][0].shape == (2, 16, 8)        # channels-last: [batch, grid, width]
 
 
 def test_forward_is_deterministic():
@@ -226,6 +226,33 @@ def test_sample_output_does_not_depend_on_its_batch(kw, grid, batches):
         part = M.forward(model, [x[:b] for x in xs], None)
         for p, f in zip(part, full):
             assert np.abs(p.data - f[:b]).max() <= 1e-6 * scale, b
+
+
+@pytest.mark.parametrize("kind,want", [
+    ("compol-rnn", dict(add=32, affine=42, concat=4, dft_analysis=8, dft_synthesis=8,
+                        gelu=10, mode_mix=8, moveaxis=2, mul=12, sigmoid=8, sub=4, tanh=4)),
+    ("compol-atn", dict(add=24, affine=34, concat=4, dft_analysis=8, dft_synthesis=8,
+                        gelu=10, mode_mix=8, moveaxis=2, mul=16, reduce_sum=8, reshape=8,
+                        scale=12, softmax=4, take=8)),
+    ("compol-skip", dict(add=20, affine=22, concat=4, dft_analysis=8, dft_synthesis=8,
+                         gelu=10, mode_mix=8, moveaxis=2)),
+    ("fno-c", dict(add=4, affine=7, dft_analysis=4, dft_synthesis=4, gelu=5,
+                   mode_mix=4, moveaxis=1)),
+])
+def test_forward_tape_nodes_at_the_c07_shape(kind, want):
+    """Nodes a training forward records at c07's architecture (2 processes,
+    width 32, modes 12, 4 layers; the counts do not depend on batch or
+    grid).  Every channel map is one affine node, and the projection's
+    transpose is the only layout change on the tape: the lift transposes
+    its input before any parameter touches it."""
+    cfg = M.config_for_kind(kind, M.CompolConfig(processes=2, channels=[1, 1], layers=4,
+                                                 width=32, modes=12, seed=0))
+    tape = T.Tape()
+    bound = P.bind(M.init_params(cfg), tape)
+    start = len(tape)
+    M.forward(bound, rand_inputs(cfg, grid=32), tape)
+    names = [node.name for node in tape._nodes[start:]]
+    assert {n: names.count(n) for n in set(names)} == want
 
 
 # ---------------------------------------------------------------------------

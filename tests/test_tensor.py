@@ -105,6 +105,26 @@ def test_activation_values():
     assert np.max(np.abs(T.gelu(T.Tensor(x)).data - exact)) < 2e-3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_the_textbook_bits_and_derivative(dtype):
+    """The in-place forward rounds exactly as the textbook expression; the
+    backward is its analytic derivative."""
+    rng = np.random.default_rng(11)
+    x = (rng.normal(size=(4, 33)) * 3).astype(dtype)
+    c, k = float(np.sqrt(2.0 / np.pi)), 0.044715      # Python floats stay weak
+    want = 0.5 * x * (1.0 + np.tanh(c * (x + k * x * x * x)))
+    assert np.array_equal(T.gelu(T.Tensor(x)).data, want)
+    tape = T.Tape()
+    lx = tape.leaf(x)
+    g = rng.normal(size=x.shape).astype(dtype)
+    got = T.backward(tape, T.reduce_sum(T.gelu(lx) * T.Tensor(g)))[lx]
+    x64 = x.astype(np.float64)
+    t = np.tanh(c * (x64 + k * x64 ** 3))
+    deriv = 0.5 * (1 + t) + 0.5 * x64 * (1 - t * t) * c * (1 + 3 * k * x64 ** 2)
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - g * deriv)) < 10 * np.finfo(dtype).eps * np.abs(g).max()
+
+
 def test_sigmoid_saturates_without_overflow():
     x = np.array([-1e4, 1e4])
     with np.errstate(over="raise"):
@@ -117,6 +137,36 @@ def test_matmul_batched():
     a = rng.normal(size=(2, 3, 4))
     b = rng.normal(size=(2, 4, 5))
     assert np.allclose(T.matmul(T.Tensor(a), T.Tensor(b)).data, a @ b)
+
+
+def test_affine_is_one_node_over_the_last_axis():
+    rng = np.random.default_rng(12)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    assert np.allclose(T.affine(x, w, b).data, x @ w + b, rtol=0, atol=1e-13)
+    assert np.allclose(T.affine(x, w).data, x @ w, rtol=0, atol=1e-13)
+    tape = T.Tape()
+    T.affine(tape.leaf(x), w, b)
+    assert [node.name for node in tape._nodes] == ["leaf", "affine"]
+    for bad_w, bad_b in [(rng.normal(size=(3, 5)), None), (w, np.ones(4)),
+                         (rng.normal(size=(4, 5, 1)), None)]:
+        with pytest.raises(T.ShapeError):
+            T.affine(x, bad_w, bad_b)
+    with pytest.raises(T.DtypeError):
+        T.affine(x, w + 0j)
+
+
+def test_affine_adjoint_closed_form():
+    """L = sum(affine(x, w, b) * g) is linear in each operand: the gradients
+    are g w^T, x^T g over every row, and the column sums of g."""
+    rng = np.random.default_rng(13)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    g = rng.normal(size=(2, 3, 5))
+    tape = T.Tape()
+    lx, lw, lb = leafs(tape, x, w, b)
+    grads = T.backward(tape, T.reduce_sum(T.affine(lx, lw, lb) * T.Tensor(g)))
+    assert np.max(np.abs(grads[lx] - g @ w.T)) < 1e-12
+    assert np.max(np.abs(grads[lw] - np.einsum("bnc,bnd->cd", x, g))) < 1e-12
+    assert np.max(np.abs(grads[lb] - g.sum(axis=(0, 1)))) < 1e-12
 
 
 def test_reductions():
@@ -145,6 +195,12 @@ def test_take_concat_moveaxis_reshape():
     x = np.arange(6.0).reshape(2, 3)
     t = T.Tensor(x)
     assert np.allclose(T.take(t, np.array([1, 0]), 0).data, x[[1, 0]])
+    tape = T.Tape()
+    lt = tape.leaf(x)                 # a scalar index drops the axis, as np.take does
+    picked = T.take(lt, 1, 0)
+    assert np.array_equal(picked.data, x[1])
+    grads = T.backward(tape, T.reduce_sum(picked * T.Tensor(np.array([1.0, 2.0, 3.0]))))
+    assert np.array_equal(grads[lt], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     assert np.allclose(T.concat([t, t], 1).data, np.concatenate([x, x], 1))
     assert np.allclose(T.moveaxis(t, 0, 1).data, x.T)
     assert np.allclose(T.reshape(t, (6,)).data, x.reshape(6))
@@ -313,6 +369,74 @@ def test_dft_synthesis_adjoint_closed_form():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _mid(a):
+    """[b, k] as [b, k, 3]: the axis of interest between two others."""
+    return np.ascontiguousarray(np.repeat(a[:, :, None], 3, axis=2) * [1.0, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_dft_ops_on_a_middle_axis_match_fft_and_direct_definition(n):
+    """Axis 1 of [b, n, c], the channels-last grid axis: real input to
+    complex bins and back, and complex both ways."""
+    rng = np.random.default_rng(14)
+    half = np.arange(n // 2 + 1)
+    rows = np.array([0, 1, n - 1, 2, n - 2])
+    t = np.arange(n)
+    direct = np.exp(-2j * np.pi * np.outer(t, t) / n)
+    x = rng.normal(size=(3, n, 4))
+    z = x + 1j * rng.normal(size=(3, n, 4))
+    a = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+    h = rng.normal(size=(3, len(half), 4)) + 1j * rng.normal(size=(3, len(half), 4))
+
+    got = T.dft_analysis(T.Tensor(x), half, 1).data
+    assert np.abs(got - K.rfft(x, (1,))).max() < 1e-12
+    assert np.abs(got - np.einsum("btc,tk->bkc", x, direct[:, half])).max() < 1e-12
+    got = T.dft_analysis(T.Tensor(z), rows, 1).data
+    assert np.abs(got - K.fft(z, (1,))[:, rows]).max() < 1e-12
+    assert np.abs(got - np.einsum("btc,tk->bkc", z, direct[:, rows])).max() < 1e-12
+
+    got = T.dft_synthesis(T.Tensor(a), rows, n, 1).data
+    full = np.moveaxis(_embed(np.moveaxis(a, 1, -1), rows, n), -1, 1)
+    assert np.abs(got - K.ifft(full, (1,))).max() < 1e-12
+    assert np.abs(got - np.einsum("bkc,kt->btc", a, np.conj(direct[rows])) / n).max() < 1e-12
+    got = T.dft_synthesis(T.Tensor(h), half, n, 1, real=True).data
+    assert got.dtype == np.float64 and got.shape == (3, n, 4)
+    assert np.abs(got - K.irfft(h, (1,), n)).max() < 1e-12
+    weights = np.where((half == 0) | (half == n // 2), 1.0, 2.0)[None, :, None]
+    h_re = h.copy()
+    h_re[:, [0, n // 2]] = h_re[:, [0, n // 2]].real          # irfft drops these
+    want = (np.einsum("bkc,kt->btc", h_re * weights, np.conj(direct[half])) / n).real
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_dft_analysis_adjoint_on_a_middle_axis():
+    rng = np.random.default_rng(15)
+    bins = np.array([0, 1, 7, 2, 6])
+    g = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    want = _mid(np.conj(np.fft.fft(_embed(g, bins, 8), axis=-1)))
+    op = lambda x: T.dft_analysis(x, bins, 1)
+    got = _dft_adjoint(op, np.zeros((2, 8, 3), complex), _mid(g))
+    assert np.max(np.abs(got - want)) < 1e-12
+    got = _dft_adjoint(op, np.zeros((2, 8, 3)), _mid(g))
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want.real)) < 1e-12
+
+
+def test_dft_synthesis_adjoint_on_a_middle_axis():
+    rng = np.random.default_rng(16)
+    bins = np.array([0, 1, 7, 2, 6])
+    g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    got = _dft_adjoint(lambda x: T.dft_synthesis(x, bins, 8, 1),
+                       np.zeros((2, 5, 3), complex), _mid(g))
+    want = _mid(np.conj(np.fft.ifft(g, axis=-1)[:, bins]))
+    assert np.max(np.abs(got - want)) < 1e-12
+    half = np.arange(5)
+    got = _dft_adjoint(lambda x: T.dft_synthesis(x, half, 8, 1, real=True),
+                       np.zeros((2, 5, 3), complex), _mid(g.real))
+    want = _mid(np.fft.fft(g.real, axis=-1)[:, half] * np.array([1, 2, 2, 2, 1]) / 8)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_dft_round_trip_gradient_is_identity():
     """Real synthesis of every real-axis bin inverts analysis exactly, so
     the chain's gradient must be the probe."""
@@ -328,34 +452,43 @@ def test_dft_round_trip_gradient_is_identity():
     assert np.max(np.abs(grads[lx] - probe)) < 1e-12
 
 
+def _modes_last(a):
+    """[b, c, k..] as the [b, k.. reversed, c] block mode_mix takes."""
+    return np.ascontiguousarray(a.transpose((0,) + tuple(range(a.ndim - 1, 0, -1))))
+
+
 def test_mode_mix_matches_einsum():
+    """Blocks are [b, k.., i] with the weights' mode axes reversed:
+    [b, k1, i] against [i, o, k1], [b, k2, k1, i] against [i, o, k1, k2]."""
     rng = np.random.default_rng(7)
-    v = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))
+    v = _modes_last(rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5)))
     r = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
     out = T.mode_mix(T.Tensor(v), T.Tensor(r)).data
-    want = np.einsum("bik,iok->bok", v, r)
+    want = np.einsum("bki,iok->bko", v, r)
     assert np.max(np.abs(out - want)) < 1e-12
 
-    v2 = rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5))
+    v2 = _modes_last(rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5)))
     r2 = rng.normal(size=(3, 6, 4, 5)) + 1j * rng.normal(size=(3, 6, 4, 5))
     out2 = T.mode_mix(T.Tensor(v2), T.Tensor(r2)).data
-    want2 = np.einsum("bikl,iokl->bokl", v2, r2)
+    want2 = np.einsum("blki,iokl->blko", v2, r2)
     assert np.max(np.abs(out2 - want2)) < 1e-12
+    with pytest.raises(T.ShapeError):        # modes in the weights' order
+        T.mode_mix(T.Tensor(np.moveaxis(v2, 1, 2)), T.Tensor(r2))
 
 
 def test_mode_mix_gradients_match_einsum_adjoints():
     rng = np.random.default_rng(8)
-    v = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))
+    v = _modes_last(rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5)))
     r = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
-    g = rng.normal(size=(2, 4, 5)) + 1j * rng.normal(size=(2, 4, 5))
+    g = _modes_last(rng.normal(size=(2, 4, 5)) + 1j * rng.normal(size=(2, 4, 5)))
     tape = T.Tape()
     lv, lr = tape.leaf(v), tape.leaf(r)
     loss = T.reduce_sum(T.real(T.mode_mix(lv, lr) * T.Tensor(g)))
     grads = T.backward(tape, loss)
-    # L = Re(sum(v_bik r_iok g_bok)); collect each operand's linear
+    # L = Re(sum(v_bki r_iok g_bko)); collect each operand's linear
     # coefficient and conjugate (d/dRe + i d/dIm convention, see above)
-    want_gv = np.conj(np.einsum("iok,bok->bik", r, g))
-    want_gr = np.conj(np.einsum("bik,bok->iok", v, g))
+    want_gv = np.conj(np.einsum("iok,bko->bki", r, g))
+    want_gr = np.conj(np.einsum("bki,bko->iok", v, g))
     assert np.max(np.abs(grads[lv] - want_gv)) < 1e-12
     assert np.max(np.abs(grads[lr] - want_gr)) < 1e-12
 
