@@ -214,14 +214,6 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 # elementwise
 
 
-def _times(d: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``d * g``, into the scratch array ``d`` unless ``g`` is wider."""
-    if d.dtype != np.result_type(d, g):
-        return d * g
-    d *= g
-    return d
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _require_same_kind(a, b, "add")
@@ -229,8 +221,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return (None if a.tape is None else _unbroadcast(g, a.shape),
-                None if b.tape is None else _unbroadcast(g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record("add", out, (a, b), bwd)
 
@@ -242,8 +233,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return (None if a.tape is None else _unbroadcast(g, a.shape),
-                None if b.tape is None else _unbroadcast(-g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _record("sub", out, (a, b), bwd)
 
@@ -256,9 +246,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        ca, cb = (np.conj(ad), np.conj(bd)) if a.is_complex else (ad, bd)
-        return (None if a.tape is None else _unbroadcast(g * cb, a.shape),
-                None if b.tape is None else _unbroadcast(g * ca, b.shape))
+        return _unbroadcast(g * np.conj(bd), a.shape), _unbroadcast(g * np.conj(ad), b.shape)
 
     return _record("mul", out, (a, b), bwd)
 
@@ -282,9 +270,7 @@ def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
 
     def bwd(g):
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        return (_times(d, g),)
+        return (g * (1.0 - t * t),)
 
     return _record("tanh", t, (a,), bwd)
 
@@ -294,16 +280,13 @@ def sigmoid(a: Tensor) -> Tensor:
     _require_real(a, "sigmoid")
     # Clipping at |x| = 60 avoids exp overflow; the result is already
     # saturated to within 1e-26 there, far below float64 resolution of 1.
-    s = np.clip(a.data, -60.0, 60.0)          # 1 / (1 + exp(-x)), in place
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    np.reciprocal(s, out=s)
+    x = np.clip(a.data, -60.0, 60.0)
+    s = 1.0 / (1.0 + np.exp(-x))
+    if s.dtype != a.data.dtype:
+        s = s.astype(a.data.dtype)
 
     def bwd(g):
-        d = 1.0 - s
-        d *= s
-        return (_times(d, g),)
+        return (g * (s * (1.0 - s)),)
 
     return _record("sigmoid", s, (a,), bwd)
 
@@ -343,7 +326,10 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(t, 0.5, out=d)
         d += 0.5
         dg += d
-        return (_times(dg, g),)
+        if dg.dtype != np.result_type(dg, g):   # a wider cotangent widens the gradient
+            return (dg * g,)
+        dg *= g
+        return (dg,)
 
     return _record("gelu", out, (a,), bwd)
 
@@ -513,8 +499,8 @@ def _dft_matrix(synthesis: bool, real: bool, n: int, bins: tuple[int, ...],
 def _dft_apply(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     """``x @ mat`` contracted over ``axis`` where it lies, with no transpose of ``x``.
 
-    ``x`` is viewed as ``[pre, n, post]``; a middle axis is a left-multiply
-    by ``mat^T`` batched over ``pre``, the last axis one ``[pre, n] @ mat``.
+    ``x`` is viewed as ``[pre, n, post]`` and left-multiplied by ``mat^T``,
+    batched over ``pre``.
     Against a real ``mat`` of (re, im) pairs, complex ``x`` is split into
     pairs and real ``x`` gives complex pairs.  Both happen on the truncated
     side, which holds the retained bins, not the grid.
@@ -525,10 +511,7 @@ def _dft_apply(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
     if pairs and x.dtype.kind == "c":          # [pre, k, post] as [pre, (k, re|im), post]
         x3 = np.stack([x3.real, x3.imag], axis=2).reshape(x3.shape[0], -1, x3.shape[2])
-    if x3.shape[2] == 1:
-        out = (x3[:, :, 0] @ mat)[:, :, None]
-    else:
-        out = np.matmul(mat.T, x3)
+    out = np.matmul(mat.T, x3)
     if pairs and x.dtype.kind == "f":          # [pre, (k, re|im), post] as complex [pre, k, post]
         pre, k2, post = out.shape
         out = out.reshape(pre, k2 // 2, 2, post).swapaxes(2, 3)
@@ -620,7 +603,8 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
 
     def bwd(g):
         full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+        gi, ii = (np.expand_dims(g, axis), idx[None]) if idx.ndim == 0 else (g, idx)
+        np.add.at(np.moveaxis(full, axis, 0), ii, np.moveaxis(gi, axis, 0))
         return (full,)
 
     return _record("take", out, (a,), bwd)

@@ -201,6 +201,18 @@ def test_take_concat_moveaxis_reshape():
     assert np.array_equal(picked.data, x[1])
     grads = T.backward(tape, T.reduce_sum(picked * T.Tensor(np.array([1.0, 2.0, 3.0]))))
     assert np.array_equal(grads[lt], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    for shape in ((2, 3, 4), (3, 3, 3)):  # a scalar index on a later axis
+        x3 = np.arange(float(np.prod(shape))).reshape(shape)
+        probe = np.arange(1.0, 1.0 + shape[0] * shape[2]).reshape(shape[0], shape[2])
+        for axis in (1, -2):
+            tape = T.Tape()
+            lt = tape.leaf(x3)
+            picked = T.take(lt, 1, axis)
+            assert np.array_equal(picked.data, x3[:, 1, :])
+            grads = T.backward(tape, T.reduce_sum(picked * T.Tensor(probe)))
+            want = np.zeros(shape)
+            want[:, 1, :] = probe
+            assert np.array_equal(grads[lt], want)
     assert np.allclose(T.concat([t, t], 1).data, np.concatenate([x, x], 1))
     assert np.allclose(T.moveaxis(t, 0, 1).data, x.T)
     assert np.allclose(T.reshape(t, (6,)).data, x.reshape(6))
