@@ -13,7 +13,8 @@ layer.  Four mechanisms are provided:
 
 Latents are channels-last, [batch, *grid, width], as in
 :mod:`compol.layers`: every map is one matmul over the last axis, and
-concatenation, head splits and attention scores all use that axis.  All
+concatenation and head splits use that axis.  Attention stacks its
+tokens on a new leading axis and contracts them with ``T.einsum``.  All
 maps act pointwise on channels, so every mechanism commutes with spatial
 translations.
 """
@@ -166,39 +167,27 @@ def gru_step(mixed: Tensor, z_prev: Tensor, p: GruParams) -> Tensor:
 def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
     """Scaled dot-product attention over process tokens, per grid location.
 
-    The query comes from the mean latent, keys/values from each token;
-    attention weights are softmax(q . k / sqrt(d_k)) over tokens.  With
+    The query comes from the mean latent.  The tokens are stacked on a
+    leading axis, [m, b, *grid, w], so keys and values are one map each,
+    the scores softmax(q . k / sqrt(d_k)) are one contraction and one
+    softmax over that axis, and the weighted sum is one contraction.  With
     several heads the channel axis is reshaped to [heads, d_head] and all
     heads go through each step at once.
     """
-    m = len(fields)
-    mean = fields[0]
-    for f in fields[1:]:
-        mean = T.add(mean, f)
-    mean = T.scale(mean, 1.0 / m)
+    mean = T.scale(mix_processes(fields, "add"), 1.0 / len(fields))
+    tokens = T.concat([T.reshape(f, (1,) + f.shape) for f in fields], 0)
 
-    heads = p.heads
-    d_head = p.wq.shape[1] // heads
-    inv = 1.0 / math.sqrt(d_head)
+    heads, d_head = p.heads, p.wq.shape[1] // p.heads
 
-    def split(t: Tensor) -> Tensor:                               # [b, *grid, (heads,) c]
+    def split(t: Tensor) -> Tensor:                               # [..., (heads,) c]
         return t if heads == 1 else T.reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads))
 
-    query = split(channel_affine(mean, p.wq, p.bq))
-    keys = [split(channel_affine(f, p.wk)) for f in fields]
-    values = [split(channel_affine(f, p.wa, p.ba)) for f in fields]
-
-    # Tokens go on a leading axis: a softmax over a short last axis runs
-    # one tiny numpy loop per grid point, over a leading one a few slab-wide ops.
-    scores = []
-    for k in keys:
-        s = T.scale(T.reduce_sum(T.mul(query, k), axes=(-1,)), inv)   # [b, *grid, (heads)]
-        scores.append(T.reshape(s, (1,) + s.shape + (1,)))
-    alpha = T.softmax(T.concat(scores, 0), 0)                     # [m, b, *grid, (heads,) 1]
-    z = None
-    for j, v in enumerate(values):
-        term = T.mul(T.take(alpha, j, 0), v)
-        z = term if z is None else T.add(z, term)
+    query = split(channel_affine(mean, p.wq, p.bq))               # [b, *grid, (heads,) d]
+    keys = split(channel_affine(tokens, p.wk))                    # [m, b, *grid, (heads,) d]
+    values = split(channel_affine(tokens, p.wa, p.ba))
+    scores = T.scale(T.einsum("...c,m...c->m...", query, keys), 1.0 / math.sqrt(d_head))
+    alpha = T.softmax(scores, 0)                                  # [m, b, *grid, (heads)]
+    z = T.einsum("m...,m...c->...c", alpha, values)
     return z if heads == 1 else T.reshape(z, z.shape[:-2] + (-1,))
 
 

@@ -89,6 +89,9 @@ def load_experiment_config(path: str) -> dict:
     _reject_unknown(doc["train"], _TRAIN_KEYS, "train section")
     if "paths" in doc:
         _reject_unknown(doc["paths"], _PATH_KEYS, "paths section")
+        for key, value in doc["paths"].items():
+            if not isinstance(value, str):
+                raise UsageError(f"paths.{key} must be a string, got {value!r}")
     for key in ("n_train", "n_test"):
         if key not in doc["data"]:
             raise UsageError(f"data section is missing {key!r}")
@@ -113,7 +116,7 @@ def load_experiment_config(path: str) -> dict:
             raise UsageError("system section needs a 'system' name")
         try:
             D.system_spec(name, overrides=sec)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:   # OverflowError: an int past float range
             raise UsageError(f"system section invalid: {e}") from e
     return doc
 
@@ -165,7 +168,7 @@ def cmd_gen_data(args) -> int:
     try:
         spec = D.system_spec(args.system, resolution=args.resolution,
                              overrides=overrides)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise UsageError(str(e)) from e
     manifest = D.generate_dataset(spec, args.n, args.seed, args.out)
     path = os.path.join(args.out, MANIFEST_FILENAME)

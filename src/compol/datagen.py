@@ -11,6 +11,7 @@ at the stored resolution.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -261,23 +262,25 @@ def system_spec(name: str, resolution: int | None = None,
     """Build a SystemSpec from the defaults table plus overrides.
 
     Override keys may name either a reaction/init parameter or one of
-    the scalar fields (horizon, dt, resolution, grf_*, fine_factor).
+    the scalar fields (horizon, dt, resolution, grf_*, fine_factor), and
+    values must be finite numbers (not bools), ints for resolution and fine_factor.
     """
-    if name not in _DEFAULTS:
+    if not isinstance(name, str) or name not in _DEFAULTS:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     base = _DEFAULTS[name]
     params = dict(base["params"])
     scalars = {k: base[k] for k in _SCALAR_OVERRIDES if k in base}
-    if resolution is not None:
-        scalars["resolution"] = int(resolution)
-    for key, value in (overrides or {}).items():
-        if key in _SCALAR_OVERRIDES:
-            cast = int if key in ("resolution", "fine_factor") else float
-            scalars[key] = cast(value)
-        elif key in params:
-            params[key] = float(value)
-        else:
+    given = [] if resolution is None else [("resolution", resolution)]
+    for key, value in given + list((overrides or {}).items()):
+        if key not in _SCALAR_OVERRIDES and key not in params:
             raise ValueError(f"unknown override {key!r} for system {name!r}")
+        integer = key in ("resolution", "fine_factor")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer) if integer else (
+                int, float, np.integer, np.floating)) or not (integer or math.isfinite(value)):
+            what = "an integer" if integer else "a finite number"
+            raise ValueError(f"{key} for system {name!r} must be {what}, got {value!r}")
+        (scalars if key in _SCALAR_OVERRIDES else params)[key] = (
+            int(value) if integer else float(value))
     # constructed last so __post_init__ validates the overridden values too
     return SystemSpec(system=name, params=params, **scalars)
 

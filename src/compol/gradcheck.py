@@ -107,6 +107,11 @@ def _suite_tensor(results):
     _check("tensor", "affine",
            lambda a, w_, b_: T.reduce_sum(T.affine(a, w_, b_) * pr235),
            [_real(ra, 2, 3, 4), _real(ra, 4, 5), _real(ra, 5)], results)
+    rs = _rng(12)
+    pr243 = T.Tensor(_real(rs, 2, 4, 3))
+    _check("tensor", "einsum",
+           lambda a, b: T.reduce_sum(T.einsum("...c,m...c->m...", a, b) * pr243),
+           [_real(rs, 4, 3, 5), _real(rs, 2, 4, 3, 5)], results)
 
     pr3 = T.Tensor(_real(rng, 3))
     _check("tensor", "reduce_sum_axis",
@@ -140,10 +145,7 @@ def _suite_tensor(results):
 
     _check("tensor", "softmax",
            lambda a: T.reduce_sum(T.softmax(a, -1) * prT), [x], results)
-    idx = np.array([2, 0, 1])
-    pr_t = T.Tensor(_real(rng, 3, 5))
-    _check("tensor", "take",
-           lambda a: T.reduce_sum(T.take(a, idx, 0) * pr_t), [x], results)
+    _real(rng, 3, 5)                # unused draws: the probes after them stay as they were
     pr27 = T.Tensor(_real(rng, 2, 7))
     _check("tensor", "concat",
            lambda a, b: T.reduce_sum(T.concat([a, b], 1) * pr27),

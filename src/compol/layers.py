@@ -66,11 +66,9 @@ class LiftProjectParams:
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None, dtype=np.float64) -> np.ndarray:
+                   dtype=np.float64) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
 def init_fourier_layer(rng: np.random.Generator, width: int, modes, spatial_dims: int,
@@ -117,17 +115,8 @@ def full_axis_mode_indices(k: int, n: int) -> np.ndarray:
     """
     if k > n:
         raise ValueError(f"cannot retain {k} modes on an axis of extent {n}")
-    freqs = []
-    f = 0
-    while len(freqs) < k:
-        if f == 0:
-            freqs.append(0)
-        else:
-            freqs.append(f)
-            if len(freqs) < k:
-                freqs.append(-f)
-        f += 1
-    return np.asarray([f % n for f in freqs], dtype=np.intp)
+    freqs = [0] + [s * f for f in range(1, k) for s in (1, -1)]
+    return np.asarray(freqs[:k], dtype=np.intp) % n
 
 
 def channel_affine(v: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

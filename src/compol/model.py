@@ -81,7 +81,6 @@ class CompolConfig:
     coords: bool = True
     key_width: int | None = None
     heads: int = 1
-    attend_history: bool = False
     dtype: str = "real32"
     seed: int = 0
     process_seed_offset: int = 0
@@ -141,6 +140,9 @@ class CompolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompolConfig":
+        d = dict(d)     # older configs hold attend_history: false, what every model does
+        if d.pop("attend_history", False) is not False:
+            raise ValueError("attend_history is no longer supported; only false loads")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -279,30 +281,23 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
 
     v = [L.lift(xs[m], procs[m].head, cfg.coords) for m in range(cfg.processes)]
     latents = [list(v)]
-    z_state: Tensor | None = None
+    z: Tensor | None = None
 
     for l in range(cfg.layers):
-        if cfg.aggregation != "none":
-            la = aggs[l]
-            if z_state is None:
-                z_state = Tensor(np.zeros(v[0].shape, dtype=cfg.np_dtype))
-            if cfg.aggregation == "gru":
-                mixed = agg.mix_processes(v, cfg.mix, la.mix)
-                z = agg.gru_step(mixed, z_state, la.gru)
-            elif cfg.aggregation == "skip":
-                mixed = agg.mix_processes(v, cfg.mix, la.mix)
-                z = agg.skip_aggregate(mixed, z_state, la.skip)
-            else:  # attention
-                tokens = [t for step in latents for t in step] if cfg.attend_history else v
-                z = agg.attention_aggregate(tokens, la.attn)
-            z_state = z
-            v = [L.fourier_layer(
-                    agg.inject(v[m], z, cfg.inject, la.inject[m] if la.inject else None),
-                    procs[m].layers[l], cfg.activation)
-                 for m in range(cfg.processes)]
-        else:
-            v = [L.fourier_layer(v[m], procs[m].layers[l], cfg.activation)
-                 for m in range(cfg.processes)]
+        la = aggs[l] if aggs else None
+        if cfg.aggregation == "attention":
+            z = agg.attention_aggregate(v, la.attn)
+        elif la is not None:                     # gru and skip carry z across layers
+            if z is None:
+                z = Tensor(np.zeros(v[0].shape, dtype=cfg.np_dtype))
+            mixed = agg.mix_processes(v, cfg.mix, la.mix)
+            z = (agg.gru_step(mixed, z, la.gru) if cfg.aggregation == "gru"
+                 else agg.skip_aggregate(mixed, z, la.skip))
+        v = [L.fourier_layer(
+                v[m] if la is None else
+                agg.inject(v[m], z, cfg.inject, la.inject[m] if la.inject else None),
+                procs[m].layers[l], cfg.activation)
+             for m in range(cfg.processes)]
         latents.append(list(v))
 
     outs = [L.project(v[m], procs[m].head) for m in range(cfg.processes)]

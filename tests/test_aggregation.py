@@ -170,8 +170,9 @@ def numpy_attention(fields, p):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_heads_in_one_pass_match_per_head_reference(heads):
-    """Heads come from one reshape of the channel axis: the only takes on
-    the tape pick each token's weight, none split q, k or v."""
+    """Heads come from one reshape of the channel axis, and the tokens from
+    one stacked axis: no take on the tape, and one affine each for the
+    query, the keys and the values."""
     rng = np.random.default_rng(12)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
     p = agg.init_attention(rng, 4, 4, heads=heads, dtype=np.float64)
@@ -179,7 +180,8 @@ def test_attention_heads_in_one_pass_match_per_head_reference(heads):
     assert np.max(np.abs(out - numpy_attention(fields, p))) < 1e-12
     tape = T.Tape()
     agg.attention_aggregate([tape.leaf(f) for f in fields], p)
-    assert [node.name for node in tape._nodes].count("take") == 3
+    names = [node.name for node in tape._nodes]
+    assert "take" not in names and names.count("affine") == 3
 
 
 def test_attention_head_count_must_divide():

@@ -116,6 +116,22 @@ def test_gen_data_bad_overrides_are_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", [
+    "a=null", "dt=[1]", "fine_factor=2.7", "dt=true", "resolution=32.0", "horizon=fast",
+    "horizon=Infinity", "a=NaN", pytest.param("a=1" + "0" * 400, id="a=int-past-float-range"),
+])
+def test_gen_data_param_types_exit_2(tmp_path, capsys, param):
+    """An override is a finite number (a bool is not one), an int for
+    resolution and fine_factor: anything else is one error line, never a
+    traceback and never coerced into the manifest."""
+    code = cli.main(["gen-data", "--system", "lv", "--n", "1", "--resolution", "32",
+                     "--seed", "0", "--out", str(tmp_path / "out"), "--param", param])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_unknown_system_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["gen-data", "--system", "heat", "--n", "1",
@@ -206,7 +222,7 @@ def test_train_config_schema_violations(tmp_path, lv_data, capsys, mutate, phras
     ("model", "coords", 1), ("model", "aggregation", ["gru"]),
     ("data", "n_train", [2]), ("data", "n_train", 2.5), ("data", "seed", True),
     ("train", "batch", 2.5), ("train", "epochs", 1.5), ("train", "lr", "fast"),
-    ("train", None, None),
+    ("train", None, None), ("system", "system", ["lv"]), ("paths", "data", 5),
 ])
 def test_train_config_types_exit_2(tmp_path, lv_data, capsys, section, key, value):
     """A value of the wrong type (bools are not integers) is one error line,
@@ -307,6 +323,37 @@ def test_eval_dumps_error_fields(run_dir, lv_data, tmp_path):
     meta = D.read_manifest(dump / D.MANIFEST_FILENAME)
     assert meta["data_signature"] == cli.data_signature(
         D.read_manifest(lv_data / D.MANIFEST_FILENAME))
+
+
+def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path, capsys):
+    """Configs and checkpoints from before the attend_history field was
+    removed carry ``attend_history: false``: they load and score the same.
+    ``true`` is refused by eval and by train."""
+    ckpt = str(run_dir / cli.CHECKPOINT_FILENAME)
+    header, table = D.read_checkpoint(ckpt)
+    assert "attend_history" not in header["config"]
+
+    def legacy(value):
+        path = tmp_path / f"legacy-{value}.ckpt"
+        D.write_checkpoint(path, {**header, "config": {**header["config"],
+                                                       "attend_history": value}},
+                           list(table.items()))
+        return str(path)
+
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", str(lv_data)]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["eval", "--checkpoint", legacy(False), "--data", str(lv_data)]) == 0
+    assert capsys.readouterr().out == want
+    assert cli.main(["eval", "--checkpoint", legacy(True), "--data", str(lv_data)]) == 2
+    assert "attend_history" in capsys.readouterr().err
+
+    doc = experiment_doc(lv_data, tmp_path / "out", aggregation="attention",
+                         attend_history=True)
+    assert cli.main(["train", "--config", write_config(tmp_path / "exp.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "attend_history" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_missing_checkpoint(tmp_path, lv_data):

@@ -231,9 +231,9 @@ def test_sample_output_does_not_depend_on_its_batch(kw, grid, batches):
 @pytest.mark.parametrize("kind,want", [
     ("compol-rnn", dict(add=32, affine=42, concat=4, dft_analysis=8, dft_synthesis=8,
                         gelu=10, mode_mix=8, moveaxis=2, mul=12, sigmoid=8, sub=4, tanh=4)),
-    ("compol-atn", dict(add=24, affine=34, concat=4, dft_analysis=8, dft_synthesis=8,
-                        gelu=10, mode_mix=8, moveaxis=2, mul=16, reduce_sum=8, reshape=8,
-                        scale=12, softmax=4, take=8)),
+    ("compol-atn", dict(add=20, affine=26, concat=4, dft_analysis=8, dft_synthesis=8,
+                        einsum=8, gelu=10, mode_mix=8, moveaxis=2, reshape=8, scale=8,
+                        softmax=4)),
     ("compol-skip", dict(add=20, affine=22, concat=4, dft_analysis=8, dft_synthesis=8,
                          gelu=10, mode_mix=8, moveaxis=2)),
     ("fno-c", dict(add=4, affine=7, dft_analysis=4, dft_synthesis=4, gelu=5,
@@ -274,13 +274,26 @@ def test_config_rejects_bad_values():
     ("width", 2.5), ("layers", 1.5), ("modes", 4.5), ("modes", (4, 2.5)), ("seed", 1.5),
     ("channels", [1.7, 1]), ("channels", "11"), ("heads", True), ("spatial_dims", True),
     ("processes", 2.0), ("d_mix", 8.0), ("key_width", False), ("coords", 1),
-    ("attend_history", 0), ("aggregation", ["gru"]), ("activation", None), ("dtype", 32),
+    ("mix", 1), ("aggregation", ["gru"]), ("activation", None), ("dtype", 32),
 ])
 def test_config_rejects_wrong_types(field, value):
     """Every field is type-checked; bools are not integers, and nothing is
     truncated to fit."""
     with pytest.raises(TypeError):
         small_cfg(**{field: value})
+
+
+def test_config_drops_attend_history_false_and_refuses_true():
+    """Configs and checkpoint headers written before the field was removed
+    carry ``attend_history: false``; it loads as the same config."""
+    cfg = small_cfg(aggregation="attention")
+    assert "attend_history" not in cfg.to_dict()
+    legacy = {**cfg.to_dict(), "attend_history": False}
+    assert M.CompolConfig.from_dict(legacy) == cfg
+    assert legacy["attend_history"] is False          # the caller's dict is left as it was
+    for value in (True, 0, "false"):
+        with pytest.raises(ValueError, match="attend_history"):
+            M.CompolConfig.from_dict({**cfg.to_dict(), "attend_history": value})
 
 
 def test_config_round_trips_through_dict():

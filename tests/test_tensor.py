@@ -169,6 +169,85 @@ def test_affine_adjoint_closed_form():
     assert np.max(np.abs(grads[lb] - g.sum(axis=(0, 1)))) < 1e-12
 
 
+EINSUM_CASES = [                            # (spec, shape of a, shape of b)
+    ("...c,m...c->m...", (2, 5, 3), (4, 2, 5, 3)),          # attention scores
+    ("m...,m...c->...c", (4, 2, 5), (4, 2, 5, 3)),          # attention's weighted sum
+    ("ij,jk->ik", (3, 4), (4, 5)),
+    ("bij,bjk->bki", (2, 3, 4), (2, 4, 5)),
+    ("i,j->ij", (3,), (4,)),
+    ("ij,ij->i", (3, 4), (3, 4)),
+]
+
+
+@pytest.mark.parametrize("spec,sa,sb", EINSUM_CASES)
+def test_einsum_matches_numpy_and_is_one_node(spec, sa, sb):
+    rng = np.random.default_rng(14)
+    for dtype in (np.float64, np.float32):
+        a, b = rng.normal(size=sa).astype(dtype), rng.normal(size=sb).astype(dtype)
+        out = T.einsum(spec, a, b).data
+        assert out.dtype == dtype and np.array_equal(out, np.einsum(spec, a, b))
+    tape = T.Tape()
+    T.einsum(spec, tape.leaf(a), b)
+    assert [node.name for node in tape._nodes] == ["leaf", "einsum"]
+
+
+@pytest.mark.parametrize("spec,sa,sb", EINSUM_CASES)
+def test_einsum_adjoint_closed_form(spec, sa, sb):
+    """L = sum(einsum(a, b) * g) is bilinear: <g, A(a, b)> = <a, dL/da> =
+    <b, dL/db>, and each gradient is the einsum of g with the other operand."""
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=sa), rng.normal(size=sb)
+    g = rng.normal(size=np.einsum(spec, a, b).shape)
+    tape = T.Tape()
+    la, lb = leafs(tape, a, b)
+    loss = T.reduce_sum(T.einsum(spec, la, lb) * T.Tensor(g))
+    grads = T.backward(tape, loss)
+    lhs, out = spec.split("->")
+    ta, tb = lhs.split(",")
+    assert np.max(np.abs(grads[la] - np.einsum(f"{out},{tb}->{ta}", g, b))) < 1e-12
+    assert np.max(np.abs(grads[lb] - np.einsum(f"{ta},{out}->{tb}", a, g))) < 1e-12
+    value = loss.item()
+    assert abs(np.sum(a * grads[la]) - value) < 1e-10
+    assert abs(np.sum(b * grads[lb]) - value) < 1e-10
+
+
+def test_einsum_skips_the_gradient_of_an_operand_off_the_tape():
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
+    tape = T.Tape()
+    la = tape.leaf(a)
+    T.einsum("ij,jk->ik", la, b)
+    ga, gb = tape._nodes[-1].backward(np.ones((3, 5)))
+    assert gb is None and np.allclose(ga, np.ones((3, 5)) @ b.T)
+
+
+@pytest.mark.parametrize("spec,sa,sb", [
+    ("ij,jk->i", (3, 4), (4, 5)),               # k in one operand only
+    ("ij,j->", (3, 4), (4,)),                   # i summed inside one operand
+    ("ij,jk->ikl", (3, 4), (4, 5)),             # l in the output only
+    ("ii,ij->ij", (3, 3), (3, 4)),              # repeated index
+    ("ij,jk->ikk", (3, 4), (4, 5)),             # repeated output index
+    ("...c,m...c->m...", (5, 3), (4, 2, 5, 3)),  # '...' over different extents
+    ("...c,c->c", (2, 3), (3,)),                # '...' in one term only
+    ("ij,jk", (3, 4), (4, 5)),                  # no explicit output
+    ("ij->ij", (3, 4), (3, 4)),                 # one operand
+    ("ij,jk,kl->il", (3, 4), (4, 5)),           # three operands
+    ("i1,1k->ik", (3, 4), (4, 5)),              # not a letter
+    ("ij,jk->ik", (3, 4), (3, 5)),              # j has two extents
+    ("ijk,jk->ik", (3, 4), (4, 5)),             # rank differs from the subscripts
+])
+def test_einsum_rejects_specs_its_backward_cannot_invert(spec, sa, sb):
+    with pytest.raises(T.ShapeError):
+        T.einsum(spec, np.ones(sa), np.ones(sb))
+
+
+def test_einsum_is_real_only():
+    with pytest.raises(T.DtypeError):
+        T.einsum("ij,jk->ik", np.ones((3, 4)) + 0j, np.ones((4, 5)))
+    with pytest.raises(T.DtypeError):
+        T.einsum("ij,jk->ik", np.ones((3, 4)), np.ones((4, 5)) + 0j)
+
+
 def test_reductions():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(T.reduce_sum(T.Tensor(x)).data, x.sum())
@@ -191,28 +270,9 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_take_concat_moveaxis_reshape():
+def test_concat_moveaxis_reshape():
     x = np.arange(6.0).reshape(2, 3)
     t = T.Tensor(x)
-    assert np.allclose(T.take(t, np.array([1, 0]), 0).data, x[[1, 0]])
-    tape = T.Tape()
-    lt = tape.leaf(x)                 # a scalar index drops the axis, as np.take does
-    picked = T.take(lt, 1, 0)
-    assert np.array_equal(picked.data, x[1])
-    grads = T.backward(tape, T.reduce_sum(picked * T.Tensor(np.array([1.0, 2.0, 3.0]))))
-    assert np.array_equal(grads[lt], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    for shape in ((2, 3, 4), (3, 3, 3)):  # a scalar index on a later axis
-        x3 = np.arange(float(np.prod(shape))).reshape(shape)
-        probe = np.arange(1.0, 1.0 + shape[0] * shape[2]).reshape(shape[0], shape[2])
-        for axis in (1, -2):
-            tape = T.Tape()
-            lt = tape.leaf(x3)
-            picked = T.take(lt, 1, axis)
-            assert np.array_equal(picked.data, x3[:, 1, :])
-            grads = T.backward(tape, T.reduce_sum(picked * T.Tensor(probe)))
-            want = np.zeros(shape)
-            want[:, 1, :] = probe
-            assert np.array_equal(grads[lt], want)
     assert np.allclose(T.concat([t, t], 1).data, np.concatenate([x, x], 1))
     assert np.allclose(T.moveaxis(t, 0, 1).data, x.T)
     assert np.allclose(T.reshape(t, (6,)).data, x.reshape(6))
