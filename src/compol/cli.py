@@ -340,7 +340,10 @@ def _load_run(run_dir: str) -> dict:
     record_path = os.path.join(run_dir, RECORD_FILENAME)
     if not os.path.exists(record_path):
         raise UsageError(f"{run_dir} has no {RECORD_FILENAME}")
-    head, epochs = TR.read_run_record(record_path)
+    try:
+        head, epochs = TR.read_run_record(record_path)
+    except TR.TrainingError as e:   # a malformed record is bad input
+        raise UsageError(str(e)) from e
     cfg_path = os.path.join(run_dir, CONFIG_FILENAME)
     doc = {}
     if os.path.exists(cfg_path):

@@ -6,6 +6,13 @@ compute; as soon as an operand carries a tape node, the result is
 recorded so :func:`backward` can sweep the chain once in reverse,
 accumulating cotangents at fan-out points.
 
+A tape is used once.  The sweep frees each node's closure, and with it the
+forward values the closure saved, as soon as the node has run, and drops
+each intermediate cotangent once it has been passed on; it returns the
+gradients of the leaves only.  A swept tape records nothing more and cannot
+be swept again (:class:`TapeError`), so a training step leaves no reference
+cycle between its tensors and its tape.
+
 Complex cotangents use the ``d/dRe + i*d/dIm`` convention.  Under it a
 truncated DFT ``y = x @ M``, with ``M`` the cached [n, k] analysis or
 [k, n] synthesis matrix, has the backward ``g @ M^H``; a real input takes
@@ -49,7 +56,7 @@ class DtypeError(TypeError):
 
 
 class TapeError(RuntimeError):
-    """Tensors recorded on different (or no) tapes."""
+    """Tensors on different (or no) tapes, or a tape already swept by backward."""
 
 
 class Tensor:
@@ -138,10 +145,16 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of operations, replayed in reverse by backward."""
+    """Append-only record of operations, replayed once in reverse by backward.
+
+    After :func:`backward` the tape is swept: its closures are gone, a new
+    operation on one of its tensors raises :class:`TapeError`, and
+    ``len(tape)`` still counts the nodes it recorded.
+    """
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._swept = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -154,6 +167,8 @@ class Tape:
         return t
 
     def _add(self, node: _Node) -> int:
+        if self._swept:
+            raise TapeError("tape already swept by backward; record on a new tape")
         self._nodes.append(node)
         return len(self._nodes) - 1
 
@@ -701,43 +716,68 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 class GradientMap:
-    """Gradients keyed by tape node; nodes the loss never reached read as zero."""
+    """Gradients of the leaves of one swept tape.
 
-    def __init__(self, table: dict[int, np.ndarray]):
+    A leaf the loss never reached reads as zero.  Intermediate gradients are
+    not kept, so asking for a non-leaf tensor raises :class:`TapeError`.
+    """
+
+    def __init__(self, tape: Tape, table: dict[int, np.ndarray]):
+        self._tape = tape
         self._table = table
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
-        if t.node_id is None:
-            raise TapeError("tensor is not on a tape")
+        if t.tape is not self._tape or t.node_id is None:
+            raise TapeError("tensor is not on the swept tape")
         g = self._table.get(t.node_id)
-        if g is None:
-            return np.zeros_like(t.data)
-        return g
+        if g is not None:
+            return g
+        if self._tape._nodes[t.node_id].name != "leaf":
+            raise TapeError("only leaf gradients are kept; this tensor is an intermediate")
+        return np.zeros_like(t.data)
 
 
 def backward(tape: Tape, loss: Tensor) -> GradientMap:
-    """One reverse sweep from a real scalar loss over the whole tape."""
+    """One reverse sweep from a real scalar loss; it uses the tape up.
+
+    Each node's closure is cleared once it has run, and every closure the
+    loss never reached once the sweep ends, so the forward values are freed
+    as the sweep goes.  A cotangent is dropped once it has been passed to
+    the node's parents.  The tape is then swept: a second call raises
+    :class:`TapeError`.  Returns the leaf gradients.
+    """
     if loss.tape is not tape or loss.node_id is None:
         raise TapeError("loss is not recorded on this tape")
+    if tape._swept:
+        raise TapeError("tape already swept by backward")
     if loss.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     if loss.is_complex:
         raise DtypeError("loss must be real")
-    table: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for nid in range(loss.node_id, -1, -1):
-        g = table.get(nid)
-        if g is None:
-            continue
-        node = tape._nodes[nid]
-        if node.backward is None:
-            continue
-        parts = node.backward(g)
-        for pid, pg in zip(node.parents, parts):
-            if pid is None or pg is None:
+    tape._swept = True
+    nodes = tape._nodes
+    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    leaves: dict[int, np.ndarray] = {}
+    try:
+        for nid in range(loss.node_id, -1, -1):
+            node = nodes[nid]
+            fn, node.backward = node.backward, None
+            g = pending.pop(nid, None)
+            if g is None:
                 continue
-            acc = table.get(pid)
-            table[pid] = pg if acc is None else acc + pg
-    return GradientMap(table)
+            if fn is None:
+                leaves[nid] = g
+                continue
+            parts = fn(g)
+            for pid, pg in zip(node.parents, parts):
+                if pid is None or pg is None:
+                    continue
+                acc = pending.get(pid)
+                pending[pid] = pg if acc is None else acc + pg
+    finally:   # the closures the loop left: past the loss, or below one that raised
+        for node in nodes:
+            node.backward = None
+    return GradientMap(tape, leaves)
 
 
 def _eval_raw(f, arrays: list[np.ndarray]) -> float:

@@ -9,6 +9,7 @@ using the statistics recorded in the dataset manifest.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
@@ -221,12 +222,61 @@ def write_run_record(path: str, result: TrainResult,
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _text_or_none(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# the keys the CSV exports read, with their checks; a head may omit all but best_err
+_HEAD_KEYS = {"best_err": _number, "config_hash": _text_or_none,
+              "experiment_hash": _text_or_none, "model_kind": _text_or_none,
+              "n_train": lambda v: v is None or _integer(v)}
+_EPOCH_KEYS = {"epoch": _integer, "lr": _number, "train_loss": _number,
+               "test_aggregate": _number,
+               "test_err": lambda v: isinstance(v, list) and all(map(_number, v))}
+
+
 def read_run_record(path: str) -> "tuple[dict, list[dict]]":
+    """The head and epoch lines of a run record, checked as the exports read them.
+
+    Every line must be a JSON object, the first a ``run`` head with a numeric
+    ``best_err``, and every ``epoch`` line must carry its numbers and a
+    ``test_err`` list as long as the first epoch's.  Anything else raises
+    :class:`TrainingError`.
+    """
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "run":
+        for number, text in enumerate(fh, 1):
+            if text.strip():
+                rec = json.loads(text)
+                if not isinstance(rec, dict):
+                    raise TrainingError(f"{path}: line {number} is not a JSON object")
+                lines.append((number, rec))
+    if not lines or lines[0][1].get("kind") != "run":
         raise TrainingError(f"{path}: not a run record")
-    return lines[0], [l for l in lines[1:] if l.get("kind") == "epoch"]
+    head = lines[0][1]
+    bad = [k for k, ok in _HEAD_KEYS.items() if not ok(head.get(k))]
+    if bad:
+        raise TrainingError(f"{path}: run head with bad or missing {', '.join(bad)}")
+    epochs = []
+    for number, rec in lines[1:]:
+        if rec.get("kind") != "epoch":
+            continue
+        bad = [k for k, ok in _EPOCH_KEYS.items() if not ok(rec.get(k))]
+        if not bad and epochs and len(rec["test_err"]) != len(epochs[0]["test_err"]):
+            bad = ["test_err"]
+        if bad:
+            raise TrainingError(
+                f"{path}: line {number}: epoch with bad or missing {', '.join(bad)}")
+        epochs.append(rec)
+    return head, epochs
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +328,30 @@ def _model_inputs(dataset: FieldDataset, stats: dict, idx, dtype, mode: str):
     return xs, ys
 
 
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks() -> None:
+    """Have glibc keep the blocks one step frees for the next step.
+
+    With glibc's defaults the memory a tape frees goes back to the OS and
+    is faulted in again by the next step, thousands of faults per step.
+    Keeping up to 256 MiB free on the heap, and taking blocks under 32 MiB
+    from it, removes them; the trim threshold alone would pin the mmap
+    threshold at 128 KiB.  A C library without ``mallopt`` is left as is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):   # TypeError: Windows loads no None name
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def train(config: "M.CompolConfig", train_data: FieldDataset,
           test_data: "FieldDataset | None" = None, *, epochs: int,
           batch_size: int = 32, lr: float = 1e-3, schedule: str = "cosine",
@@ -286,6 +360,10 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
 
     With no test split the training split doubles as the selection set.
     ``epochs=0`` returns the untouched initialization and no records.
+
+    Before the first epoch it sets glibc's trim and mmap thresholds through
+    ``mallopt`` (see :func:`_keep_freed_blocks`).  The setting is
+    process-wide and stays after ``train`` returns.
     """
     if schedule not in ("cosine", "constant"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -309,6 +387,7 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
     best_epoch, best_err = 0, math.inf
     n = train_data.n_samples
 
+    _keep_freed_blocks()
     for epoch in range(epochs):
         t0 = time.perf_counter()
         lr_e = cosine_lr(epoch, epochs, lr) if schedule == "cosine" else lr

@@ -410,6 +410,32 @@ def test_export_plot_missing_run(tmp_path):
                      "--format", "csv"]) == 2
 
 
+_HEAD = {"kind": "run", "best_err": 0.5, "config_hash": "abc"}
+_EPOCH = {"kind": "epoch", "epoch": 0, "lr": 1e-3, "train_loss": 0.9,
+          "test_err": [0.4, 0.6], "test_aggregate": 0.5}
+
+
+@pytest.mark.parametrize("lines", [
+    [{"format": 1}],
+    [[1, 2]],
+    [_HEAD, 7],
+    [_HEAD, {k: v for k, v in _EPOCH.items() if k != "test_err"}],
+    [_HEAD, dict(_EPOCH, test_err="x")],
+    [{"kind": "run"}],
+    [_HEAD, _EPOCH, dict(_EPOCH, epoch=1, test_err=[0.5])],
+], ids=["not-a-head", "head-not-an-object", "line-not-an-object",
+        "epoch-without-test_err", "test_err-not-a-list", "head-without-best_err",
+        "test_err-lengths-differ"])
+def test_export_plot_malformed_run_record(tmp_path, capsys, lines):
+    (tmp_path / cli.RECORD_FILENAME).write_text(
+        "".join(json.dumps(line) + "\n" for line in lines))
+    assert cli.main(["export-plot", "--run", str(tmp_path), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

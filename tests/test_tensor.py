@@ -6,6 +6,9 @@ truncated-DFT gradient conventions that are easy to get silently
 wrong (scaling, conjugation and Hermitian weights of the adjoints).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,72 @@ def test_unused_leaf_gets_zero_gradient():
     a, b = leafs(tape, np.ones(2), np.ones(2))
     grads = T.backward(tape, T.reduce_sum(a))
     assert np.allclose(grads[b], 0.0)
+
+
+def test_second_backward_on_a_tape_raises():
+    tape = T.Tape()
+    (a,) = leafs(tape, np.ones(3))
+    loss = T.reduce_sum(a * a)
+    T.backward(tape, loss)
+    with pytest.raises(T.TapeError):
+        T.backward(tape, loss)
+
+
+def test_recording_on_a_swept_tape_raises():
+    tape = T.Tape()
+    (a,) = leafs(tape, np.ones(3))
+    T.backward(tape, T.reduce_sum(a))
+    with pytest.raises(T.TapeError):
+        a * a
+    with pytest.raises(T.TapeError):
+        tape.leaf(np.ones(3))
+
+
+def _spy(node, before):
+    """Call ``before(g)`` ahead of a node's backward, holding the closure only here."""
+    inner = node.backward
+    node.backward = lambda g: before(g) or inner(g)
+
+
+def test_sweep_frees_forward_values_as_it_goes():
+    """A closure goes once it has run, and a cotangent once it has been
+    passed on, so both are freed, by reference count alone, before the next
+    node's backward runs; len() still counts the recorded nodes."""
+    gc.disable()
+    try:
+        tape = T.Tape()
+        (a,) = leafs(tape, np.linspace(-1.0, 1.0, 5))
+        h = T.gelu(a)
+        t = T.tanh(h)
+        saved = weakref.ref(t.data)         # tanh's closure keeps its output
+        loss = T.reduce_sum(t)
+        tanh_node, gelu_node = tape._nodes[t.node_id], tape._nodes[h.node_id]
+        del t
+        received, freed = [], []
+        _spy(tanh_node, lambda g: received.append(weakref.ref(g)))
+        _spy(gelu_node, lambda g: freed.append((saved() is None, received[0]() is None)))
+        recorded = len(tape)
+        grads = T.backward(tape, loss)
+        assert freed == [(True, True)]
+        assert len(tape) == recorded == 4
+        assert grads[a].shape == (5,)
+    finally:
+        gc.enable()
+
+
+def test_gradient_map_refuses_intermediates():
+    tape = T.Tape()
+    a, b = leafs(tape, np.ones(3), np.ones(3))
+    h = a * b
+    unused = a + b
+    grads = T.backward(tape, T.reduce_sum(h))
+    for t in (h, unused):
+        with pytest.raises(T.TapeError):
+            grads[t]
+    other = T.Tape().leaf(np.ones(3))
+    with pytest.raises(T.TapeError):
+        grads[other]
+    assert np.allclose(grads[a], 1.0)
 
 
 def test_mixing_tapes_rejected():

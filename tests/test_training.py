@@ -5,7 +5,11 @@ replica; the harness against a small synthetic low-pass regression task
 whose dataset goes through the real on-disk container.
 """
 
+import ctypes
+import gc
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +187,96 @@ def test_real32_step_keeps_gradients_single_precision(tmp_path, aggregation):
     grads = T.backward(tape, loss)
     dtypes = {name: grads[leaf].dtype for name, leaf in P.named_tensors(bound)}
     assert set(dtypes.values()) <= {np.dtype(np.float32), np.dtype(np.complex64)}, dtypes
+
+
+@pytest.fixture
+def gc_off():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("kind", M.MODEL_KINDS)
+def test_training_step_leaves_no_reference_cycle(tmp_path, monkeypatch, gc_off, kind):
+    """After one step at c07's architecture (2 processes, width 32, modes 12,
+    4 layers), every forward value is freed by reference count alone."""
+    ds = lowpass_dataset(tmp_path, n=2, grid=32, processes=2)
+    config = M.config_for_kind(kind, M.CompolConfig(processes=2, channels=[1, 1], layers=4,
+                                                    width=32, modes=12, seed=0))
+    model = M.init_params(config)
+    mode = TR._channel_mode(config, ds)
+    stats = ds.manifest["stats"]
+    out_stats = [TR._stacked_entry(stats["output"])] if mode == "stacked" else stats["output"]
+    xs, ys = TR._model_inputs(ds, stats, np.arange(2), np.float32, mode)
+    probes = []    # Tensor has no __weakref__ slot, so probe the arrays
+    record = T._record
+
+    def probing(name, out, inputs, fn):
+        t = record(name, out, inputs, fn)
+        probes.append(weakref.ref(t.data))
+        return t
+
+    monkeypatch.setattr(T, "_record", probing)
+    gc.collect()
+
+    tape = T.Tape()
+    bound = P.bind(model, tape)
+    loss = TR._batch_loss(M.forward(bound, xs, tape), ys, out_stats, np.float32)
+    grads = T.backward(tape, loss)
+    by_name = {name: grads[leaf] for name, leaf in P.named_tensors(bound)}
+    TR.adam_step(model.named_parameters(), by_name, TR.AdamState(), 1e-3)
+    del tape, bound, loss, grads, by_name
+
+    assert len(probes) > 20
+    assert [r for r in probes if r() is not None] == []
+    assert gc.collect() == 0
+
+
+def test_train_leaves_no_tape_behind(tmp_path, gc_off):
+    """With the collector off, a tape in a cycle would still be listed."""
+    ds = lowpass_dataset(tmp_path, n=8, grid=16, processes=2)
+    config = small_config(processes=2, channels=[1, 1], modes=4, aggregation="gru")
+
+    def tape_objects():
+        return [o for o in gc.get_objects() if isinstance(o, (T.Tape, T._Node))]
+
+    gc.collect()
+    before = len(tape_objects())
+    TR.train(config, ds, epochs=1, batch_size=4)
+    assert len(tape_objects()) == before
+
+
+class _Mallopt:
+    argtypes = restype = None
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_train_sets_glibc_thresholds_and_runs_without_them(tmp_path, monkeypatch):
+    ds = lowpass_dataset(tmp_path, n=8)
+    mallopt = _Mallopt()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    want = TR.train(small_config(), ds, epochs=2, batch_size=4)
+    assert mallopt.calls == [(-1, 256 << 20), (-3, 32 << 20)]    # M_TRIM_, M_MMAP_THRESHOLD
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert mallopt.restype is ctypes.c_int
+
+    def refuse(name):
+        raise OSError("no C library")
+
+    # a C library without mallopt (as on macOS), or none that loads
+    for cdll in (lambda name: types.SimpleNamespace(), refuse):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        got = TR.train(small_config(), ds, epochs=2, batch_size=4)
+        assert [r.test_err for r in got.records] == [r.test_err for r in want.records]
+        for name, arr in want.best_params.items():
+            assert np.array_equal(got.best_params[name], arr), name
 
 
 def test_training_is_deterministic(tmp_path):
