@@ -11,7 +11,15 @@ check failed, solver blow-up, non-finite loss, incompatible
 checkpoint/data pair), 2 usage or I/O error (bad flags, bad config
 schema, missing files, corrupt or truncated datasets and checkpoints).
 Every artifact written embeds the hash of the configuration that
-produced it.  ``COMPOL_THREADS`` caps internal parallelism.
+produced it.
+
+``COMPOL_THREADS`` sets the worker count, capped at the CPUs the process
+may run on; a value that is not an integer exits 2.  ``gen-data`` solves
+on that many processes (all usable CPUs when it is unset).  ``eval``
+scores its batches on that many threads when it is set, and on one
+otherwise; the thread count never changes the printed table or the dumped
+error fields.  Run a threaded ``eval`` with single-threaded BLAS
+(``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
@@ -274,6 +282,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    workers = D.env_workers() or 1
     try:
         model, extra = M.load_checkpoint(args.checkpoint)
     except FileNotFoundError as e:
@@ -291,7 +300,8 @@ def cmd_eval(args) -> int:
             f"checkpoint data_signature={ckpt_sig} dataset={data_sig}")
 
     result = TR.evaluate(model, dataset,
-                         error_fields=args.dump_error_fields is not None)
+                         error_fields=args.dump_error_fields is not None,
+                         workers=workers)
 
     names = dataset.manifest.get("channel_names")
     rows = []

@@ -25,7 +25,7 @@ __all__ = [
     "GrfSpec", "SystemSpec", "BlowUpError",
     "sample_grf", "phi_coefficients", "etdrk4_solve",
     "spectral_subsample", "initial_conditions", "generate_dataset",
-    "system_spec", "SYSTEM_NAMES",
+    "system_spec", "SYSTEM_NAMES", "env_workers",
 ]
 
 
@@ -471,13 +471,33 @@ def _generate_chunk(spec_dict: dict, seed: int, start: int,
     return ics.astype(np.float32), finals.astype(np.float32)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def env_workers() -> "int | None":
+    """``COMPOL_THREADS`` as a worker count, or None when it is unset or empty.
+
+    The count is at least 1 and at most the number of CPUs this process
+    may run on.  A value that is not an integer raises ``ValueError``.
+    """
+    env = os.environ.get("COMPOL_THREADS")
+    if not env:
+        return None
+    try:
+        count = int(env)
+    except ValueError:
+        raise ValueError(f"COMPOL_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(count, _usable_cpus()))
+
+
 def _resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("COMPOL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return env_workers() or _usable_cpus()
 
 
 def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,23 +335,36 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_blocks() -> None:
-    """Have glibc keep the blocks one step frees for the next step.
+@functools.cache
+def _set_thresholds(loader):
+    """Call ``mallopt`` once per C library loader; returns it, or None.
 
-    With glibc's defaults the memory a tape frees goes back to the OS and
-    is faulted in again by the next step, thousands of faults per step.
-    Keeping up to 256 MiB free on the heap, and taking blocks under 32 MiB
-    from it, removes them; the trim threshold alone would pin the mmap
-    threshold at 128 KiB.  A C library without ``mallopt`` is left as is.
+    The returned function pointer keeps its ``CDLL`` alive: a ``CDLL`` holds
+    its function-pointer class in a reference cycle, so one built and
+    dropped on every call would leave garbage for the cyclic collector.
     """
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        mallopt = loader(None).mallopt
     except (OSError, AttributeError, TypeError):   # TypeError: Windows loads no None name
-        return
+        return None
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return mallopt
+
+
+def _keep_freed_blocks() -> None:
+    """Have glibc keep the blocks one step frees for the next step.
+
+    With glibc's defaults the memory a tape or an evaluation batch frees
+    goes back to the OS and is faulted in again by the next one, thousands
+    of faults each time.  Keeping up to 256 MiB free on the heap, and
+    taking blocks under 32 MiB from it, removes them; the trim threshold
+    alone would pin the mmap threshold at 128 KiB.  The thresholds are set
+    once per process.  A C library without ``mallopt`` is left as is.
+    """
+    _set_thresholds(ctypes.CDLL)
 
 
 def train(config: "M.CompolConfig", train_data: FieldDataset,
@@ -427,13 +442,14 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
 
 
 # latent elements (batch x width x grid points) that one default evaluation
-# batch holds: 8 samples of a width-32 model on a 64 x 64 grid
-EVAL_BUDGET = 1 << 20
+# batch holds: 4 samples of a width-32 model on a 64 x 64 grid, so that two
+# batches in flight hold what one batch of 8 did
+EVAL_BUDGET = 1 << 19
 
 
 def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
              stats: "dict | None" = None, batch_size: "int | None" = None,
-             error_fields: bool = False) -> EvalResult:
+             error_fields: bool = False, workers: int = 1) -> EvalResult:
     """Relative L2 per process and aggregate over a dataset, de-standardized.
 
     Metrics are always reported per dataset process; a stacked
@@ -441,6 +457,14 @@ def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
     channel boundaries before the errors are taken.  Without a
     ``batch_size``, a batch holds as many samples as keep its latent
     within ``EVAL_BUDGET`` elements.
+
+    With ``workers`` > 1 the batches are scored on a pool of that many
+    threads (at most one per batch); numpy releases the GIL in its loops
+    and BLAS calls.  Batches are fixed by the batch size alone and their
+    results are taken in order, so every worker count gives the same bits.
+    An exception in one batch cancels the batches not yet started and
+    reaches the caller.  Like :func:`train`, it sets glibc's thresholds
+    first (see :func:`_keep_freed_blocks`).
     """
     if batch_size is None:
         grid = math.prod(dataset.inputs[0].shape[2:])
@@ -452,10 +476,9 @@ def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
     mcount = dataset.processes
     bounds = np.cumsum([c for c in dataset.channels])[:-1]
     stacked_out = _stacked_entry(stats["output"]) if mode == "stacked" else None
-    per_sample = [[] for _ in range(mcount)]
-    fields = [[] for _ in range(mcount)] if error_fields else None
-    fallback_any = False
-    for b0 in range(0, n, batch_size):
+
+    def score(b0: int):
+        """Per-process errors, zero-norm flags and |error| fields of one batch."""
         idx = np.arange(b0, min(b0 + batch_size, n))
         xs, _ = _model_inputs(dataset, stats, idx, dtype, mode)
         ys = [y[idx] for y in dataset.outputs]
@@ -466,22 +489,33 @@ def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
         else:
             preds = [destandardize(outs[m].data.astype(np.float64),
                                    stats["output"][m]) for m in range(mcount)]
-        for m in range(mcount):
-            pred = preds[m]
-            errs, fb = relative_l2(pred, ys[m])
-            per_sample[m].append(errs)
-            fallback_any = fallback_any or bool(fb.any())
-            if fields is not None:
-                fields[m].append(np.abs(pred - ys[m]).astype(np.float32))
-    per_sample = [np.concatenate(chunks) if chunks else np.zeros(0)
-                  for chunks in per_sample]
+        errs, fbs = zip(*(relative_l2(preds[m], ys[m]) for m in range(mcount)))
+        fields = ([np.abs(preds[m] - ys[m]).astype(np.float32) for m in range(mcount)]
+                  if error_fields else None)
+        return errs, any(fb.any() for fb in fbs), fields
+
+    starts = range(0, n, batch_size)
+    threads = min(workers, len(starts))
+    _keep_freed_blocks()
+    if threads > 1:
+        pool = ThreadPoolExecutor(max_workers=threads)
+        try:
+            parts = list(pool.map(score, starts))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:       # in this thread: a pool thread would bring a second malloc arena
+        parts = [score(b0) for b0 in starts]
+
+    per_sample = [np.concatenate([p[0][m] for p in parts]) if parts else np.zeros(0)
+                  for m in range(mcount)]
     per_process = [float(errs.mean()) if errs.size else 0.0 for errs in per_sample]
     return EvalResult(
         per_process=per_process,
         aggregate=float(np.mean(per_process)) if per_process else 0.0,
         per_sample=per_sample,
-        absolute_fallback=fallback_any,
-        error_fields=[np.concatenate(f) for f in fields] if fields else None)
+        absolute_fallback=any(p[1] for p in parts),
+        error_fields=([np.concatenate([p[2][m] for p in parts]) for m in range(mcount)]
+                      if error_fields else None))
 
 
 @dataclass

@@ -325,6 +325,39 @@ def test_eval_dumps_error_fields(run_dir, lv_data, tmp_path):
         D.read_manifest(lv_data / D.MANIFEST_FILENAME))
 
 
+def test_eval_tables_and_error_fields_do_not_depend_on_threads(
+        run_dir, lv_data, tmp_path, monkeypatch, capsys):
+    """Batches of 4 and 2 samples (the element budget cut to fit 4), scored on
+    one thread and on two, print the same table and dump the same bytes."""
+    monkeypatch.setattr(TR, "EVAL_BUDGET", 8 * 32 * 4)    # width 8, 32 points
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COMPOL_THREADS", threads)
+        dump = tmp_path / f"errors-{threads}"
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(run_dir / cli.CHECKPOINT_FILENAME),
+                         "--data", str(lv_data), "--dump-error-fields", str(dump)]) == 0
+        table = capsys.readouterr().out.replace(str(dump), "DIR")
+        outputs.append((table, (dump / "error_fields.cmpd").read_bytes(),
+                        (dump / D.MANIFEST_FILENAME).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["eval", "gen-data"])
+def test_non_integer_compol_threads_exits_2(command, run_dir, lv_data, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.setenv("COMPOL_THREADS", "abc")
+    argv = (["eval", "--checkpoint", str(run_dir / cli.CHECKPOINT_FILENAME),
+             "--data", str(lv_data)] if command == "eval" else
+            ["gen-data", "--system", "lv", "--n", "1", "--resolution", "32",
+             "--seed", "1", "--out", str(tmp_path / "data")] + GEN_LV)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: COMPOL_THREADS must be an integer, got 'abc'"]
+    assert captured.out == ""
+
+
 def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path, capsys):
     """Configs and checkpoints from before the attend_history field was
     removed carry ``attend_history: false``: they load and score the same.

@@ -7,6 +7,8 @@ RK4 integrator written here; and with everything on, Richardson
 extrapolation over halved steps must show fourth-order convergence.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -432,6 +434,27 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "par" / name).read_bytes()
         assert a == b, name
+
+
+def test_env_workers_is_checked_and_capped(monkeypatch):
+    """COMPOL_THREADS is read by one checked reader: no pool is started here."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    monkeypatch.setenv("COMPOL_THREADS", "100000")
+    assert G.env_workers() == cpus
+    assert G._resolve_workers(None) == cpus
+    assert G._resolve_workers(5) == 5            # an explicit count stays as given
+    monkeypatch.setenv("COMPOL_THREADS", "0")
+    assert G.env_workers() == 1
+    for bad in ("abc", "2.5"):
+        monkeypatch.setenv("COMPOL_THREADS", bad)
+        with pytest.raises(ValueError, match="COMPOL_THREADS must be an integer"):
+            G.env_workers()
+    monkeypatch.setenv("COMPOL_THREADS", "")
+    assert G.env_workers() is None
+    monkeypatch.delenv("COMPOL_THREADS")
+    assert G.env_workers() is None
+    assert G._resolve_workers(None) == cpus
 
 
 # solve grids past compol.fft.BLOCK: lv and bz at 256 points take the packed

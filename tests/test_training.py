@@ -8,6 +8,9 @@ whose dataset goes through the real on-disk container.
 import ctypes
 import gc
 import math
+import sys
+import threading
+import time
 import types
 import weakref
 
@@ -279,6 +282,19 @@ def test_train_sets_glibc_thresholds_and_runs_without_them(tmp_path, monkeypatch
             assert np.array_equal(got.best_params[name], arr), name
 
 
+def test_glibc_thresholds_leave_no_garbage():
+    """mallopt is looked up once per process: later calls build no CDLL,
+    whose function-pointer class would be a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        TR._keep_freed_blocks()
+        TR._keep_freed_blocks()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_training_is_deterministic(tmp_path):
     ds = lowpass_dataset(tmp_path, n=12)
     runs = [TR.train(small_config(), ds, epochs=3, batch_size=4, lr=1e-3, seed=5)
@@ -430,6 +446,55 @@ def test_evaluate_default_batch_from_element_budget(tmp_path, monkeypatch):
     assert batches == [5, 5, 5, 5, 4]
     whole = TR.evaluate(model, ds, batch_size=24)
     assert np.allclose(ev.per_sample[0], whole.per_sample[0], atol=1e-12)
+
+
+def test_evaluate_workers_give_identical_bits(tmp_path):
+    """Batches are fixed by the batch size, not the thread count: 11 samples in
+    batches of 3 (the last one short) score the same bits on 1, 2 and 3
+    threads, with the interpreter switching threads every 10 us."""
+    ds = lowpass_dataset(tmp_path, n=11, processes=2)
+    model = M.init_params(small_config(processes=2, channels=[1, 1]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [TR.evaluate(model, ds, batch_size=3, error_fields=True, workers=w)
+                for w in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    want = runs[0]
+    assert [len(e) for e in want.per_sample] == [11, 11]
+    for got in runs[1:]:
+        assert got.per_process == want.per_process
+        for a, b in zip(got.per_sample + got.error_fields,
+                        want.per_sample + want.error_fields):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_evaluate_batch_error_reaches_caller_and_cancels_the_rest(tmp_path, monkeypatch):
+    ds = lowpass_dataset(tmp_path, n=40)
+    model = M.init_params(small_config())
+    boom = RuntimeError("batch failed")
+    calls = []
+    lock = threading.Lock()
+    forward = M.forward
+
+    def failing_first(m, xs, tape):
+        with lock:
+            calls.append(len(xs[0]))
+            first = len(calls) == 1
+        if first:
+            raise boom
+        time.sleep(0.05)
+        return forward(m, xs, tape)
+
+    monkeypatch.setattr(M, "forward", failing_first)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        TR.evaluate(model, ds, batch_size=1, workers=2)
+    assert info.value is boom
+    assert len(calls) <= 4            # the 36 or more batches not yet started never ran
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
