@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 tape = T.Tape()
 x = tape.leaf(rng.standard_normal((4, 3)))
 w = tape.leaf(rng.standard_normal((3, 5)))
-y = T.gelu(T.matmul(x, w))
+y = T.gelu(T.affine(x, w))
 loss = T.reduce_mean(T.mul(y, y))
 grads = T.backward(tape, loss)
 print("loss:", float(loss.data.reshape(-1)[0]))
@@ -33,7 +33,7 @@ print("grad shapes:", grads[x].shape, grads[w].shape)
 
 
 def f(tx, tw):
-    h = T.gelu(T.matmul(tx, tw))
+    h = T.gelu(T.affine(tx, tw))
     return T.reduce_mean(T.mul(h, h))
 
 

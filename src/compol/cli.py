@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -35,8 +34,8 @@ import numpy as np
 from . import datagen as D
 from . import model as M
 from . import training as TR
-from .dataio import (MANIFEST_FILENAME, config_hash, load_dataset, write_fields,
-                     write_manifest)
+from .dataio import (MANIFEST_FILENAME, check_fields, config_hash, load_dataset,
+                     write_fields, write_manifest)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -44,17 +43,18 @@ CONFIG_FILENAME = "config.json"
 RECORD_FILENAME = "run.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.ckpt"
 
-_TOP_KEYS = {"system", "data", "model", "train", "paths"}
-_OUTPUT_KEYS = {"config_hash", "model_kind"}  # written back into config copies
-_DATA_KEYS = {"n_train", "n_test", "resolution", "seed"}
-_TRAIN_KEYS = {"epochs", "batch", "lr", "schedule"}
-# integer keys of the data and train sections, with their least values
-_DATA_LEAST = {"n_train": 0, "n_test": 0, "resolution": 1, "seed": 0}
-_TRAIN_LEAST = {"epochs": 0, "batch": 1}
-_PATH_KEYS = {"data", "out"}
-
-_KIND_BY_AGGREGATION = {"gru": "compol-rnn", "attention": "compol-atn",
-                        "skip": "compol-skip"}
+# the sections of an experiment config, and the keys written back into its copies
+_TOP_FIELDS = {**dict.fromkeys(("system", "data", "model", "train", "paths"), ("object", None)),
+               "config_hash": ("str", None), "model_kind": ("str", None)}
+# each section's fields (see dataio.check_fields) and the keys it must hold
+_SECTIONS = {
+    "data": ({"n_train": ("int", 0), "n_test": ("int", 0), "resolution": ("int", 1),
+              "seed": ("int", 0)}, ("n_train", "n_test")),
+    "train": ({"epochs": ("int", 0), "batch": ("int", 1), "lr": ("positive", None),
+               "schedule": ("str", ("cosine", "constant"))}, ("epochs",)),
+    "paths": ({"data": ("str", None), "out": ("str", None)}, ()),
+}
+_GEN_DATA_FLAGS = {"n": ("int", 0), "seed": ("int", 0)}
 
 
 class UsageError(Exception):
@@ -69,12 +69,6 @@ class IncompatibleError(Exception):
 # experiment config
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
 def load_experiment_config(path: str) -> dict:
     """Parse and strictly validate a JSON experiment document."""
     try:
@@ -86,33 +80,10 @@ def load_experiment_config(path: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS | _OUTPUT_KEYS, "config")
-    for name in ("model", "train", "data"):
-        if name not in doc:
-            raise UsageError(f"config {path} is missing the {name!r} section")
-    for name in _TOP_KEYS & set(doc):
-        if not isinstance(doc[name], dict):
-            raise UsageError(f"config {path}: the {name!r} section must be an object")
-    _reject_unknown(doc["data"], _DATA_KEYS, "data section")
-    _reject_unknown(doc["train"], _TRAIN_KEYS, "train section")
-    if "paths" in doc:
-        _reject_unknown(doc["paths"], _PATH_KEYS, "paths section")
-        for key, value in doc["paths"].items():
-            if not isinstance(value, str):
-                raise UsageError(f"paths.{key} must be a string, got {value!r}")
-    for key in ("n_train", "n_test"):
-        if key not in doc["data"]:
-            raise UsageError(f"data section is missing {key!r}")
-    if "epochs" not in doc["train"]:
-        raise UsageError("train section is missing 'epochs'")
-    for where, least in (("data", _DATA_LEAST), ("train", _TRAIN_LEAST)):
-        for key, value in doc[where].items():
-            if key in least and (type(value) is not int or value < least[key]):
-                raise UsageError(f"{where}.{key} must be an integer >= {least[key]}, "
-                                 f"got {value!r}")
-    lr = doc["train"].get("lr", 1e-3)
-    if type(lr) not in (int, float) or not 0 < lr < math.inf:
-        raise UsageError(f"train.lr must be a positive number, got {lr!r}")
+    check_fields(doc, _TOP_FIELDS, required=("model", "train", "data"), closed=True)
+    for name, (table, required) in _SECTIONS.items():
+        if name in doc:
+            check_fields(doc[name], table, f"{name}.", required, closed=True)
     try:
         M.CompolConfig.from_dict(doc["model"])
     except (ValueError, TypeError) as e:
@@ -124,7 +95,7 @@ def load_experiment_config(path: str) -> dict:
             raise UsageError("system section needs a 'system' name")
         try:
             D.system_spec(name, overrides=sec)
-        except (ValueError, OverflowError) as e:   # OverflowError: an int past float range
+        except ValueError as e:
             raise UsageError(f"system section invalid: {e}") from e
     return doc
 
@@ -151,7 +122,7 @@ def data_signature(manifest: dict) -> str:
 def model_kind(cfg: "M.CompolConfig") -> str:
     if cfg.aggregation == "none":
         return "fno-c" if cfg.processes == 1 else "independent"
-    return _KIND_BY_AGGREGATION.get(cfg.aggregation, cfg.aggregation)
+    return {a: k for k, a in M.KIND_AGGREGATION.items()}.get(cfg.aggregation, cfg.aggregation)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +143,20 @@ def _parse_param_overrides(pairs) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    overrides = _parse_param_overrides(args.param)
-    try:
-        spec = D.system_spec(args.system, resolution=args.resolution,
-                             overrides=overrides)
-    except (ValueError, OverflowError) as e:
-        raise UsageError(str(e)) from e
+    check_fields({"n": args.n, "seed": args.seed}, _GEN_DATA_FLAGS, "--")
+    spec = D.system_spec(args.system, resolution=args.resolution,
+                         overrides=_parse_param_overrides(args.param))
     manifest = D.generate_dataset(spec, args.n, args.seed, args.out)
     path = os.path.join(args.out, MANIFEST_FILENAME)
     print(f"wrote {path}")
     print(f"system={spec.system} samples={args.n} "
           f"resolution={spec.resolution} seed={args.seed} "
           f"config_hash={manifest['config_hash']}")
-    names = manifest.get("channel_names") or [
-        [f"c{c}"] for c in range(manifest["counts"]["processes"])]
     for m, entry in enumerate(manifest["stats"]["output"]):
-        label = ",".join(names[m]) if m < len(names) else f"p{m}"
         means = " ".join(f"{v:.4g}" for v in entry["mean"])
         stds = " ".join(f"{v:.4g}" for v in entry["std"])
-        print(f"  process {m} ({label}): output mean {means} std {stds}")
+        print(f"  process {m} ({','.join(manifest['channel_names'][m])}): "
+              f"output mean {means} std {stds}")
     return 0
 
 
@@ -291,6 +257,8 @@ def cmd_eval(args) -> int:
         dataset = load_dataset(args.data)
     except FileNotFoundError as e:
         raise UsageError(f"cannot load dataset: {e}") from e
+    if dataset.n_samples == 0:
+        raise UsageError(f"dataset {args.data} has no samples to score")
 
     ckpt_sig = (extra or {}).get("data_signature")
     data_sig = data_signature(dataset.manifest)
@@ -354,11 +322,8 @@ def _load_run(run_dir: str) -> dict:
         head, epochs = TR.read_run_record(record_path)
     except TR.TrainingError as e:   # a malformed record is bad input
         raise UsageError(str(e)) from e
-    cfg_path = os.path.join(run_dir, CONFIG_FILENAME)
-    doc = {}
-    if os.path.exists(cfg_path):
-        with open(cfg_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    cfg_path = os.path.join(run_dir, CONFIG_FILENAME)   # the resolved copy train wrote
+    doc = load_experiment_config(cfg_path) if os.path.exists(cfg_path) else {}
     return {"dir": run_dir, "head": head, "epochs": epochs, "config": doc}
 
 

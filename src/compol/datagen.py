@@ -11,7 +11,6 @@ at the stored resolution.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,6 +39,9 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.samples = samples
+
+    def __reduce__(self):       # so that a worker process can send it back
+        return type(self), (str(self), self.step, self.samples)
 
 
 def _check_pow2(n: int, what: str) -> None:
@@ -199,13 +201,8 @@ class SystemSpec:
         return {
             "system": self.system,
             "params": {k: float(v) for k, v in sorted(self.params.items())},
-            "horizon": float(self.horizon),
-            "dt": float(self.dt),
-            "resolution": int(self.resolution),
-            "grf_length_scale": float(self.grf_length_scale),
-            "grf_sigma": float(self.grf_sigma),
-            "fine_factor": int(self.fine_factor),
-            "domain_size": float(self.domain_size),
+            **{k: (int if kind == "int" else float)(getattr(self, k))
+               for k, (kind, _) in _SCALAR_FIELDS.items()},
             "dim": self.dim,
             "processes": self.processes,
             "channel_names": self.channel_names,
@@ -214,8 +211,7 @@ class SystemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemSpec":
-        keys = ("system", "params", "horizon", "dt", "resolution",
-                "grf_length_scale", "grf_sigma", "fine_factor", "domain_size")
+        keys = ("system", "params", *_SCALAR_FIELDS)
         return cls(**{k: d[k] for k in keys if k in d})
 
 
@@ -253,8 +249,11 @@ _DEFAULTS = {
         grf_length_scale=0.1, grf_sigma=1.0, fine_factor=4),
 }
 
-_SCALAR_OVERRIDES = ("horizon", "dt", "resolution", "grf_length_scale",
-                     "grf_sigma", "fine_factor", "domain_size")
+# the SystemSpec fields an override may set; any other key names a parameter
+_SCALAR_FIELDS = {"horizon": ("number", None), "dt": ("number", None),
+                  "resolution": ("int", None), "grf_length_scale": ("number", None),
+                  "grf_sigma": ("number", None), "fine_factor": ("int", 1),
+                  "domain_size": ("number", None)}
 
 
 def system_spec(name: str, resolution: int | None = None,
@@ -263,24 +262,20 @@ def system_spec(name: str, resolution: int | None = None,
 
     Override keys may name either a reaction/init parameter or one of
     the scalar fields (horizon, dt, resolution, grf_*, fine_factor), and
-    values must be finite numbers (not bools), ints for resolution and fine_factor.
+    values must be finite numbers (not bools), ints for resolution and
+    fine_factor; an override of ``resolution`` wins over the argument.
     """
     if not isinstance(name, str) or name not in _DEFAULTS:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     base = _DEFAULTS[name]
     params = dict(base["params"])
-    scalars = {k: base[k] for k in _SCALAR_OVERRIDES if k in base}
-    given = [] if resolution is None else [("resolution", resolution)]
-    for key, value in given + list((overrides or {}).items()):
-        if key not in _SCALAR_OVERRIDES and key not in params:
-            raise ValueError(f"unknown override {key!r} for system {name!r}")
-        integer = key in ("resolution", "fine_factor")
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer) if integer else (
-                int, float, np.integer, np.floating)) or not (integer or math.isfinite(value)):
-            what = "an integer" if integer else "a finite number"
-            raise ValueError(f"{key} for system {name!r} must be {what}, got {value!r}")
-        (scalars if key in _SCALAR_OVERRIDES else params)[key] = (
-            int(value) if integer else float(value))
+    scalars = {k: base[k] for k in _SCALAR_FIELDS if k in base}
+    table = {**dict.fromkeys(params, ("number", None)), **_SCALAR_FIELDS}
+    given = ({} if resolution is None else {"resolution": resolution}) | dict(overrides or {})
+    dataio.check_fields(given, table, f"{name}.", closed=True)
+    for key, value in given.items():
+        (scalars if key in _SCALAR_FIELDS else params)[key] = (
+            value if table[key][0] == "int" else float(value))
     # constructed last so __post_init__ validates the overridden values too
     return SystemSpec(system=name, params=params, **scalars)
 
@@ -375,28 +370,30 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
             return np.zeros_like(vh)
         return K.rfft(react(K.irfft(vh, axes)), axes)
 
-    v = K.rfft(u, axes)
     traj = None
     if record == "trajectory":
         traj = np.empty((n_steps + 1,) + u.shape, dtype=np.float64)
         traj[0] = u
-    for step in range(1, n_steps + 1):
-        nv = nl(v)
-        a = e_half * v + q * nv
-        na = nl(a)
-        b = e_half * v + q * na
-        nb = nl(b)
-        c = e_half * a + q * (2.0 * nb - nv)
-        nc = nl(c)
-        v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
-        ok = np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)
-        if not ok.all():
-            bad = [int(i) for i in np.flatnonzero(~ok)]
-            raise BlowUpError(
-                f"non-finite state at step {step} of {n_steps} "
-                f"(t={step * h:.6g}) for sample(s) {bad}", step, bad)
-        if traj is not None:
-            traj[step] = K.irfft(v, axes)
+    # every step checks its state, so an overflow is reported once, as a BlowUpError
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = K.rfft(u, axes)
+        for step in range(1, n_steps + 1):
+            nv = nl(v)
+            a = e_half * v + q * nv
+            na = nl(a)
+            b = e_half * v + q * na
+            nb = nl(b)
+            c = e_half * a + q * (2.0 * nb - nv)
+            nc = nl(c)
+            v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+            ok = np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)
+            if not ok.all():
+                bad = [int(i) for i in np.flatnonzero(~ok)]
+                raise BlowUpError(
+                    f"non-finite state at step {step} of {n_steps} "
+                    f"(t={step * h:.6g}) for sample(s) {bad}", step, bad)
+            if traj is not None:
+                traj[step] = K.irfft(v, axes)
     if record == "trajectory":
         return traj if batched else traj[:, 0]
     out = K.irfft(v, axes)

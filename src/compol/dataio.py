@@ -7,6 +7,10 @@ length the header determines.  Each file is read whole, its header is
 checked against the format's schema, and the payload is taken with one
 ``np.frombuffer`` and sliced by an offset table.
 
+:func:`check_fields` is the one check of which JSON value a field may
+hold.  Configs, system overrides, run records and dataset manifests each
+declare a table ``{key: (kind, least)}`` and pass their objects through it.
+
 A ``.cmpd`` payload holds float32 fields ordered sample-major,
 process-major, group-major (group order comes from the header), each
 field row-major.  A checkpoint payload holds named parameter arrays back
@@ -20,13 +24,14 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MAGIC", "CKPT_MAGIC", "FORMAT_VERSION", "DataFormatError", "CheckpointError",
-    "canonical_json", "config_hash", "sha256_file",
+    "FieldTypeError", "check_fields", "canonical_json", "config_hash", "sha256_file",
     "write_fields", "read_fields", "write_checkpoint", "read_checkpoint",
     "write_manifest", "read_manifest",
     "FieldDataset", "write_dataset", "load_dataset",
@@ -48,6 +53,74 @@ class DataFormatError(ValueError):
 
 class CheckpointError(DataFormatError):
     """Malformed, mismatched, or truncated checkpoint file."""
+
+
+class FieldTypeError(TypeError, ValueError):
+    """A field of the wrong kind; a ValueError too, so input errors exit 2 alike."""
+
+
+# ---------------------------------------------------------------------------
+# field tables
+
+
+def _finite(v) -> bool:
+    """A number, not a bool, within float range: NaN, inf and huge ints fail the bound."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+_KINDS = {  # kind: (a value of it, values of it, test)
+    "int": ("an integer", "integers", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a finite number", "finite numbers", _finite),
+    "positive": ("a positive number", "positive numbers", lambda v: _finite(v) and v > 0),
+    "str": ("a string", "strings", lambda v: isinstance(v, str)),
+    "bool": ("a bool", "bools", lambda v: isinstance(v, bool)),
+    "object": ("an object", "objects", lambda v: isinstance(v, dict)),
+}
+
+
+def _is(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_is(v, kind[0]) for v in value)
+    return value is None if kind is None else _KINDS[kind][2](value)
+
+
+def _describe(kind, plural: bool = False) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_describe(k, plural) for k in kind)
+    if isinstance(kind, list):
+        return ("lists of " if plural else "a list of ") + _describe(kind[0], True)
+    return "null" if kind is None else _KINDS[kind][plural]
+
+
+def check_fields(obj: dict, table: dict, where: str = "", required=(),
+                 closed: bool = False) -> None:
+    """Check each field of ``obj`` that ``table`` names against its ``(kind, least)``.
+
+    A kind is a name in ``_KINDS``, None for null, ``[kind]`` for a list of
+    that kind, or a tuple of kinds the value may be any of.  ``least`` bounds
+    the value, or each item of a list, from below; for a string it is the
+    tuple of allowed values.  Absent fields pass, unless ``required`` names
+    them; a ``closed`` table refuses keys it does not name.  ``where``
+    prefixes the field names in the messages.  A value of the wrong kind
+    raises :class:`FieldTypeError`, any other fault ValueError.
+    """
+    unknown = [where + str(k) for k in obj if k not in table] if closed else []
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where}{key} is missing")
+    for key in [k for k in table if k in obj]:
+        (kind, least), value = table[key], obj[key]
+        if not _is(value, kind):
+            raise FieldTypeError(f"{where}{key} must be {_describe(kind)}, got {value!r}")
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(least, tuple) and v not in least:
+                raise ValueError(f"{where}{key} must be one of {least}, got {value!r}")
+            if isinstance(least, int) and v is not None and v < least:
+                raise ValueError(f"{where}{key} must be >= {least}, got {value!r}")
 
 
 def canonical_json(obj) -> str:
@@ -124,35 +197,23 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _count(value, what: str) -> int:
-    """A JSON integer >= 0 (``true`` is not one)."""
-    _require(type(value) is int and value >= 0,
-             f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _shape(value, what: str) -> tuple:
-    _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
-    return tuple(_count(d, what) for d in value)
-
-
 # ---------------------------------------------------------------------------
 # raw container
 
 
+_CMPD_HEADER = {"samples": ("int", 0), "groups": (["str"], None), "shapes": (["object"], None)}
+
+
 def _fields_layout(header: dict):
     """Payload size and, per process and group, (start, stop, shape) float columns."""
-    groups, shapes = header.get("groups"), header.get("shapes")
-    n = _count(header.get("samples"), "samples")
-    _require(isinstance(groups, list) and all(isinstance(g, str) for g in groups),
-             f"groups must be a list of names, got {groups!r}")
-    _require(isinstance(shapes, list) and all(isinstance(s, dict) for s in shapes),
-             f"shapes must be a list of objects, got {shapes!r}")
+    check_fields(header, _CMPD_HEADER, required=tuple(_CMPD_HEADER))
+    n, groups = header["samples"], header["groups"]
     columns, width = [], 0
-    for m, proc in enumerate(shapes):
+    for m, proc in enumerate(header["shapes"]):
+        check_fields(proc, dict.fromkeys(groups, (["int"], 0)), f"shapes[{m}].", groups)
         cols = []
         for g in groups:
-            shape = _shape(proc.get(g), f"shapes[{m}][{g!r}]")
+            shape = tuple(proc[g])
             cols.append((width, width + math.prod(shape), shape))
             width += math.prod(shape)
         columns.append(cols)
@@ -201,20 +262,20 @@ def read_fields(path: str, sha256: "str | None" = None
 # checkpoints
 
 
+_CKPT_HEADER = {"config": ("object", None), "extra": ("object", None),
+                "params": (["object"], None)}
+_PARAM_ENTRY = {"name": ("str", None), "dtype": ("str", _PARAM_DTYPES),
+                "shape": (["int"], 0), "offset": ("int", 0)}
+
+
 def _params_layout(header: dict):
     """Payload size and (name, dtype, shape, start, stop) per parameter."""
-    _require(isinstance(header.get("config"), dict), "config must be an object")
-    _require(isinstance(header.get("extra", {}), dict), "extra must be an object")
-    entries = header.get("params")
-    _require(isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-             f"params must be a list of objects, got {entries!r}")
+    check_fields(header, _CKPT_HEADER, required=("config", "params"))
     table, size = [], 0
-    for e in entries:
-        name, code = e.get("name"), e.get("dtype")
-        _require(isinstance(name, str), f"parameter name {name!r} is not a string")
-        _require(code in _PARAM_DTYPES, f"{name}: dtype {code!r} not in {_PARAM_DTYPES}")
-        shape = _shape(e.get("shape"), f"{name} shape")
-        _require(_count(e.get("offset"), f"{name} offset") == size,
+    for i, e in enumerate(header["params"]):
+        check_fields(e, _PARAM_ENTRY, f"params[{i}].", required=tuple(_PARAM_ENTRY))
+        name, code, shape = e["name"], e["dtype"], tuple(e["shape"])
+        _require(e["offset"] == size,
                  f"{name}: offset {e['offset']} is not {size}, where the previous array ends")
         stop = size + np.dtype(code).itemsize * math.prod(shape)
         table.append((name, code, shape, size, stop))
@@ -354,7 +415,15 @@ def read_manifest(path: str) -> dict:
             raise DataFormatError(f"{path}: not valid JSON: {e}") from e
 
 
+# the manifest fields the program reads, and those of each stats entry
+_MANIFEST_FIELDS = {"system": ("object", None), "counts": ("object", None),
+                    "stats": ("object", None), "channel_names": ([["str"]], None)}
+_STATS_FIELDS = {"input": (["object"], None), "output": (["object"], None)}
+_STAT_FIELDS = {"mean": (["number"], None), "std": (["positive"], None)}
+
+
 def load_dataset(directory: str, verify: bool = True) -> FieldDataset:
+    """Read a dataset directory; a fault in its manifest or data raises DataFormatError."""
     path = os.path.join(directory, MANIFEST_FILENAME)
     manifest = read_manifest(path)
     try:
@@ -368,5 +437,22 @@ def load_dataset(directory: str, verify: bool = True) -> FieldDataset:
     header, fields = read_fields(data_path, digest if verify else None)
     if header["groups"] != ["input", "output"]:
         raise DataFormatError(f"{data_path}: groups {header['groups']} are not input, output")
+    channels = [x.shape[1] for x, _ in fields]
+    try:
+        check_fields(manifest, _MANIFEST_FIELDS)
+        stats = manifest.get("stats")
+        if stats:           # training alone refuses a dataset without stats
+            check_fields(stats, _STATS_FIELDS, "stats.", required=tuple(_STATS_FIELDS))
+        for group in _STATS_FIELDS if stats else ():
+            entries = stats[group]
+            _require(len(entries) == len(channels),
+                     f"stats.{group} has {len(entries)} entries for {len(channels)} processes")
+            for m, (entry, c) in enumerate(zip(entries, channels)):
+                where = f"stats.{group}[{m}]."
+                check_fields(entry, _STAT_FIELDS, where, required=tuple(_STAT_FIELDS))
+                _require(len(entry["mean"]) == len(entry["std"]) == c,
+                         f"{where}mean and {where}std need {c} values each")
+    except ValueError as e:
+        raise DataFormatError(f"{path}: {e}") from e
     return FieldDataset(inputs=[x for x, _ in fields], outputs=[y for _, y in fields],
                         manifest=manifest)

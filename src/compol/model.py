@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import aggregation as agg
 from . import layers as L
 from . import tensor as T
-from .dataio import CheckpointError, read_checkpoint, write_checkpoint
+from .dataio import CheckpointError, check_fields, read_checkpoint, write_checkpoint
 from .params import bind, load_named, named_arrays
 from .tensor import Tape, Tensor
 
@@ -47,20 +48,21 @@ INJECT_KINDS = ("add", "concat_reduce")
 
 PARAM_COUNT_CONVENTION = "complex entries count as two reals; biases included"
 
-# CLI-facing model names mapped onto configuration choices.
-MODEL_KINDS = ("compol-rnn", "compol-atn", "compol-skip", "fno-c")
+# CLI-facing model names and the aggregation each one selects
+KIND_AGGREGATION = {"compol-rnn": "gru", "compol-atn": "attention", "compol-skip": "skip",
+                    "fno-c": "none"}
+MODEL_KINDS = tuple(KIND_AGGREGATION)
 
 
-# integer fields and their least values; d_mix and key_width may be None
-_INT_LEAST = {"processes": 1, "layers": 1, "width": 1, "spatial_dims": 1, "heads": 1,
-              "d_mix": 1, "key_width": 1, "seed": 0, "process_seed_offset": 0}
-
-
-def _require_int(name: str, value, least: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+# every field of CompolConfig: (kind, least value or allowed values), see check_fields
+_FIELDS = {
+    "processes": ("int", 1), "channels": (["int"], 1), "layers": ("int", 1),
+    "width": ("int", 1), "modes": (("int", ["int"]), 1), "spatial_dims": ("int", 1),
+    "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", MIX_KINDS),
+    "d_mix": (("int", None), 1), "inject": ("str", INJECT_KINDS), "activation": ("str", None),
+    "coords": ("bool", None), "key_width": (("int", None), 1), "heads": ("int", 1),
+    "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", 0),
+}
 
 
 @dataclass
@@ -91,31 +93,13 @@ class CompolConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check every field's type (a bool is not an int), then its value."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("channels", "modes"):
-                if f.name == "channels" and not isinstance(value, list):
-                    raise TypeError(f"channels must be a list, got {value!r}")
-                for v in value if isinstance(value, (list, tuple)) else [value]:
-                    _require_int(f.name, v, 1)
-            elif f.name in _INT_LEAST:
-                if value is not None or f.default is not None:
-                    _require_int(f.name, value, _INT_LEAST[f.name])
-            elif not isinstance(value, type(f.default)):      # the str and bool fields
-                raise TypeError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
+        """Check every field against ``_FIELDS`` (a bool is not an int), then
+        the rules across fields."""
+        check_fields(vars(self), _FIELDS)
         if len(self.channels) != self.processes:
             raise ValueError("need one channel count per process")
         if self.spatial_dims not in (1, 2):
             raise ValueError("spatial_dims must be 1 or 2")
-        if self.aggregation not in AGGREGATION_KINDS:
-            raise ValueError(f"aggregation must be one of {AGGREGATION_KINDS}")
-        if self.mix not in MIX_KINDS:
-            raise ValueError(f"mix must be one of {MIX_KINDS}")
-        if self.inject not in INJECT_KINDS:
-            raise ValueError(f"inject must be one of {INJECT_KINDS}")
-        if self.dtype not in _DTYPES:
-            raise ValueError("dtype must be real32 or real64")
         L.activation_fn(self.activation)
         if self.mix == "add" and self.effective_d_mix != self.width:
             raise ValueError("additive mixing requires d_mix == width")
@@ -143,10 +127,7 @@ class CompolConfig:
         d = dict(d)     # older configs hold attend_history: false, what every model does
         if d.pop("attend_history", False) is not False:
             raise ValueError("attend_history is no longer supported; only false loads")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_fields(d, _FIELDS, closed=True)     # before the constructor sees an unknown key
         return cls(**d)
 
 
@@ -192,6 +173,14 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     """
     cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
     dtype = cfg.np_dtype
+    need = _param_elements(cfg) * np.dtype(dtype).itemsize
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or not these names
+        have = 0
+    if 0 < have < need:
+        raise MemoryError(f"the parameters need {need} bytes, "
+                          f"more than the {have} bytes of physical memory")
     n_coords = cfg.spatial_dims if cfg.coords else 0
 
     processes = []
@@ -317,16 +306,12 @@ def make_fno_concat(total_channels: int, layers: int = 4, width: int = 64,
 
 def config_for_kind(kind: str, base: CompolConfig) -> CompolConfig:
     """Translate a CLI model name into configuration overrides."""
-    if kind == "compol-rnn":
-        return dataclasses.replace(base, aggregation="gru")
-    if kind == "compol-atn":
-        return dataclasses.replace(base, aggregation="attention")
-    if kind == "compol-skip":
-        return dataclasses.replace(base, aggregation="skip")
-    if kind == "fno-c":
-        total = sum(base.channels)
-        return dataclasses.replace(base, processes=1, channels=[total], aggregation="none")
-    raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+    if kind not in KIND_AGGREGATION:
+        raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+    if kind == "fno-c":         # one branch over every process's channels
+        return dataclasses.replace(base, processes=1, channels=[sum(base.channels)],
+                                   aggregation="none")
+    return dataclasses.replace(base, aggregation=KIND_AGGREGATION[kind])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
-    "matmul", "affine", "einsum", "reduce_sum", "reduce_mean",
+    "affine", "einsum", "reduce_sum", "reduce_mean",
     "dft_analysis", "dft_synthesis", "mode_mix", "softmax",
     "concat", "moveaxis", "reshape", "real",
     "backward", "finite_diff_check", "finite_diff_report",
@@ -119,9 +119,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -361,31 +358,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul and reductions
+# affine maps and reductions
 
 
 def _conj_t(x: np.ndarray) -> np.ndarray:
     if x.dtype.kind != "c":
         return x.swapaxes(-1, -2)
     return np.conj(x).swapaxes(-1, -2)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands need at least two dims")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    _require_same_kind(a, b, "matmul")
-    out = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        ga = _unbroadcast(np.matmul(g, _conj_t(bd)), ad.shape)
-        gb = _unbroadcast(np.matmul(_conj_t(ad), g), bd.shape)
-        return ga, gb
-
-    return _record("matmul", out, (a, b), bwd)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -23,7 +23,7 @@ import numpy as np
 from . import model as M
 from . import params as P
 from . import tensor as T
-from .dataio import FieldDataset, config_hash
+from .dataio import FieldDataset, check_fields, config_hash
 
 __all__ = [
     "TrainingError", "AdamState", "EpochRecord", "TrainResult", "EvalResult",
@@ -224,33 +224,21 @@ def write_run_record(path: str, result: TrainResult,
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
 
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _text_or_none(v) -> bool:
-    return v is None or isinstance(v, str)
-
-
-# the keys the CSV exports read, with their checks; a head may omit all but best_err
-_HEAD_KEYS = {"best_err": _number, "config_hash": _text_or_none,
-              "experiment_hash": _text_or_none, "model_kind": _text_or_none,
-              "n_train": lambda v: v is None or _integer(v)}
-_EPOCH_KEYS = {"epoch": _integer, "lr": _number, "train_loss": _number,
-               "test_aggregate": _number,
-               "test_err": lambda v: isinstance(v, list) and all(map(_number, v))}
+# the fields the CSV exports read; a head may omit all but best_err
+_HEAD_FIELDS = {"best_err": ("number", 0), "config_hash": (("str", None), None),
+                "experiment_hash": (("str", None), None), "model_kind": (("str", None), None),
+                "n_train": (("int", None), 0)}
+_EPOCH_FIELDS = {"epoch": ("int", 0), "lr": ("number", 0), "train_loss": ("number", 0),
+                 "test_aggregate": ("number", 0), "test_err": (["number"], 0)}
 
 
 def read_run_record(path: str) -> "tuple[dict, list[dict]]":
     """The head and epoch lines of a run record, checked as the exports read them.
 
-    Every line must be a JSON object, the first a ``run`` head with a numeric
-    ``best_err``, and every ``epoch`` line must carry its numbers and a
-    ``test_err`` list as long as the first epoch's.  Anything else raises
+    Every line must be a JSON object, the first a ``run`` head with a
+    ``best_err``, and every ``epoch`` line must carry all of its fields, with
+    a ``test_err`` list as long as the first epoch's.  The fields are checked
+    against ``_HEAD_FIELDS`` and ``_EPOCH_FIELDS``.  Anything else raises
     :class:`TrainingError`.
     """
     lines = []
@@ -263,21 +251,19 @@ def read_run_record(path: str) -> "tuple[dict, list[dict]]":
                 lines.append((number, rec))
     if not lines or lines[0][1].get("kind") != "run":
         raise TrainingError(f"{path}: not a run record")
-    head = lines[0][1]
-    bad = [k for k, ok in _HEAD_KEYS.items() if not ok(head.get(k))]
-    if bad:
-        raise TrainingError(f"{path}: run head with bad or missing {', '.join(bad)}")
-    epochs = []
-    for number, rec in lines[1:]:
-        if rec.get("kind") != "epoch":
-            continue
-        bad = [k for k, ok in _EPOCH_KEYS.items() if not ok(rec.get(k))]
-        if not bad and epochs and len(rec["test_err"]) != len(epochs[0]["test_err"]):
-            bad = ["test_err"]
-        if bad:
-            raise TrainingError(
-                f"{path}: line {number}: epoch with bad or missing {', '.join(bad)}")
-        epochs.append(rec)
+    (first, head), epochs = lines[0], []
+    try:
+        check_fields(head, _HEAD_FIELDS, f"line {first}: ", required=("best_err",))
+        for number, rec in lines[1:]:
+            if rec.get("kind") != "epoch":
+                continue
+            check_fields(rec, _EPOCH_FIELDS, f"line {number}: ", required=tuple(_EPOCH_FIELDS))
+            if epochs and len(rec["test_err"]) != len(epochs[0]["test_err"]):
+                raise ValueError(f"line {number}: test_err has {len(rec['test_err'])} entries, "
+                                 f"the first epoch's {len(epochs[0]['test_err'])}")
+            epochs.append(rec)
+    except ValueError as e:
+        raise TrainingError(f"{path}: {e}") from e
     return head, epochs
 
 

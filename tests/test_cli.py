@@ -6,6 +6,11 @@ I/O problems (bad flags, bad schema, missing files).
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +137,22 @@ def test_gen_data_param_types_exit_2(tmp_path, capsys, param):
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_data_blow_up_on_the_pool_is_one_error_line(tmp_path):
+    """A blow-up in a worker reaches the parent intact: exit 1 and one line,
+    without a RuntimeWarning from any process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COMPOL_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "compol.cli", "gen-data", "--system", "lv", "--n", "16",
+         "--resolution", "32", "--seed", "0", "--out", str(tmp_path / "out"),
+         "--param", "init_shift=1e308", "--param", "fine_factor=1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: sample(s) [0, 1, 2, 3, 4, 5, 6, 7]: non-finite state")
+
+
 def test_gen_data_unknown_system_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["gen-data", "--system", "heat", "--n", "1",
@@ -252,6 +273,21 @@ def test_train_oversized_model_exits_2(tmp_path, lv_data, capsys, model_kw):
     cfg = write_config(tmp_path / "exp.json", doc)
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory is not known")
+def test_train_layers_past_memory_exit_2_at_once(tmp_path, lv_data, capsys):
+    """2**70 layers of a small model fit no machine's memory: init_params
+    refuses them before drawing the first layer."""
+    cfg = write_config(tmp_path / "exp.json",
+                       experiment_doc(lv_data, tmp_path / "out", layers=2 ** 70))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert cli.main(["train", "--config", cfg]) == 2
+    assert time.perf_counter() - t0 < 10
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory"), err
     assert not (tmp_path / "out").exists()
@@ -389,6 +425,21 @@ def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dump", [False, True], ids=["table", "dump-error-fields"])
+def test_eval_refuses_an_empty_dataset(run_dir, tmp_path, capsys, dump):
+    """A test set of 0 samples has no error to report: one line and exit 2."""
+    empty = tmp_path / "empty"
+    assert cli.main(["gen-data", "--system", "lv", "--n", "0", "--resolution", "32",
+                     "--seed", "9", "--out", str(empty)] + GEN_LV) == 0
+    argv = ["eval", "--checkpoint", str(run_dir / cli.CHECKPOINT_FILENAME), "--data", str(empty)]
+    capsys.readouterr()
+    assert cli.main(argv + (["--dump-error-fields", str(tmp_path / "dump")] if dump else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dataset {empty} has no samples to score\n"
+    assert not (tmp_path / "dump").exists()
+
+
 def test_eval_missing_checkpoint(tmp_path, lv_data):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.ckpt"),
                      "--data", str(lv_data)]) == 2
@@ -467,6 +518,24 @@ def test_export_plot_malformed_run_record(tmp_path, capsys, lines):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), captured.err
+
+
+def test_export_plot_checks_the_config_copy(run_dir, tmp_path, capsys):
+    """A comparison reads the model kind and n_train from config.json where the
+    head lacks them; a config.json that is no experiment config exits 2."""
+    for name in (cli.RECORD_FILENAME, cli.CONFIG_FILENAME):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    head, *rest = (tmp_path / cli.RECORD_FILENAME).read_text().splitlines()
+    head = {k: v for k, v in json.loads(head).items() if k not in ("model_kind", "n_train")}
+    (tmp_path / cli.RECORD_FILENAME).write_text("\n".join([json.dumps(head)] + rest) + "\n")
+    argv = ["export-plot", "--run", str(run_dir), "--run", str(tmp_path), "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert "compol-rnn,4,2," in capsys.readouterr().out
+    for bad in ([1, 2], {"model": {}, "train": {"epochs": 1}, "data": 5}):
+        (tmp_path / cli.CONFIG_FILENAME).write_text(json.dumps(bad))
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1, captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ extrapolation over halved steps must show fourth-order convergence.
 """
 
 import os
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,34 @@ def test_unstable_reaction_raises_blow_up():
             G.etdrk4_solve(spec, u0)
     assert info.value.step > 0
     assert info.value.samples == [0]
+
+
+def blow_up_spec():
+    """lv with the predation sign flipped, 200 steps: of seed 0's samples 0-5
+    only 2, 4 and 5 diverge in time, sample 2 first, at step 180."""
+    return G.system_spec("lv", resolution=16, overrides={"b": -1.0, "horizon": 2.0,
+                                                         "dt": 0.01, "fine_factor": 1})
+
+
+def test_blow_up_error_pickles():
+    err = G.BlowUpError("sample(s) [9]: non-finite state", 7, [9])
+    back = pickle.loads(pickle.dumps(err))
+    assert (type(back), str(back), back.step, back.samples) == (G.BlowUpError, str(err), 7, [9])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generate_dataset_blow_up_names_global_samples(tmp_path, workers):
+    """The chunk of samples 2 and 3 fails, in this process or in a worker.
+    ``workers`` is passed explicitly: the COMPOL_THREADS cap would keep a
+    1-CPU runner serial.  The overflow is reported once, as the error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(G.BlowUpError) as info:
+            G.generate_dataset(blow_up_spec(), 6, seed=0, out_dir=tmp_path / "out",
+                               chunk_size=2, workers=workers)
+    assert (info.value.step, info.value.samples) == (180, [2])
+    assert str(info.value).startswith("sample(s) [2]: non-finite state at step 180 of 200")
+    assert not (tmp_path / "out").exists()
 
 
 def test_lv_solutions_stay_positive():

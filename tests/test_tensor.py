@@ -201,13 +201,6 @@ def test_sigmoid_saturates_without_overflow():
     assert np.allclose(out, [0.0, 1.0])
 
 
-def test_matmul_batched():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(2, 4, 5))
-    assert np.allclose(T.matmul(T.Tensor(a), T.Tensor(b)).data, a @ b)
-
-
 def test_affine_is_one_node_over_the_last_axis():
     rng = np.random.default_rng(12)
     x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
@@ -371,11 +364,6 @@ def test_dft_ops_dtype_and_bin_errors():
         T.dft_analysis(T.Tensor(np.ones(8)), [0, 8])
     with pytest.raises(T.ShapeError):
         T.dft_synthesis(T.Tensor(np.ones(4, dtype=complex)), np.arange(5), 8)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(T.ShapeError):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
 
 
 def test_integer_input_promoted_to_float():
