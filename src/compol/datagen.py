@@ -110,6 +110,8 @@ def sample_grf(spec: GrfSpec, seed, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phi functions
 
+_PHI_CHUNK = 1024       # entries of z per pass: 32 contour points make 512 KiB temporaries
+
 
 def phi_coefficients(z, contour_points: int = 32):
     """phi_0..phi_3 evaluated per entry of ``z`` by contour averaging.
@@ -117,6 +119,8 @@ def phi_coefficients(z, contour_points: int = 32):
     phi_0 = e^z directly; phi_1..phi_3 are means of the analytic
     expressions over a radius-1 circle around each z, which sidesteps
     the removable singularity at 0.  Real input yields real output.
+    The ring is applied to ``_PHI_CHUNK`` entries of ``z`` at a time, so
+    the ``[..., contour_points]`` temporaries stay bounded.
     """
     if contour_points < 16:
         raise ValueError("contour_points must be >= 16")
@@ -124,13 +128,16 @@ def phi_coefficients(z, contour_points: int = 32):
     was_real = not np.iscomplexobj(z)
     theta = 2.0 * np.pi * (np.arange(contour_points) + 0.5) / contour_points
     ring = np.exp(1j * theta)
-    zz = z[..., None].astype(np.complex128) + ring
-    ez = np.exp(zz)
-    phi1 = (ez - 1.0) / zz
-    phi2 = (ez - 1.0 - zz) / zz ** 2
-    phi3 = (ez - 1.0 - zz - 0.5 * zz ** 2) / zz ** 3
+    flat = z.reshape(-1)
+    means = np.empty((3, flat.size), np.complex128)
+    for lo in range(0, flat.size, _PHI_CHUNK):
+        zz = flat[lo:lo + _PHI_CHUNK, None].astype(np.complex128) + ring
+        ez = np.exp(zz)
+        means[0, lo:lo + _PHI_CHUNK] = ((ez - 1.0) / zz).mean(-1)
+        means[1, lo:lo + _PHI_CHUNK] = ((ez - 1.0 - zz) / zz ** 2).mean(-1)
+        means[2, lo:lo + _PHI_CHUNK] = ((ez - 1.0 - zz - 0.5 * zz ** 2) / zz ** 3).mean(-1)
     phi0 = np.exp(z)
-    out = (phi0, phi1.mean(-1), phi2.mean(-1), phi3.mean(-1))
+    out = (phi0,) + tuple(m.reshape(z.shape) for m in means)
     if was_real:
         out = tuple(np.ascontiguousarray(p.real) for p in out)
     return out
@@ -503,10 +510,14 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
 
     Chunks are fixed by ``chunk_size`` regardless of worker count, and
     every sample is seeded by (seed, index) alone, so serial and
-    parallel runs write bit-identical files.
+    parallel runs write bit-identical files.  A count whose stored arrays
+    would not fit in physical memory raises ``MemoryError`` before any work.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    # float32 inputs and outputs, one field per process each
+    stored = 2 * 4 * n_samples * spec.processes * spec.resolution ** spec.dim
+    dataio.require_memory(stored, f"{n_samples} samples")
     spec_dict = spec.to_dict()
     bounds = [(s, min(s + chunk_size, n_samples))
               for s in range(0, n_samples, chunk_size)]

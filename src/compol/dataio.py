@@ -34,7 +34,7 @@ __all__ = [
     "FieldTypeError", "check_fields", "canonical_json", "config_hash", "sha256_file",
     "write_fields", "read_fields", "write_checkpoint", "read_checkpoint",
     "write_manifest", "read_manifest",
-    "FieldDataset", "write_dataset", "load_dataset",
+    "FieldDataset", "write_dataset", "load_dataset", "require_memory",
 ]
 
 MAGIC = b"CMPLDATA"
@@ -57,6 +57,20 @@ class CheckpointError(DataFormatError):
 
 class FieldTypeError(TypeError, ValueError):
     """A field of the wrong kind; a ValueError too, so input errors exit 2 alike."""
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ``MemoryError`` when ``what`` needs more than the physical memory.
+
+    Where the OS does not report its memory, nothing is refused.
+    """
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or not these names
+        have = 0
+    if 0 < have < need:
+        raise MemoryError(f"{what} need {need} bytes, more than the {have} bytes "
+                          "of physical memory")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,8 @@ import numpy as np
 from . import aggregation as agg
 from . import layers as L
 from . import tensor as T
-from .dataio import CheckpointError, check_fields, read_checkpoint, write_checkpoint
+from .dataio import (CheckpointError, check_fields, read_checkpoint, require_memory,
+                     write_checkpoint)
 from .params import bind, load_named, named_arrays
 from .tensor import Tape, Tensor
 
@@ -173,14 +173,7 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     """
     cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
     dtype = cfg.np_dtype
-    need = _param_elements(cfg) * np.dtype(dtype).itemsize
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):   # no sysconf, or not these names
-        have = 0
-    if 0 < have < need:
-        raise MemoryError(f"the parameters need {need} bytes, "
-                          f"more than the {have} bytes of physical memory")
+    require_memory(_param_elements(cfg) * np.dtype(dtype).itemsize, "the parameters")
     n_coords = cfg.spatial_dims if cfg.coords else 0
 
     processes = []
@@ -261,7 +254,9 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     process, and each output is [batch, channels_m, *grid] too.  With
     ``return_latents`` it also returns the per-layer latents (list indexed
     [layer][process], layer 0 = post-lift) in the layout the model holds
-    them, channels-last: [batch, *grid, width].
+    them, channels-last: [batch, *grid, width].  Without it the list is not
+    built, so a forward with no tape lets go of each layer's latents once
+    the next layer has used them.
     """
     cfg = model.config
     xs = _as_input_tensors(model, inputs)
@@ -269,7 +264,7 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     aggs = bind(model.aggregation, tape)
 
     v = [L.lift(xs[m], procs[m].head, cfg.coords) for m in range(cfg.processes)]
-    latents = [list(v)]
+    latents = [list(v)] if return_latents else None
     z: Tensor | None = None
 
     for l in range(cfg.layers):
@@ -287,7 +282,8 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
                 agg.inject(v[m], z, cfg.inject, la.inject[m] if la.inject else None),
                 procs[m].layers[l], cfg.activation)
              for m in range(cfg.processes)]
-        latents.append(list(v))
+        if return_latents:
+            latents.append(list(v))
 
     outs = [L.project(v[m], procs[m].head) for m in range(cfg.processes)]
     if return_latents:

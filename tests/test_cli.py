@@ -153,6 +153,30 @@ def test_gen_data_blow_up_on_the_pool_is_one_error_line(tmp_path):
     assert proc.stderr.startswith("error: sample(s) [0, 1, 2, 3, 4, 5, 6, 7]: non-finite state")
 
 
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory is not known")
+def test_gen_data_count_past_memory_exits_2_at_once(tmp_path):
+    """2**70 samples fit no machine's memory: gen-data refuses the count
+    before it lists a chunk.  The child's address space is capped, so a
+    regression ends in a failed assertion, not in the machine's memory."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "compol.cli", "gen-data", "--system", "lv",
+         "--n", str(2 ** 70), "--resolution", "16", "--seed", "0",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: out of memory: {2 ** 70} samples need"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_unknown_system_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["gen-data", "--system", "heat", "--n", "1",

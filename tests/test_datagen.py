@@ -55,6 +55,25 @@ def test_phi_contour_resolution_invariant():
         np.testing.assert_allclose(pa, pb, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_phi_chunks_keep_the_one_shot_bits(kind):
+    """Over several chunks and a remainder, the phi values have the bits of
+    the ring broadcast over every entry of z at once."""
+    rng = np.random.default_rng(17)
+    z = -np.abs(rng.normal(size=(3, G._PHI_CHUNK - 5))) * 50
+    if kind == "complex":
+        z = z + 30j * rng.normal(size=z.shape)
+    ring = np.exp(1j * 2.0 * np.pi * (np.arange(32) + 0.5) / 32)
+    zz = z[..., None].astype(np.complex128) + ring
+    ez = np.exp(zz)
+    want = (np.exp(z), ((ez - 1.0) / zz).mean(-1), ((ez - 1.0 - zz) / zz ** 2).mean(-1),
+            ((ez - 1.0 - zz - 0.5 * zz ** 2) / zz ** 3).mean(-1))
+    if kind == "real":
+        want = tuple(w.real for w in want)
+    for got, w in zip(G.phi_coefficients(z), want):
+        assert got.dtype == w.dtype and np.array_equal(got, w)
+
+
 def test_phi_rejects_coarse_contour():
     with pytest.raises(ValueError):
         G.phi_coefficients(np.array([1.0]), contour_points=8)

@@ -2,6 +2,8 @@
 parameter streams, counting, and checkpoints."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -70,6 +72,35 @@ def test_forward_latents_one_slot_per_layer():
     assert len(latents) == 4                       # post-lift + 3 layers
     assert all(len(step) == 2 for step in latents)
     assert latents[0][0].shape == (2, 16, 8)        # channels-last: [batch, grid, width]
+
+
+@pytest.mark.parametrize("aggregation", ["gru", "attention", "skip", "none"])
+def test_forward_without_tape_lets_go_of_the_lift_output(monkeypatch, aggregation):
+    """Without ``return_latents`` and a tape, nothing keeps a layer's latents
+    once the next layer has used them: by the time the head runs, the lift
+    output is freed by reference count alone."""
+    cfg = small_cfg(aggregation=aggregation)
+    model = M.init_params(cfg)
+    lifted, dead_at_project = [], []
+    lift, project = M.L.lift, M.L.project
+
+    def spy_lift(*args):
+        out = lift(*args)
+        lifted.append(weakref.ref(out.data))
+        return out
+
+    def spy_project(*args):
+        dead_at_project.append([ref() is None for ref in lifted])
+        return project(*args)
+
+    monkeypatch.setattr(M.L, "lift", spy_lift)
+    monkeypatch.setattr(M.L, "project", spy_project)
+    gc.disable()
+    try:
+        M.forward(model, rand_inputs(cfg))
+    finally:
+        gc.enable()
+    assert dead_at_project == [[True, True]] * 2
 
 
 def test_forward_is_deterministic():

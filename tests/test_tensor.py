@@ -176,22 +176,50 @@ def test_activation_values():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_keeps_the_textbook_bits_and_derivative(dtype):
-    """The in-place forward rounds exactly as the textbook expression; the
-    backward is its analytic derivative."""
+    """The blocked in-place forward rounds exactly as the textbook expression,
+    over several blocks and a remainder; the backward is its analytic
+    derivative, in the order written below, times the cotangent, whose
+    wider dtype widens the gradient."""
     rng = np.random.default_rng(11)
-    x = (rng.normal(size=(4, 33)) * 3).astype(dtype)
+    x = (rng.normal(size=(3, T._GELU_BLOCK - 7)) * 3).astype(dtype)
     c, k = float(np.sqrt(2.0 / np.pi)), 0.044715      # Python floats stay weak
-    want = 0.5 * x * (1.0 + np.tanh(c * (x + k * x * x * x)))
+    t = np.tanh(c * (x + k * x * x * x))
+    want = 0.5 * x * (1.0 + t)
     assert np.array_equal(T.gelu(T.Tensor(x)).data, want)
-    tape = T.Tape()
-    lx = tape.leaf(x)
-    g = rng.normal(size=x.shape).astype(dtype)
-    got = T.backward(tape, T.reduce_sum(T.gelu(lx) * T.Tensor(g)))[lx]
+    dg = (1.0 - t) * want * (x * x * (3.0 * k * c) + c) + (t * 0.5 + 0.5)
     x64 = x.astype(np.float64)
-    t = np.tanh(c * (x64 + k * x64 ** 3))
-    deriv = 0.5 * (1 + t) + 0.5 * x64 * (1 - t * t) * c * (1 + 3 * k * x64 ** 2)
-    assert got.dtype == dtype
-    assert np.max(np.abs(got - g * deriv)) < 10 * np.finfo(dtype).eps * np.abs(g).max()
+    t64 = np.tanh(c * (x64 + k * x64 ** 3))
+    deriv = 0.5 * (1 + t64) + 0.5 * x64 * (1 - t64 * t64) * c * (1 + 3 * k * x64 ** 2)
+    for g_dtype in (dtype, np.float64):
+        tape = T.Tape()
+        lx = tape.leaf(x)
+        g = rng.normal(size=x.shape).astype(g_dtype)
+        got = T.backward(tape, T.reduce_sum(T.gelu(lx) * T.Tensor(g)))[lx]
+        assert got.dtype == g_dtype
+        assert np.array_equal(got, dg * g)
+        assert np.max(np.abs(got - g * deriv)) < 10 * np.finfo(dtype).eps * np.abs(g).max()
+
+
+def test_taped_gelu_lets_go_of_its_input():
+    """On a tape GELU keeps only its derivative: an input array that nothing
+    else refers to is freed by reference count alone, and the gradient is the
+    one taken while the input was held."""
+    grads = []
+    for keep in (True, False):
+        gc.disable()
+        try:
+            tape = T.Tape()
+            (a,) = leafs(tape, np.linspace(-2.0, 2.0, 7))
+            x = T.scale(a, 3.0)             # scale's closure keeps only the factor
+            probe = weakref.ref(x.data)
+            h = T.gelu(x)
+            if not keep:
+                del x
+                assert probe() is None
+            grads.append(T.backward(tape, T.reduce_sum(h))[a])
+        finally:
+            gc.enable()
+    assert np.array_equal(*grads)
 
 
 def test_sigmoid_saturates_without_overflow():
@@ -215,6 +243,21 @@ def test_affine_is_one_node_over_the_last_axis():
             T.affine(x, bad_w, bad_b)
     with pytest.raises(T.DtypeError):
         T.affine(x, w + 0j)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_rank_one_backward_has_the_matmul_bits(dtype):
+    """With one output column, the input's gradient is a broadcast product
+    that equals ``g2 @ w.T`` bit for bit."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(4, 64, 128)).astype(dtype)
+    w, b = rng.normal(size=(128, 1)).astype(dtype), rng.normal(size=1).astype(dtype)
+    g = rng.normal(size=(4, 64, 1)).astype(dtype)
+    tape = T.Tape()
+    lx, lw, lb = leafs(tape, x, w, b)
+    grads = T.backward(tape, T.reduce_sum(T.affine(lx, lw, lb) * T.Tensor(g)))
+    want = (g.reshape(-1, 1) @ w.T).reshape(x.shape)
+    assert grads[lx].dtype == dtype and np.array_equal(grads[lx], want)
 
 
 def test_affine_adjoint_closed_form():
