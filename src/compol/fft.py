@@ -6,14 +6,18 @@ factor per transformed axis.  The real-input variant keeps only the
 
 A length ``n <= BLOCK`` is one matmul by a cached DFT matrix: ``n x n``
 complex, or for real data the ``[n, n + 2]`` analysis and ``[n + 2, n]``
-synthesis matrices that act on (re, im) pairs.  A longer length takes one
-four-step split ``n = n1 n2`` (Bailey 1990): ``n1``-point DFTs down the
-columns of the ``[n1, n2]`` view, one twiddle multiply, then ``n2``-point
-DFTs along its rows, recursing while a factor exceeds ``BLOCK``.  A longer
-real transform reads its ``N`` reals as ``N/2`` complex values
-``x[2j] + i x[2j+1]`` and separates the spectra of the even and odd samples
-with the post-twiddle of Sorensen et al. (1987), so it costs half a
-complex transform.
+synthesis matrices that act on (re, im) pairs.  :func:`dft_matrix` builds
+every such matrix and :func:`apply_dft` contracts an axis with one; the
+tape's truncated DFTs (``compol.tensor.dft_analysis`` and
+``dft_synthesis``) use the same pair for their retained bins.
+
+A longer length takes one four-step split ``n = n1 n2`` (Bailey 1990):
+``n1``-point DFTs down the columns of the ``[n1, n2]`` view, one twiddle
+multiply, then ``n2``-point DFTs along its rows, recursing while a factor
+exceeds ``BLOCK``.  A longer real transform reads its ``N`` reals as
+``N/2`` complex values ``x[2j] + i x[2j+1]`` and separates the spectra of
+the even and odd samples with the post-twiddle of Sorensen et al. (1987),
+so it costs half a complex transform.
 
 Every matmul is stacked over the first axis of its operand, with shapes
 that do not depend on that axis's extent: a slice of the first axis
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["fft", "ifft", "rfft", "irfft", "UnsupportedLengthError"]
+__all__ = ["fft", "ifft", "rfft", "irfft", "dft_matrix", "apply_dft", "UnsupportedLengthError"]
 
 BLOCK = 64
 
@@ -43,13 +47,15 @@ def _check_pow2(n: int) -> None:
         )
 
 
-def _phase(rows: int, cols: int, n: int, inverse: bool) -> np.ndarray:
-    """``exp(-+2 pi i r c / n)`` for r < rows, c < cols, in float64.
+def _phase(rows, cols, n: int, inverse: bool) -> np.ndarray:
+    """``exp(-+2 pi i r c / n)`` over index arrays ``rows`` x ``cols``, in float64.
 
-    ``r c`` is reduced mod n in integers first, and quarter turns are
-    exact, so DC and Nyquist terms carry no stray imaginary part.
+    An int ``k`` stands for ``arange(k)``.  ``r c`` is reduced mod n in
+    integers first, and quarter turns are exact, so DC and Nyquist terms
+    carry no stray imaginary part.
     """
-    r = np.outer(np.arange(rows), np.arange(cols)) % n
+    r = np.outer(np.arange(rows) if np.ndim(rows) == 0 else rows,
+                 np.arange(cols) if np.ndim(cols) == 0 else cols) % n
     w = np.exp((2j if inverse else -2j) * np.pi * r / n)
     quarter = (4 * r) % n == 0
     w[quarter] = np.round(w[quarter])
@@ -62,26 +68,28 @@ def _frozen(a: np.ndarray, dtype) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=64)
-def _matrix(n: int, inverse: bool, dtype: str) -> np.ndarray:
-    """``n x n`` complex DFT matrix, with the 1/n when inverse."""
-    return _frozen(_phase(n, n, n, inverse) / (n if inverse else 1), dtype)
+@lru_cache(maxsize=128)
+def dft_matrix(n: int, bins, inverse: bool, real: bool, dtype: str) -> np.ndarray:
+    """Read-only DFT matrix of an ``n``-point axis for ``bins``, built in float64.
 
-
-@lru_cache(maxsize=64)
-def _real_matrix(n: int, inverse: bool, dtype: str) -> np.ndarray:
-    """Real DFT of ``n`` points on (re, im) pairs of bins 0..n/2.
-
-    Analysis is [n, n + 2], columns (Re, Im) of ``exp(-2 pi i t k / n)``;
-    synthesis is [n + 2, n], rows (Re, -Im) of ``exp(2 pi i k t / n) / n``
-    times 2 for every bin but DC and Nyquist, whose Im rows are zero.
+    ``bins`` is a count ``k``, for bins ``0..k-1``, or a tuple of bins.
+    Analysis is [n, k], ``F = exp(-2 pi i t b / n)``; synthesis
+    (``inverse``) is [k, n], ``G = exp(2 pi i b t / n) / n``.  A ``real``
+    matrix acts on (re, im) pairs: analysis has columns (Re F, Im F), and
+    synthesis rows (Re G, -Im G) with the Hermitian weights 1 for DC and
+    Nyquist and 2 for every other bin, so its output is the real signal.
     """
-    m = n // 2
+    b = np.arange(bins) if isinstance(bins, int) else np.array(bins)
     if not inverse:
-        w = _phase(n, m + 1, n, False)
-        return _frozen(np.stack([w.real, w.imag], axis=-1).reshape(n, n + 2), dtype)
-    w = _phase(m + 1, n, n, True) * np.where(np.arange(m + 1) % m == 0, 1, 2)[:, None] / n
-    return _frozen(np.stack([w.real, -w.imag], axis=1).reshape(n + 2, n), dtype)
+        w = _phase(n, b, n, False)
+        if real:
+            w = np.stack([w.real, w.imag], axis=-1).reshape(n, 2 * len(b))
+        return _frozen(w, dtype)
+    w = _phase(b, n, n, True)
+    if real:
+        w = w * np.where((b == 0) | (2 * b == n), 1, 2)[:, None] / n
+        return _frozen(np.stack([w.real, -w.imag], axis=1).reshape(2 * len(b), n), dtype)
+    return _frozen(w / n, dtype)
 
 
 @lru_cache(maxsize=64)
@@ -103,28 +111,53 @@ def _sorensen(m: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray
     return _frozen((1 + i * w) / 2, dtype), _frozen((1 - i * w) / 2, dtype)
 
 
-def _rows(x: np.ndarray, n: int) -> np.ndarray:
-    """``x[..., n]`` as [first axis, rows, n]: the stack a dense matmul runs over."""
-    if x.ndim == 1:
-        return x.reshape(1, 1, n)
-    return x.reshape(x.shape[0], math.prod(x.shape[1:-1]), n)
+def apply_dft(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    """``x`` contracted with ``mat`` over ``axis`` where it lies, into a new array.
+
+    The last axis runs as ``rows @ mat``, with ``x`` viewed as [first axis,
+    rows, n].  An inner axis views ``x`` as [pre, n, post] and takes
+    ``mat^T`` times it, batched over ``pre``, with no transpose of ``x``.
+    Against a real ``mat`` of (re, im) pairs, complex ``x`` is split into
+    pairs and the product of real ``x`` is joined into complex values.
+    Both happen on the truncated side, which holds the bins, not the grid.
+    """
+    axis %= x.ndim
+    shape = x.shape
+    split = mat.dtype.kind == "f" and x.dtype.kind == "c"
+    join = mat.dtype.kind == "f" and x.dtype.kind == "f"
+    if axis == x.ndim - 1:
+        if split:
+            x = np.ascontiguousarray(x).view(x.real.dtype)
+        n = x.shape[-1]
+        rows = x.reshape(1, 1, n) if x.ndim == 1 else x.reshape(x.shape[0], math.prod(x.shape[1:-1]), n)
+        out = np.matmul(rows, mat)
+        if join:
+            out = out.view(np.result_type(out.dtype, np.complex64))
+        return out.reshape(shape[:-1] + (-1,))
+    x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+    if split:                                  # [pre, k, post] as [pre, (k, re|im), post]
+        x3 = np.stack([x3.real, x3.imag], axis=2).reshape(x3.shape[0], -1, x3.shape[2])
+    out = np.matmul(mat.T, x3)
+    if join:                                   # [pre, (k, re|im), post] as complex [pre, k, post]
+        pre, k2, post = out.shape
+        out = out.reshape(pre, k2 // 2, 2, post).swapaxes(2, 3)
+        out = np.ascontiguousarray(out).view(np.result_type(out.dtype, np.complex64))
+    return out.reshape(shape[:axis] + (-1,) + shape[axis + 1:])
 
 
 def _dft(x: np.ndarray, inverse: bool) -> np.ndarray:
     """DFT along axis 1 of a complex [p, n, q] array, into a new array."""
     p, n, q = x.shape
     if n <= BLOCK:
-        return np.matmul(_matrix(n, inverse, x.dtype.str), x)
+        return apply_dft(x, 1, dft_matrix(n, n, inverse, False, x.dtype.str))
     n1 = min(BLOCK, 1 << ((n.bit_length() - 1) // 2))
     n2 = n // n1
     # x[t1 n2 + t2] -> y[k1, t2], times w^(k1 t2) -> X[k1 + n1 k2]
-    y = np.matmul(_matrix(n1, inverse, x.dtype.str), x.reshape(p, n1, n2 * q))
-    y = y.reshape(p, n1, n2, q)
+    y = _dft(x.reshape(p, n1, n2 * q), inverse).reshape(p, n1, n2, q)
     y *= _twiddle(n1, n2, inverse, x.dtype.str)
     if q == 1 and n2 <= BLOCK:
         # rows through the transposed view, so the product lands as [k2, k1]
-        y = y.reshape(p, n1, n2).transpose(0, 2, 1)
-        return np.matmul(_matrix(n2, inverse, x.dtype.str), y).reshape(p, n, 1)
+        return _dft(y.reshape(p, n1, n2).transpose(0, 2, 1), inverse).reshape(p, n, 1)
     y = _dft(y.reshape(p * n1, n2, q), inverse).reshape(p, n1, n2, q)
     return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(p, n, q)
 
@@ -133,15 +166,11 @@ def _along(x: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
     """Complex DFT of ``x`` along ``axis``, into a new C-ordered array."""
     axis %= x.ndim
     shape, n = x.shape, x.shape[axis]
-    if axis < x.ndim - 1:
-        out = _dft(x.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:])), inverse)
-    elif n > BLOCK:
-        # one stacked item per line: the four-step views each line as [n1, n2]
-        out = _dft(x.reshape(math.prod(shape[:-1]), n, 1), inverse)
-    else:
-        # the matrix is symmetric: rows times it transform the last axis
-        out = np.matmul(_rows(x, n), _matrix(n, inverse, x.dtype.str))
-    return out.reshape(shape)
+    if n <= BLOCK:
+        return apply_dft(x, axis, dft_matrix(n, n, inverse, False, x.dtype.str))
+    # on the last axis, one stacked item per line: the four-step views each as [n1, n2]
+    x3 = x.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
+    return _dft(x3, inverse).reshape(shape)
 
 
 def _complex_dtype(dtype: np.dtype) -> np.dtype:
@@ -183,8 +212,7 @@ def _rfft_last(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     cdt = _complex_dtype(x.dtype)
     if n <= BLOCK:
-        out = np.matmul(_rows(x, n), _real_matrix(n, False, x.dtype.str))
-        return out.view(cdt).reshape(x.shape[:-1] + (n // 2 + 1,))
+        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, False, True, x.dtype.str))
     m = n // 2
     # Z = E + i O, where E and O are the spectra of the even and odd samples
     z = _along(x.view(cdt), -1, inverse=False)
@@ -204,9 +232,7 @@ def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
     """``n`` real points from bins 0..n/2 on the last axis of ``x``."""
     real = x.real.dtype
     if n <= BLOCK:
-        pairs = np.ascontiguousarray(x).view(real)
-        out = np.matmul(_rows(pairs, n + 2), _real_matrix(n, True, real.str))
-        return out.reshape(x.shape[:-1] + (n,))
+        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, True, True, real.str))
     m = n // 2
     # Z[k] = A'_k X[k] + B'_k conj(X[m-k]); only the real parts of X[0], X[m] count
     z = np.empty(x.shape[:-1] + (m,), dtype=x.dtype)

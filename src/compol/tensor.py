@@ -15,8 +15,9 @@ cycle between its tensors and its tape.
 
 Complex cotangents use the ``d/dRe + i*d/dIm`` convention.  Under it a
 truncated DFT ``y = x @ M``, with ``M`` the cached [n, k] analysis or
-[k, n] synthesis matrix, has the backward ``g @ M^H``; a real input takes
-its real part, and a real output is the real part of the weighted
+[k, n] synthesis matrix of :func:`compol.fft.dft_matrix`, applied by
+:func:`compol.fft.apply_dft`, has the backward ``g @ M^H``; a real input
+takes its real part, and a real output is the real part of the weighted
 synthesis.  That keeps real-in/real-out spectral pipelines exactly
 consistent with finite differences.
 
@@ -26,11 +27,12 @@ used from the thread that recorded it.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .fft import apply_dft, dft_matrix
 
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
@@ -515,75 +517,25 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
 # truncated discrete Fourier transforms
 
 
-@functools.lru_cache(maxsize=32)
-def _dft_matrix(synthesis: bool, real: bool, n: int, bins: tuple[int, ...],
-                dtype: str) -> np.ndarray:
-    """Read-only DFT matrix for ``bins`` of an ``n``-point axis, built in float64.
-
-    Analysis is [n, k], ``F = exp(-2 pi i t b / n)``; synthesis is [k, n],
-    ``G = exp(2 pi i b t / n) / n``, with the Hermitian weights 1 (DC and
-    Nyquist) and 2 (other bins) when its output is real.  A ``real`` matrix
-    interleaves real and imaginary parts, columns (Re F, Im F) or rows
-    (Re G, -Im G), so complex data meets it as (re, im) pairs in one real
-    matmul (see :func:`_dft_apply`).
-    """
-    b = np.asarray(bins)
-    # reduce t*b modulo n in integers so the angle is exact before rounding
-    phase = np.exp(2j * np.pi * (np.outer(np.arange(n), b) % n) / n)   # [n, k]
-    edge = (b == 0) | (2 * b == n)
-    phase[:, edge] = phase[:, edge].real      # DC and Nyquist phases are ±1
-    if synthesis:
-        mat = (phase * (np.where(edge, 1.0, 2.0) if real else 1.0) / n).T
-        if real:
-            mat = np.stack([mat.real, -mat.imag], axis=1).reshape(2 * len(b), n)
-    else:
-        mat = np.conj(phase)
-        if real:
-            mat = np.stack([mat.real, mat.imag], axis=-1).reshape(n, 2 * len(b))
-    mat = np.ascontiguousarray(mat.astype(dtype))
-    mat.flags.writeable = False
-    return mat
-
-
-def _dft_apply(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    """``x @ mat`` contracted over ``axis`` where it lies, with no transpose of ``x``.
-
-    ``x`` is viewed as ``[pre, n, post]`` and left-multiplied by ``mat^T``,
-    batched over ``pre``.
-    Against a real ``mat`` of (re, im) pairs, complex ``x`` is split into
-    pairs and real ``x`` gives complex pairs.  Both happen on the truncated
-    side, which holds the retained bins, not the grid.
-    """
-    axis %= x.ndim
-    shape = x.shape
-    pairs = mat.dtype.kind == "f"
-    x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
-    if pairs and x.dtype.kind == "c":          # [pre, k, post] as [pre, (k, re|im), post]
-        x3 = np.stack([x3.real, x3.imag], axis=2).reshape(x3.shape[0], -1, x3.shape[2])
-    out = np.matmul(mat.T, x3)
-    if pairs and x.dtype.kind == "f":          # [pre, (k, re|im), post] as complex [pre, k, post]
-        pre, k2, post = out.shape
-        out = out.reshape(pre, k2 // 2, 2, post).swapaxes(2, 3)
-        out = np.ascontiguousarray(out).view(np.result_type(mat.dtype, np.complex64))
-    return out.reshape(shape[:axis] + (-1,) + shape[axis + 1:])
-
-
 def _dft(name: str, a: Tensor, bins, n: int, axis: int, synthesis: bool, real: bool) -> Tensor:
-    key = tuple(int(b) for b in np.asarray(bins, dtype=np.intp).reshape(-1))
-    if not key or not all(0 <= b < n for b in key):
-        raise ShapeError(f"{name}: bins must be non-empty and within [0, {n}), got {list(key)}")
+    b = np.asarray(bins).reshape(-1)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ShapeError(f"{name}: n must be an integer, got {n!r}")
+    if b.dtype.kind not in "iu" or not b.size or b.min() < 0 or b.max() >= n:
+        raise ShapeError(f"{name}: bins must be non-empty integers within [0, {n}), got {b.tolist()}")
+    key, n = tuple(b.tolist()), int(n)
     if synthesis and a.shape[axis] != len(key):
         raise ShapeError(f"{name}: {a.shape[axis]} entries on axis {axis} but {len(key)} bins")
 
     def matrix(dtype):
         dtype = np.finfo(dtype).dtype if real else np.result_type(dtype, np.complex64)
-        return _dft_matrix(synthesis, real, n, key, dtype.str)
+        return dft_matrix(n, key, synthesis, real, dtype.str)
 
     def bwd(g):
         # g @ M^H, in the cotangent's precision, which may exceed the input's
-        return (_dft_apply(g, axis, _conj_t(matrix(g.dtype))),)
+        return (apply_dft(g, axis, _conj_t(matrix(g.dtype))),)
 
-    return _record(name, _dft_apply(a.data, axis, matrix(a.dtype)), (a,), bwd)
+    return _record(name, apply_dft(a.data, axis, matrix(a.dtype)), (a,), bwd)
 
 
 def dft_analysis(a: Tensor, bins, axis: int = -1) -> Tensor:
@@ -608,7 +560,7 @@ def dft_synthesis(a: Tensor, bins, n: int, axis: int = -1, real: bool = False) -
     a = _wrap(a)
     if not a.is_complex:
         raise DtypeError("dft_synthesis expects a complex tensor")
-    return _dft("dft_synthesis", a, bins, int(n), axis, True, bool(real))
+    return _dft("dft_synthesis", a, bins, n, axis, True, bool(real))
 
 
 def mode_mix(v: Tensor, r: Tensor) -> Tensor:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from compol import fft as K
 from compol import tensor as T
+from compol.layers import full_axis_mode_indices
 
 
 def leafs(tape, *arrays):
@@ -409,6 +410,39 @@ def test_dft_ops_dtype_and_bin_errors():
         T.dft_synthesis(T.Tensor(np.ones(4, dtype=complex)), np.arange(5), 8)
 
 
+def test_dft_ops_refuse_bins_and_lengths_that_are_not_integers():
+    with pytest.raises(T.ShapeError):
+        T.dft_analysis(T.Tensor(np.ones(8)), [0, 1.7])
+    with pytest.raises(T.ShapeError):
+        T.dft_analysis(T.Tensor(np.ones(8)), np.array([0.0, 1.0]))
+    with pytest.raises(T.ShapeError):
+        T.dft_analysis(T.Tensor(np.ones(8)), [])
+    with pytest.raises(T.ShapeError):
+        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 1], 8.5)
+    with pytest.raises(T.ShapeError):
+        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 1], 8.0)
+    with pytest.raises(T.ShapeError):
+        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 0.5], 8)
+    # integer arrays of any width, and numpy integer lengths, still pass
+    got = T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), np.arange(2, dtype=np.uint8), np.int32(8))
+    assert got.shape == (8,)
+    assert T.dft_analysis(T.Tensor(np.ones(8)), full_axis_mode_indices(5, 8)).shape == (5,)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dft_ops_take_exact_quarter_turns(dtype):
+    """exp(-+i pi/2) is exactly -+1j in the tape's matrices, as in compol.fft."""
+    n = 64
+    impulse = np.zeros(n, dtype=dtype)
+    impulse[n // 4] = 1
+    for x in (impulse, impulse.astype(np.result_type(dtype, np.complex64))):
+        got = T.dft_analysis(T.Tensor(x), [1]).data
+        assert got[0] == -1j and got[0].real == 0
+    unit = np.ones(1, dtype=np.result_type(dtype, np.complex64))
+    got = T.dft_synthesis(T.Tensor(unit), [1], n).data
+    assert got[n // 4] == 1j / n and got[n // 4].real == 0
+
+
 def test_integer_input_promoted_to_float():
     t = T.Tensor(np.ones(3, dtype=np.int64))
     assert t.data.dtype == np.float64
@@ -437,8 +471,11 @@ def _embed(a, bins, n):
     return full
 
 
-@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("n", [8, 64, 128])
 def test_dft_ops_match_fft_and_direct_definition(n):
+    """Up to 64 points the tape and ``compol.fft`` share one dense matrix;
+    at 128 the tape's dense matrix meets fft's four-step and packed-real
+    path, and the direct O(N^2) sums check both."""
     rng = np.random.default_rng(3)
     half = np.arange(n // 2 + 1)
     rows = np.array([0, 1, n - 1, 2, n - 2])
@@ -546,7 +583,7 @@ def _mid(a):
     return np.ascontiguousarray(np.repeat(a[:, :, None], 3, axis=2) * [1.0, -0.5, 2.0])
 
 
-@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("n", [8, 64, 128])
 def test_dft_ops_on_a_middle_axis_match_fft_and_direct_definition(n):
     """Axis 1 of [b, n, c], the channels-last grid axis: real input to
     complex bins and back, and complex both ways."""
