@@ -6,7 +6,7 @@ Everything downstream (Fourier layers, aggregation, training) sits on a
 small reverse-mode tape over numpy arrays plus a power-of-two FFT.  This demo
 pokes both with the checks we trust day to day: a finite-difference
 gradient probe, round trips, Parseval, the brute-force DFT, and the tape's
-truncated DFT against the FFT.
+spectral convolution against the FFT.
 """
 
 import numpy as np
@@ -66,14 +66,18 @@ try:
 except fft.UnsupportedLengthError as exc:
     print("length 48 ->", exc)
 
-# --- truncated spectra are differentiable too -------------------------------
-# the model never needs a whole spectrum: dft_analysis computes just the bins
-# it is asked for (here the 9 lowest of 32) as one matmul, and its gradient is
-# the conjugate-transposed DFT matrix applied to the incoming cotangent
+# --- a Fourier layer's spectral convolution is one tape op -----------------
+# spectral_conv keeps the 9 lowest of the 17 real-transform bins of a
+# 32-point grid, mixes the channels of each bin with its own complex matrix,
+# and zeroes the rest.  Only the retained bins are ever computed; the real
+# field v and the complex weights r both get gradients.
 tape = T.Tape()
-v = tape.leaf(rng.standard_normal((2, 32)))
-spec = T.dft_analysis(v, np.arange(9))
-print("low bins vs rfft max abs:", np.abs(spec.data - fft.rfft(v.data)[..., :9]).max())
-power = T.reduce_sum(T.mul(T.real(spec), T.real(spec)))
-g = T.backward(tape, power)[v]
-print("d(low-band power)/dv shape:", g.shape, "finite:", np.isfinite(g).all())
+v = tape.leaf(rng.standard_normal((2, 32, 3)))            # [batch, grid, channels]
+r = tape.leaf(rng.standard_normal((3, 3, 9)) + 1j * rng.standard_normal((3, 3, 9)))
+out = T.spectral_conv(v, r)
+mixed = np.einsum("bki,iok->bko", fft.rfft(v.data, (1,))[:, :9], r.data)
+want = fft.irfft(np.pad(mixed, ((0, 0), (0, 8), (0, 0))), (1,), 32)
+print("spectral conv vs rfft/mix/irfft max abs:", np.abs(out.data - want).max())
+energy = T.reduce_sum(T.mul(out, out))
+g = T.backward(tape, energy)
+print("gradient shapes:", g[v].shape, g[r].shape, g[r].dtype)

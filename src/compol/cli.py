@@ -6,10 +6,10 @@ dataset), ``train`` (fit a model from a JSON experiment config),
 finite-difference suites), and ``export-plot`` (turn run records into
 CSV tables).
 
-Exit codes: 0 success, 1 verification or numeric failure (gradient
-check failed, solver blow-up, non-finite loss, incompatible
-checkpoint/data pair), 2 usage or I/O error (bad flags, bad config
-schema, missing files, corrupt or truncated datasets and checkpoints).
+Exit codes: 0 success, 1 verification or numeric failure (gradient check
+failed, solver blow-up, non-finite loss, incompatible checkpoint/data
+pair) or an interrupt (Ctrl-C), 2 usage or I/O error (bad flags, bad
+config schema, missing files, corrupt or truncated datasets and checkpoints).
 Every artifact written embeds the hash of the configuration that
 produced it.
 
@@ -34,8 +34,8 @@ import numpy as np
 from . import datagen as D
 from . import model as M
 from . import training as TR
-from .dataio import (MANIFEST_FILENAME, check_fields, config_hash, load_dataset,
-                     write_fields, write_manifest)
+from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, check_fields, config_hash,
+                     load_dataset, write_fields, write_manifest)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -295,7 +295,7 @@ def cmd_eval(args) -> int:
         dump_path = os.path.join(out_dir, "error_fields.cmpd")
         write_fields(dump_path, header, [[err] for err in result.error_fields])
         write_manifest(os.path.join(out_dir, MANIFEST_FILENAME), {
-            "format": "CMPLDATA", "version": 1,
+            "format": MAGIC.decode("ascii"), "version": FORMAT_VERSION,
             "files": [{"name": "error_fields.cmpd"}],
             "config_hash": (extra or {}).get("experiment_hash"),
             "data_signature": data_sig,
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except (D.BlowUpError, TR.TrainingError, IncompatibleError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:       # Ctrl-C: a run that did not finish
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

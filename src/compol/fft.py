@@ -7,9 +7,9 @@ factor per transformed axis.  The real-input variant keeps only the
 A length ``n <= BLOCK`` is one matmul by a cached DFT matrix: ``n x n``
 complex, or for real data the ``[n, n + 2]`` analysis and ``[n + 2, n]``
 synthesis matrices that act on (re, im) pairs.  :func:`dft_matrix` builds
-every such matrix and :func:`apply_dft` contracts an axis with one; the
-tape's truncated DFTs (``compol.tensor.dft_analysis`` and
-``dft_synthesis``) use the same pair for their retained bins.
+every such matrix, here and for the tape: ``compol.tensor.spectral_conv``
+derives its real matrices for the retained bins from it.
+:func:`apply_dft` contracts an axis with one.
 
 A longer length takes one four-step split ``n = n1 n2`` (Bailey 1990):
 ``n1``-point DFTs down the columns of the ``[n1, n2]`` view, one twiddle
@@ -115,34 +115,25 @@ def apply_dft(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     """``x`` contracted with ``mat`` over ``axis`` where it lies, into a new array.
 
     The last axis runs as ``rows @ mat``, with ``x`` viewed as [first axis,
-    rows, n].  An inner axis views ``x`` as [pre, n, post] and takes
-    ``mat^T`` times it, batched over ``pre``, with no transpose of ``x``.
-    Against a real ``mat`` of (re, im) pairs, complex ``x`` is split into
-    pairs and the product of real ``x`` is joined into complex values.
-    Both happen on the truncated side, which holds the bins, not the grid.
+    rows, n].  There a real ``mat`` of (re, im) pairs reads complex ``x`` as
+    pairs, and the product of real ``x`` as complex values.  An inner axis
+    takes a complex ``mat``: ``x`` is viewed as [pre, n, post] and
+    multiplied by ``mat^T``, batched over ``pre``, with no transpose of ``x``.
     """
     axis %= x.ndim
     shape = x.shape
-    split = mat.dtype.kind == "f" and x.dtype.kind == "c"
-    join = mat.dtype.kind == "f" and x.dtype.kind == "f"
-    if axis == x.ndim - 1:
-        if split:
-            x = np.ascontiguousarray(x).view(x.real.dtype)
-        n = x.shape[-1]
-        rows = x.reshape(1, 1, n) if x.ndim == 1 else x.reshape(x.shape[0], math.prod(x.shape[1:-1]), n)
-        out = np.matmul(rows, mat)
-        if join:
-            out = out.view(np.result_type(out.dtype, np.complex64))
-        return out.reshape(shape[:-1] + (-1,))
-    x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
-    if split:                                  # [pre, k, post] as [pre, (k, re|im), post]
-        x3 = np.stack([x3.real, x3.imag], axis=2).reshape(x3.shape[0], -1, x3.shape[2])
-    out = np.matmul(mat.T, x3)
-    if join:                                   # [pre, (k, re|im), post] as complex [pre, k, post]
-        pre, k2, post = out.shape
-        out = out.reshape(pre, k2 // 2, 2, post).swapaxes(2, 3)
-        out = np.ascontiguousarray(out).view(np.result_type(out.dtype, np.complex64))
-    return out.reshape(shape[:axis] + (-1,) + shape[axis + 1:])
+    if axis < x.ndim - 1:
+        x3 = x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+        return np.matmul(mat.T, x3).reshape(shape[:axis] + (-1,) + shape[axis + 1:])
+    pairs, real_in = mat.dtype.kind == "f", x.dtype.kind == "f"
+    if pairs and not real_in:
+        x = np.ascontiguousarray(x).view(x.real.dtype)
+    n = x.shape[-1]
+    rows = x.reshape(1, 1, n) if x.ndim == 1 else x.reshape(x.shape[0], math.prod(x.shape[1:-1]), n)
+    out = np.matmul(rows, mat)
+    if pairs and real_in:
+        out = out.view(np.result_type(out.dtype, np.complex64))
+    return out.reshape(shape[:-1] + (-1,))
 
 
 def _dft(x: np.ndarray, inverse: bool) -> np.ndarray:

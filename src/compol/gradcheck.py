@@ -112,29 +112,15 @@ def _suite_tensor(results):
     _check("tensor", "reduce_mean",
            lambda a: T.reduce_sum(T.reduce_mean(a, (1,)) * pr3), [x], results)
 
-    half, rows = np.arange(5), np.array([0, 1, 7, 2, 6])
-    pc5 = T.Tensor(_cplx(rng, 2, 5))
-    p8 = T.Tensor(_real(rng, 2, 8))
-    pc53 = T.Tensor(_cplx(rng, 2, 5, 3))
-    pc83 = T.Tensor(_cplx(rng, 2, 8, 3))
-    _check("tensor", "dft_analysis_real",
-           lambda a: T.reduce_sum(T.real(T.dft_analysis(a, half) * pc5)),
-           [_real(rng, 2, 8)], results)
-    _check("tensor", "dft_analysis_complex",
-           lambda a: T.reduce_sum(T.real(T.dft_analysis(a, rows, -2) * pc53)),
-           [_cplx(rng, 2, 8, 3)], results)
-    _check("tensor", "dft_synthesis_real",
-           lambda a: T.reduce_sum(T.dft_synthesis(a, half, 8, real=True) * p8),
-           [_cplx(rng, 2, 5)], results)
-    _check("tensor", "dft_synthesis_complex",
-           lambda a: T.reduce_sum(T.real(T.dft_synthesis(a, rows, 8, -2) * pc83)),
-           [_cplx(rng, 2, 5, 3)], results)
-
-    v = _cplx(rng, 2, 6, 3)         # [b, k, i] against [i, o, k]
-    r = _cplx(rng, 3, 3, 6)
-    pv = T.Tensor(_cplx(rng, 2, 6, 3))
-    _check("tensor", "mode_mix",
-           lambda a, b: T.reduce_sum(T.real(T.mode_mix(a, b) * pv)), [v, r], results)
+    _real(rng, 636)                 # unused draws: the probes after them stay as they were
+    rc = _rng(13)
+    # every real-axis bin, Nyquist included, and in 2-D every full-axis bin
+    for name, grid, modes in (("spectral_conv_all_bins", (8,), (5,)),
+                              ("spectral_conv_2d_all_bins", (8, 4), (3, 8))):
+        pr_sc = T.Tensor(_real(rc, 2, *grid, 2))
+        _check("tensor", name,
+               lambda v_, r_, _pr=pr_sc: T.reduce_sum(T.spectral_conv(v_, r_) * _pr),
+               [_real(rc, 2, *grid, 3), _cplx(rc, 3, 2, *modes)], results)
 
     _check("tensor", "softmax",
            lambda a: T.reduce_sum(T.softmax(a, -1) * prT), [x], results)

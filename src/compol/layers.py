@@ -4,8 +4,8 @@ Latents are channels-last: a layer maps a field ``v`` of shape
 [batch, *grid, width] to ``act(v W + b + spectral_conv(v, R))``, where the
 spectral convolution multiplies retained low-frequency modes by learned
 complex matrices and zeroes the rest.  Every channel map is then one
-matmul over the last axis, and the truncated DFTs contract the grid axes
-where they lie.  ``lift`` takes the model's [batch, channels, *grid]
+matmul over the last axis, and the spectral convolution contracts the
+grid axes where they lie.  ``lift`` takes the model's [batch, channels, *grid]
 inputs into this layout and ``project`` returns to it.
 
 Mode retention follows the usual convention for real transforms: the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, full_axis_mode_indices
 
 __all__ = [
     "FourierLayerParams", "LiftProjectParams",
@@ -107,18 +107,6 @@ def _mode_counts(modes, spatial_dims: int) -> tuple[int, ...]:
     return modes
 
 
-def full_axis_mode_indices(k: int, n: int) -> np.ndarray:
-    """Bins of the k lowest-|frequency| modes on a full FFT axis of extent n.
-
-    Frequencies are taken in the order 0, +1, -1, +2, -2, ... so k=5 on
-    n=8 selects bins [0, 1, 7, 2, 6].
-    """
-    if k > n:
-        raise ValueError(f"cannot retain {k} modes on an axis of extent {n}")
-    freqs = [0] + [s * f for f in range(1, k) for s in (1, -1)]
-    return np.asarray(freqs[:k], dtype=np.intp) % n
-
-
 def channel_affine(v: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Pointwise channel map on the last axis of [batch, *grid, channels]."""
     return T.affine(v, w, b)
@@ -128,28 +116,11 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
     """Multiply retained Fourier modes of ``v`` by ``r``, zero the rest.
 
     ``v`` is [batch, n, width] or [batch, n1, n2, width]; ``r`` is stored
-    [width, width, k1] or [width, width, k1, k2].  Only the retained bins
-    are ever computed: truncated DFTs in, per-mode mixing, truncated DFTs
-    out, one grid axis at a time and in place.
+    [width, width, k1] or [width, width, k1, k2].  One tape node,
+    :func:`compol.tensor.spectral_conv`, which computes only the retained
+    bins and refuses more modes than the grid holds.
     """
-    spatial = v.ndim - 2
-    if spatial == 1:
-        n = v.shape[1]
-        k1 = r.shape[-1]
-        if k1 > n // 2 + 1:
-            raise T.ShapeError(f"k1={k1} exceeds {n // 2 + 1} real-axis bins")
-        mixed = T.mode_mix(T.dft_analysis(v, np.arange(k1), 1), r)
-        return T.dft_synthesis(mixed, np.arange(k1), n, 1, real=True)
-    if spatial == 2:
-        n1, n2 = v.shape[1], v.shape[2]
-        k1, k2 = r.shape[-2], r.shape[-1]
-        if k1 > n2 // 2 + 1:
-            raise T.ShapeError(f"k1={k1} exceeds {n2 // 2 + 1} real-axis bins")
-        cols, rows = np.arange(k1), full_axis_mode_indices(k2, n1)
-        sel = T.dft_analysis(T.dft_analysis(v, cols, 2), rows, 1)     # [b, k2, k1, w]
-        mixed = T.mode_mix(sel, r)
-        return T.dft_synthesis(T.dft_synthesis(mixed, rows, n1, 1), cols, n2, 2, real=True)
-    raise T.ShapeError(f"spectral_conv expects 1 or 2 spatial axes, got {spatial}")
+    return T.spectral_conv(v, r)
 
 
 def fourier_layer(v: Tensor, p: FourierLayerParams, activation: str = "gelu") -> Tensor:

@@ -1,7 +1,7 @@
 """Dense tensors on a reverse-mode differentiation tape.
 
-Values are contiguous row-major numpy arrays in one of four dtypes
-(float32/float64/complex64/complex128).  Operations on raw tensors just
+Values are contiguous row-major numpy arrays: float32 or float64, and
+complex64 or complex128 for spectral weights.  Operations on raw tensors just
 compute; as soon as an operand carries a tape node, the result is
 recorded so :func:`backward` can sweep the chain once in reverse,
 accumulating cotangents at fan-out points.
@@ -13,13 +13,13 @@ gradients of the leaves only.  A swept tape records nothing more and cannot
 be swept again (:class:`TapeError`), so a training step leaves no reference
 cycle between its tensors and its tape.
 
-Complex cotangents use the ``d/dRe + i*d/dIm`` convention.  Under it a
-truncated DFT ``y = x @ M``, with ``M`` the cached [n, k] analysis or
-[k, n] synthesis matrix of :func:`compol.fft.dft_matrix`, applied by
-:func:`compol.fft.apply_dft`, has the backward ``g @ M^H``; a real input
-takes its real part, and a real output is the real part of the weighted
-synthesis.  That keeps real-in/real-out spectral pipelines exactly
-consistent with finite differences.
+Every op but one takes real operands only.  :func:`spectral_conv` takes the
+complex mode weights ``r`` of a Fourier layer, and those are the only
+complex tensors on a tape.  Their gradients follow the ``d/dRe + i*d/dIm``
+convention: the complex number whose real and imaginary parts are the
+derivatives by the real and imaginary parts of ``r``.  Inside the op the
+truncated DFTs are real matrices on (re, im) pairs, and the mix is a complex
+matmul, so its backward is the transposes (conjugate transposes for the mix).
 
 Tensors are treated as immutable once created, and a tape must only be
 used from the thread that recorded it.
@@ -28,25 +28,22 @@ used from the thread that recorded it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fft import apply_dft, dft_matrix
+from .fft import _frozen, dft_matrix
 
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
-    "affine", "einsum", "reduce_sum", "reduce_mean",
-    "dft_analysis", "dft_synthesis", "mode_mix", "softmax",
-    "concat", "moveaxis", "reshape", "real",
+    "affine", "einsum", "reduce_sum", "reduce_mean", "softmax",
+    "spectral_conv", "full_axis_mode_indices", "concat", "moveaxis", "reshape",
     "backward", "finite_diff_check", "finite_diff_report",
 ]
 
-_REAL = (np.dtype(np.float32), np.dtype(np.float64))
-_COMPLEX = (np.dtype(np.complex64), np.dtype(np.complex128))
-_SUPPORTED = _REAL + _COMPLEX
-_SUPPORTED_SET = frozenset(_SUPPORTED)
+_SUPPORTED = frozenset(map(np.dtype, ("float32", "float64", "complex64", "complex128")))
 
 
 class ShapeError(ValueError):
@@ -54,7 +51,7 @@ class ShapeError(ValueError):
 
 
 class DtypeError(TypeError):
-    """Unsupported dtype or real/complex mixing."""
+    """Unsupported dtype, or a complex operand to an op that takes real ones."""
 
 
 class TapeError(RuntimeError):
@@ -67,13 +64,13 @@ class Tensor:
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, data, tape: "Tape | None" = None, node_id: int | None = None):
-        if type(data) is np.ndarray and data.dtype in _SUPPORTED_SET and data.flags.c_contiguous:
+        if type(data) is np.ndarray and data.dtype in _SUPPORTED and data.flags.c_contiguous:
             self.data = data
         else:
             arr = np.asarray(data)
             if arr.dtype.kind in "iub":
                 arr = arr.astype(np.float64)
-            if arr.dtype not in _SUPPORTED_SET:
+            if arr.dtype not in _SUPPORTED:
                 raise DtypeError(f"unsupported dtype {arr.dtype}")
             self.data = np.ascontiguousarray(arr)
         self.tape = tape
@@ -97,7 +94,7 @@ class Tensor:
 
     @property
     def is_complex(self) -> bool:
-        return self.data.dtype in _COMPLEX
+        return self.data.dtype.kind == "c"
 
     def item(self) -> float:
         return self.data.item()
@@ -115,7 +112,7 @@ class Tensor:
         return sub(_wrap(other), self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, (int, float)) and not isinstance(other, bool):
             return scale(self, other)
         return mul(self, _wrap(other))
 
@@ -207,13 +204,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _require_same_kind(a: Tensor, b: Tensor, op: str) -> None:
-    if a.is_complex != b.is_complex:
-        raise DtypeError(f"{op}: cannot mix real and complex operands")
-
-
-def _require_real(t: Tensor, op: str) -> None:
-    if t.is_complex:
+def _require_real(op: str, *ts: Tensor) -> None:
+    if any(t.is_complex for t in ts):
         raise DtypeError(f"{op}: complex input not supported")
 
 
@@ -230,7 +222,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _require_same_kind(a, b, "add")
+    _require_real("add", a, b)
     _check_broadcast(a, b, "add")
     out = a.data + b.data
 
@@ -242,7 +234,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _require_same_kind(a, b, "sub")
+    _require_real("sub", a, b)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
 
@@ -254,33 +246,31 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _require_same_kind(a, b, "mul")
+    _require_real("mul", a, b)
     _check_broadcast(a, b, "mul")
     out = a.data * b.data
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * np.conj(bd), a.shape), _unbroadcast(g * np.conj(ad), b.shape)
+        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
     return _record("mul", out, (a, b), bwd)
 
 
-def scale(a: Tensor, c: float | complex) -> Tensor:
+def scale(a: Tensor, c: float) -> Tensor:
     a = _wrap(a)
-    if isinstance(c, complex) and not a.is_complex:
-        raise DtypeError("scale: complex factor on a real tensor")
+    _require_real("scale", a, _wrap(c))
     out = a.data * c
 
     def bwd(g):
-        # a Python scalar's conjugate stays a weak scalar, so g keeps its dtype
-        return (g * c.conjugate(),)
+        return (g * c,)     # a Python scalar stays weak, so g keeps its dtype
 
     return _record("scale", out, (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
     a = _wrap(a)
-    _require_real(a, "tanh")
+    _require_real("tanh", a)
     t = np.tanh(a.data)
 
     def bwd(g):
@@ -291,7 +281,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _wrap(a)
-    _require_real(a, "sigmoid")
+    _require_real("sigmoid", a)
     # Clipping at |x| = 60 avoids exp overflow; the result is already
     # saturated to within 1e-26 there, far below float64 resolution of 1.
     x = np.clip(a.data, -60.0, 60.0)
@@ -320,7 +310,7 @@ def gelu(a: Tensor) -> Tensor:
     closure keeps that one array: not the input, the tanh or the output.
     """
     a = _wrap(a)
-    _require_real(a, "gelu")
+    _require_real("gelu", a)
     x = a.data.reshape(-1)
     out = np.empty_like(a.data)
     o = out.reshape(-1)
@@ -364,7 +354,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     a = _wrap(a)
-    _require_real(a, "sqrt")
+    _require_real("sqrt", a)
     r = np.sqrt(a.data)
 
     def bwd(g):
@@ -375,12 +365,6 @@ def sqrt(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # affine maps and reductions
-
-
-def _conj_t(x: np.ndarray) -> np.ndarray:
-    if x.dtype.kind != "c":
-        return x.swapaxes(-1, -2)
-    return np.conj(x).swapaxes(-1, -2)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -395,8 +379,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine: {x.shape} @ {w.shape} over the last axis")
     if b is not None and ins[2].shape != (w.shape[1],):
         raise ShapeError(f"affine: bias {ins[2].shape} for {w.shape[1]} outputs")
-    for t in ins[1:]:
-        _require_same_kind(x, t, "affine")
+    _require_real("affine", *ins)
     rows = x.data.reshape(-1, w.shape[0])
     wd = w.data
     out = rows @ wd
@@ -412,13 +395,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         if x.tape is None:
             gx = None
-        elif wd.shape[1] == 1 and wd.dtype.kind == "f":
-            # the same single products as a k=1 matmul, about 4x faster; complex
-            # products would round differently from BLAS
+        elif wd.shape[1] == 1:
+            # the same single products as a k=1 matmul, about 4x faster
             gx = (g2 * wd.T).reshape(shape)
         else:
-            gx = (g2 @ _conj_t(wd)).reshape(shape)
-        gw = _conj_t(rows) @ g2
+            gx = (g2 @ wd.T).reshape(shape)
+        gw = rows.T @ g2
         if b is None:
             return gx, gw
         # column sums as one matvec: numpy's axis-0 reduction is ~10x slower here
@@ -435,8 +417,7 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     term only or twice in a term, or ``...`` over different extents in the inputs.
     """
     a, b = _wrap(a), _wrap(b)
-    _require_real(a, "einsum")
-    _require_real(b, "einsum")
+    _require_real("einsum", a, b)
     terms = spec.replace(" ", "").replace("->", ",").split(",")
     keys = [t.replace("...", ".") for t in terms]
     dots = {x.shape[k.find("."):x.ndim + k.find(".") + 1 - len(k)]
@@ -488,6 +469,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]
 
 def reduce_sum(a: Tensor, axes=None) -> Tensor:
     a = _wrap(a)
+    _require_real("reduce_sum", a)
     ax = _normalize_axes(a, axes)
     out = a.data.sum(axis=ax)
     shape = a.shape
@@ -500,6 +482,7 @@ def reduce_sum(a: Tensor, axes=None) -> Tensor:
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
     a = _wrap(a)
+    _require_real("reduce_mean", a)
     ax = _normalize_axes(a, axes)
     out = a.data.mean(axis=ax) if ax else a.data.copy()
     shape = a.shape
@@ -514,82 +497,122 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# truncated discrete Fourier transforms
+# spectral convolution
 
 
-def _dft(name: str, a: Tensor, bins, n: int, axis: int, synthesis: bool, real: bool) -> Tensor:
-    b = np.asarray(bins).reshape(-1)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ShapeError(f"{name}: n must be an integer, got {n!r}")
-    if b.dtype.kind not in "iu" or not b.size or b.min() < 0 or b.max() >= n:
-        raise ShapeError(f"{name}: bins must be non-empty integers within [0, {n}), got {b.tolist()}")
-    key, n = tuple(b.tolist()), int(n)
-    if synthesis and a.shape[axis] != len(key):
-        raise ShapeError(f"{name}: {a.shape[axis]} entries on axis {axis} but {len(key)} bins")
+def full_axis_mode_indices(k: int, n: int) -> np.ndarray:
+    """Bins of the k lowest-|frequency| modes on a full FFT axis of extent n.
 
-    def matrix(dtype):
-        dtype = np.finfo(dtype).dtype if real else np.result_type(dtype, np.complex64)
-        return dft_matrix(n, key, synthesis, real, dtype.str)
-
-    def bwd(g):
-        # g @ M^H, in the cotangent's precision, which may exceed the input's
-        return (apply_dft(g, axis, _conj_t(matrix(g.dtype))),)
-
-    return _record(name, apply_dft(a.data, axis, matrix(a.dtype)), (a,), bwd)
-
-
-def dft_analysis(a: Tensor, bins, axis: int = -1) -> Tensor:
-    """Selected bins ``X_j = sum_t a_t exp(-2 pi i t bins_j / n)`` along ``axis``.
-
-    Real or complex ``[..., n, ...]`` becomes complex ``[..., k, ...]``; a
-    real input's gradient is the real part of ``g @ F^H``.
+    Frequencies are taken in the order 0, +1, -1, +2, -2, ... so k=5 on
+    n=8 selects bins [0, 1, 7, 2, 6].
     """
-    a = _wrap(a)
-    return _dft("dft_analysis", a, bins, a.shape[axis], axis, False, not a.is_complex)
+    if k > n:
+        raise ShapeError(f"cannot retain {k} modes on an axis of extent {n}")
+    freqs = [0] + [s * f for f in range(1, k) for s in (1, -1)]
+    return np.asarray(freqs[:k], dtype=np.intp) % n
 
 
-def dft_synthesis(a: Tensor, bins, n: int, axis: int = -1, real: bool = False) -> Tensor:
-    """Rebuild ``n`` points from the complex ``bins`` along ``axis``.
+def _real_block(w: np.ndarray) -> np.ndarray:
+    """Complex [p, q] as the real [2p, 2q] map of ``x @ w`` on (re, im) pairs."""
+    rows = (np.stack([w.real, w.imag], -1), np.stack([-w.imag, w.real], -1))
+    return np.stack(rows, 1).reshape(2 * w.shape[0], 2 * w.shape[1])
 
-    ``real=False`` gives ``y_t = sum_j a_j exp(2 pi i bins_j t / n) / n``,
-    the inverse DFT of a spectrum that is zero off ``bins``.  ``real=True``
-    gives the real signal whose half spectrum is ``a`` on ``bins``, as
-    ``irfft`` does: every bin but DC and Nyquist counts twice, and their
-    imaginary parts are ignored.
+
+@lru_cache(maxsize=64)
+def _conv_matrices(grid: tuple[int, ...], modes: tuple[int, ...], dtype: str):
+    """``(analysis, synthesis)`` of one spectral convolution, then their adjoints.
+
+    Each is a tuple of real matrices applied from the left in turn, on (re,
+    im) pairs.  Analysis takes the last grid axis to its ``k1`` bins and, in
+    2-D, the first grid axis to its ``k2`` bins; synthesis goes back in the
+    reverse order.  An adjoint is the transposes in reverse order, for the
+    backward.  All come from :func:`compol.fft.dft_matrix`: the full axis's
+    complex DFTs as real blocks whose pair sits next to that axis, so in 2-D
+    the last axis lists its real parts before its imaginary ones.
     """
-    a = _wrap(a)
-    if not a.is_complex:
-        raise DtypeError("dft_synthesis expects a complex tensor")
-    return _dft("dft_synthesis", a, bins, n, axis, True, bool(real))
+    n, k1 = grid[-1], modes[0]
+    a = dft_matrix(n, k1, False, True, dtype)                 # [n, 2 k1]
+    s = dft_matrix(n, k1, True, True, dtype)                  # [2 k1, n]
+    if len(grid) == 1:
+        return (a.T,), (s.T,), (a,), (s,)
+    a = _frozen(a.reshape(n, k1, 2).swapaxes(1, 2).reshape(n, 2 * k1), dtype)
+    s = _frozen(s.reshape(k1, 2, n).swapaxes(0, 1).reshape(2 * k1, n), dtype)
+    bins = tuple(full_axis_mode_indices(modes[1], grid[0]).tolist())
+    cdt = np.result_type(dtype, np.complex64).str
+    fa = _frozen(_real_block(dft_matrix(grid[0], bins, False, False, cdt)), dtype)
+    fs = _frozen(_real_block(dft_matrix(grid[0], bins, True, False, cdt)), dtype)
+    return (a.T, fa.T), (fs.T, s.T), (fa, a), (s, fs)
 
 
-def mode_mix(v: Tensor, r: Tensor) -> Tensor:
-    """Per-mode channel mixing ``out[b,k..,o] = sum_i v[b,k..,i] r[i,o,k..]``.
+def _to_modes(x: np.ndarray, mats: tuple[np.ndarray, ...], modes: tuple[int, ...]) -> np.ndarray:
+    """Real [b, *grid, c] to the complex mode-major [(k2,) k1, b, c].
 
-    ``r`` lists its mode axes in reverse order: ``[i, o, k1]`` against
-    ``[b, k1, i]``, and ``[i, o, k1, k2]`` against ``[b, k2, k1, i]``, the
-    block a spectral convolution of ``[b, n1, n2, c]`` holds.
+    The one copy is the move to mode-major order, on the retained bins.
+    """
+    b, n, c = x.shape[0], x.shape[-2], x.shape[-1]
+    p = np.matmul(mats[0], x.reshape(x.size // (n * c), n, c))    # [b n1.., 2 k1, c]
+    if len(mats) == 2:
+        p = np.matmul(mats[1], p.reshape(b, mats[1].shape[1], modes[0] * c))  # [b, 2 k2, k1 c]
+    p = p.reshape((b, modes[-1], 2) + modes[:-1] + (c,))              # [b, k_outer, 2, .., c]
+    p = np.ascontiguousarray(np.moveaxis(p, (0, 2), (-3, -1)))        # [k.., b, c, 2]
+    return p.view(np.result_type(p.dtype, np.complex64))[..., 0]
+
+
+def _to_grid(m: np.ndarray, mats: tuple[np.ndarray, ...], grid: tuple[int, ...]) -> np.ndarray:
+    """Complex mode-major [(k2,) k1, b, c] back to real [b, *grid, c]."""
+    b, c, k1 = m.shape[-2], m.shape[-1], m.shape[-3]
+    p = m.view(m.real.dtype).reshape(m.shape + (2,))
+    p = np.ascontiguousarray(np.moveaxis(p, (-3, -1), (0, 2)))        # [b, k_outer, 2, .., c]
+    if len(mats) == 2:
+        p = np.matmul(mats[0], p.reshape(b, mats[0].shape[1], k1 * c))  # [b, 2 n1, k1 c]
+    p = np.matmul(mats[-1], p.reshape(p.size // (2 * k1 * c), 2 * k1, c))
+    return p.reshape((b,) + grid + (c,))
+
+
+def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
+    """The Fourier-layer convolution ``irfft(r * rfft(v))`` on the retained modes, as one node.
+
+    ``v`` is real channels-last [b, n, i] or [b, n1, n2, i]; ``r`` is the
+    complex [i, o, k1] or [i, o, k1, k2] block of per-mode channel maps.
+    ``k1`` are bins 0..k1-1 of the last grid axis, of its ``n // 2 + 1``
+    real-transform bins; ``k2`` are the :func:`full_axis_mode_indices` of the
+    first grid axis in 2-D.  Every other mode is zero, and the output is
+    the real [b, *grid, o].  Only the retained bins are computed: real
+    matrices on (re, im) pairs take ``v`` to its modes, one complex matmul
+    per mode mixes the channels, and real matrices take the modes back.
     """
     v, r = _wrap(v), _wrap(r)
-    if not (v.is_complex and r.is_complex):
-        raise DtypeError("mode_mix expects complex tensors")
-    rank = v.ndim - 2
-    if rank not in (1, 2):
-        raise ShapeError(f"mode_mix supports 1 or 2 mode axes, got rank {rank}")
-    if r.ndim != rank + 2 or v.shape[-1] != r.shape[0] or v.shape[1:-1] != r.shape[:1:-1]:
-        raise ShapeError(f"mode_mix shapes incompatible: {v.shape} with {r.shape}")
-    # Stacked matmul over the mode axes hits BLAS; einsum on complex does not.
+    if v.is_complex or not r.is_complex:
+        raise DtypeError("spectral_conv: v must be real and r complex")
+    grid, modes = v.shape[1:-1], r.shape[2:]
+    if len(grid) not in (1, 2) or r.ndim != v.ndim or r.shape[0] != v.shape[-1]:
+        raise ShapeError(f"spectral_conv: weights {r.shape} do not fit input {v.shape} "
+                         "with 1 or 2 grid axes")
+    if min(modes) < 1 or modes[0] > grid[-1] // 2 + 1:
+        raise ShapeError(f"k1={modes[0]} must be within 1..{grid[-1] // 2 + 1} real-axis bins")
+    analysis = _conv_matrices(grid, modes, v.dtype.str)[0]    # refuses k2 past the full axis
+    vk = _to_modes(v.data, analysis, modes)                   # [k.., b, i]
     perm = tuple(range(r.ndim - 1, 1, -1)) + (0, 1)
-    vb = np.ascontiguousarray(np.moveaxis(v.data, 0, -2))       # [k.., b, i]
-    rb = np.ascontiguousarray(r.data.transpose(perm))           # [k.., i, o]
-    out = np.ascontiguousarray(np.moveaxis(vb @ rb, -2, 0))
+    rk = np.ascontiguousarray(r.data.transpose(perm))         # [k.., i, o]
+    m = vk @ rk
+    out = _to_grid(m, _conv_matrices(grid, modes, m.real.dtype.str)[1], grid)
+    # the closure keeps only what the gradients of operands on the tape need
+    vk = vk if r.tape is not None else None
+    rk = rk if v.tape is not None else None
 
     def bwd(g):
-        gb = np.ascontiguousarray(np.moveaxis(g, 0, -2))         # [k.., b, o]
-        gv = np.ascontiguousarray(np.moveaxis(gb @ _conj_t(rb), -2, 0))
-        return gv, np.ascontiguousarray((_conj_t(vb) @ gb).transpose(np.argsort(perm)))
+        # the transposes, in the cotangent's precision, which may exceed the input's
+        gm = _to_modes(g, _conv_matrices(grid, modes, g.dtype.str)[3], modes)
+        gr = None
+        if vk is not None:
+            gr = np.conj(vk).swapaxes(-1, -2) @ gm                        # [k.., i, o]
+            gr = np.ascontiguousarray(gr.transpose(np.argsort(perm)))
+        if rk is None:
+            return None, gr
+        gk = gm @ np.conj(rk).swapaxes(-1, -2)
+        return _to_grid(gk, _conv_matrices(grid, modes, gk.real.dtype.str)[2], grid), gr
 
-    return _record("mode_mix", out, (v, r), bwd)
+    return _record("spectral_conv", out, (v, r), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -600,24 +623,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     ts = [_wrap(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of an empty list")
+    _require_real("concat", *ts)
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
+    ends = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def bwd(g):
-        pieces = []
-        start = 0
-        for s in sizes:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + s)
-            pieces.append(g[tuple(sl)])
-            start += s
-        return pieces
+        return np.split(g, ends, axis=axis)
 
     return _record("concat", out, ts, bwd)
 
 
 def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
     a = _wrap(a)
+    _require_real("moveaxis", a)
     out = np.moveaxis(a.data, src, dst)
 
     def bwd(g):
@@ -628,6 +646,7 @@ def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a = _wrap(a)
+    _require_real("reshape", a)
     out = a.data.reshape(shape)
     old = a.shape
 
@@ -637,21 +656,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record("reshape", out, (a,), bwd)
 
 
-def real(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    out = a.data.real.copy()
-    was_complex = a.is_complex
-    cdtype = a.data.dtype
-
-    def bwd(g):
-        return (g.astype(cdtype) if was_complex else g,)
-
-    return _record("real", out, (a,), bwd)
-
-
 def softmax(a: Tensor, axis: int) -> Tensor:
     a = _wrap(a)
-    _require_real(a, "softmax")
+    _require_real("softmax", a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)

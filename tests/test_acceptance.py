@@ -46,9 +46,8 @@ def test_c01_gradient_checks_every_operation_and_a_full_model():
     assert [r.name for r in results] == [
         "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
         "affine", "einsum", "reduce_sum_axis", "reduce_mean",
-        "dft_analysis_real", "dft_analysis_complex",
-        "dft_synthesis_real", "dft_synthesis_complex",
-        "mode_mix", "softmax", "concat", "moveaxis", "reshape",
+        "spectral_conv_all_bins", "spectral_conv_2d_all_bins",
+        "softmax", "concat", "moveaxis", "reshape",
         "channel_affine", "spectral_conv", "fourier_layer", "spectral_conv_2d",
         "lift", "project",
         "mix_linear", "mix_add", "gru_step", "attention", "attention_2head", "skip",

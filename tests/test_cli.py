@@ -383,6 +383,7 @@ def test_eval_dumps_error_fields(run_dir, lv_data, tmp_path):
     meta = D.read_manifest(dump / D.MANIFEST_FILENAME)
     assert meta["data_signature"] == cli.data_signature(
         D.read_manifest(lv_data / D.MANIFEST_FILENAME))
+    assert (meta["format"], meta["version"]) == ("CMPLDATA", 1)
 
 
 def test_eval_tables_and_error_fields_do_not_depend_on_threads(
@@ -570,3 +571,27 @@ def test_gradcheck_tensor_module(capsys):
     assert cli.main(["gradcheck", "--module", "tensor"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+# ---------------------------------------------------------------------------
+# interrupts
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_ctrl_c_is_one_error_line_and_exit_1(command, lv_data, tmp_path, monkeypatch, capsys):
+    """The KeyboardInterrupt that Ctrl-C raises inside a command ends it
+    with one line and code 1, a run that did not finish: no traceback."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    if command == "gen-data":
+        monkeypatch.setattr(cli.D, "generate_dataset", interrupted)
+        argv = ["gen-data", "--system", "lv", "--n", "2", "--resolution", "32",
+                "--seed", "1", "--out", str(tmp_path / "data")]
+    else:
+        monkeypatch.setattr(TR, "train", interrupted)
+        doc = experiment_doc(lv_data, tmp_path / "run")
+        argv = ["train", "--config", write_config(tmp_path / "exp.json", doc)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"

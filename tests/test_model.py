@@ -260,15 +260,13 @@ def test_sample_output_does_not_depend_on_its_batch(kw, grid, batches):
 
 
 @pytest.mark.parametrize("kind,want", [
-    ("compol-rnn", dict(add=32, affine=42, concat=4, dft_analysis=8, dft_synthesis=8,
-                        gelu=10, mode_mix=8, moveaxis=2, mul=12, sigmoid=8, sub=4, tanh=4)),
-    ("compol-atn", dict(add=20, affine=26, concat=4, dft_analysis=8, dft_synthesis=8,
-                        einsum=8, gelu=10, mode_mix=8, moveaxis=2, reshape=8, scale=8,
-                        softmax=4)),
-    ("compol-skip", dict(add=20, affine=22, concat=4, dft_analysis=8, dft_synthesis=8,
-                         gelu=10, mode_mix=8, moveaxis=2)),
-    ("fno-c", dict(add=4, affine=7, dft_analysis=4, dft_synthesis=4, gelu=5,
-                   mode_mix=4, moveaxis=1)),
+    ("compol-rnn", dict(add=32, affine=42, concat=4, gelu=10, moveaxis=2, mul=12,
+                        sigmoid=8, spectral_conv=8, sub=4, tanh=4)),
+    ("compol-atn", dict(add=20, affine=26, concat=4, einsum=8, gelu=10, moveaxis=2,
+                        reshape=8, scale=8, softmax=4, spectral_conv=8)),
+    ("compol-skip", dict(add=20, affine=22, concat=4, gelu=10, moveaxis=2,
+                         spectral_conv=8)),
+    ("fno-c", dict(add=4, affine=7, gelu=5, moveaxis=1, spectral_conv=4)),
 ])
 def test_forward_tape_nodes_at_the_c07_shape(kind, want):
     """Nodes a training forward records at c07's architecture (2 processes,

@@ -1,9 +1,9 @@
 """Autodiff core: forward semantics, tape mechanics, and gradients.
 
 The exhaustive per-op finite-difference sweep lives in the gradcheck
-module; here we pin the op semantics, the error paths, and the complex
-truncated-DFT gradient conventions that are easy to get silently
-wrong (scaling, conjugation and Hermitian weights of the adjoints).
+module; here we pin the op semantics, the error paths, and the spectral
+convolution's DFTs and complex gradient conventions that are easy to get
+silently wrong (scaling, conjugation and Hermitian weights of the adjoints).
 """
 
 import gc
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from compol import fft as K
 from compol import tensor as T
-from compol.layers import full_axis_mode_indices
 
 
 def leafs(tape, *arrays):
@@ -384,63 +383,93 @@ def test_concat_moveaxis_reshape():
     assert np.allclose(T.reshape(t, (6,)).data, x.reshape(6))
 
 
-def test_real():
-    z = np.array([1 + 2j, 3 - 4j])
-    assert np.allclose(T.real(T.Tensor(z)).data, [1, 3])
-
-
 # ---------------------------------------------------------------------------
 # dtype / shape errors
 
 
-def test_real_complex_mixing_rejected():
-    a, b = T.Tensor(np.ones(2)), T.Tensor(np.ones(2, dtype=complex))
+_X, _Z = np.ones((2, 3)), np.ones((2, 3)) + 1j
+# every tape op but spectral_conv, each given one complex operand
+_COMPLEX_OPERAND = {
+    "add": lambda: T.add(_X, _Z),
+    "sub": lambda: T.sub(_Z, _X),
+    "mul": lambda: T.mul(_X, _Z),
+    "scale": lambda: T.scale(_Z, 2.0),
+    "tanh": lambda: T.tanh(_Z),
+    "sigmoid": lambda: T.sigmoid(_Z),
+    "gelu": lambda: T.gelu(_Z),
+    "sqrt": lambda: T.sqrt(_Z),
+    "affine": lambda: T.affine(_X, np.ones((3, 2)), np.ones(2) + 1j),
+    "einsum": lambda: T.einsum("ij,jk->ik", _X, _Z.T),
+    "reduce_sum": lambda: T.reduce_sum(_Z),
+    "reduce_mean": lambda: T.reduce_mean(_Z, 1),
+    "softmax": lambda: T.softmax(_Z, -1),
+    "concat": lambda: T.concat([_X, _Z], 0),
+    "moveaxis": lambda: T.moveaxis(_Z, 0, 1),
+    "reshape": lambda: T.reshape(_Z, (6,)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_COMPLEX_OPERAND))
+def test_tape_ops_refuse_complex_operands(op):
+    """The spectral weights are the only complex tensors a tape holds, and
+    spectral_conv the only op that takes one."""
     with pytest.raises(T.DtypeError):
-        a + b
+        _COMPLEX_OPERAND[op]()
+
+
+def test_complex_refusal_covers_every_tape_op():
+    not_ops = {"Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
+               "backward", "finite_diff_check", "finite_diff_report",
+               "full_axis_mode_indices", "spectral_conv"}
+    assert set(T.__all__) - not_ops == set(_COMPLEX_OPERAND)
+
+
+def test_scale_refuses_a_complex_factor():
+    with pytest.raises(T.DtypeError):
+        T.scale(_X, 1j)
+    with pytest.raises(T.DtypeError):
+        T.Tensor(_X) * (1 + 0j)
 
 
 def test_dft_ops_dtype_and_bin_errors():
-    with pytest.raises(T.DtypeError):
-        T.dft_synthesis(T.Tensor(np.ones(5)), np.arange(5), 8, real=True)
-    with pytest.raises(T.DtypeError):
-        T.dft_synthesis(T.Tensor(np.ones(5)), np.arange(5), 8)
-    with pytest.raises(T.ShapeError):
-        T.dft_analysis(T.Tensor(np.ones(8)), [0, 8])
-    with pytest.raises(T.ShapeError):
-        T.dft_synthesis(T.Tensor(np.ones(4, dtype=complex)), np.arange(5), 8)
-
-
-def test_dft_ops_refuse_bins_and_lengths_that_are_not_integers():
-    with pytest.raises(T.ShapeError):
-        T.dft_analysis(T.Tensor(np.ones(8)), [0, 1.7])
-    with pytest.raises(T.ShapeError):
-        T.dft_analysis(T.Tensor(np.ones(8)), np.array([0.0, 1.0]))
-    with pytest.raises(T.ShapeError):
-        T.dft_analysis(T.Tensor(np.ones(8)), [])
-    with pytest.raises(T.ShapeError):
-        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 1], 8.5)
-    with pytest.raises(T.ShapeError):
-        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 1], 8.0)
-    with pytest.raises(T.ShapeError):
-        T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), [0, 0.5], 8)
-    # integer arrays of any width, and numpy integer lengths, still pass
-    got = T.dft_synthesis(T.Tensor(np.ones(2, dtype=complex)), np.arange(2, dtype=np.uint8), np.int32(8))
-    assert got.shape == (8,)
-    assert T.dft_analysis(T.Tensor(np.ones(8)), full_axis_mode_indices(5, 8)).shape == (5,)
+    """spectral_conv refuses a complex v, a real r, ranks and widths that do
+    not fit, and more modes than a grid axis holds."""
+    v, r = np.ones((2, 8, 3)), np.ones((3, 3, 5), complex)
+    for bad_v, bad_r, err in [
+        (v + 0j, r, T.DtypeError),
+        (v, r.real, T.DtypeError),
+        (np.ones((2, 3)), np.ones((3, 3), complex), T.ShapeError),         # no grid axis
+        (np.ones((2, 4, 4, 4, 3)), np.ones((3, 3, 2, 2, 2), complex), T.ShapeError),
+        (v, np.ones((3, 3, 2, 2), complex), T.ShapeError),                # 2-D weights
+        (v, np.ones((4, 3, 5), complex), T.ShapeError),                   # width 4, not 3
+        (v, np.ones((3, 3, 6), complex), T.ShapeError),                   # 6 > 8 // 2 + 1
+        (v, np.ones((3, 3, 0), complex), T.ShapeError),                   # no modes
+        (np.ones((2, 4, 8, 3)), np.ones((3, 3, 5, 5), complex), T.ShapeError),  # k2 5 > 4
+    ]:
+        with pytest.raises(err):
+            T.spectral_conv(T.Tensor(bad_v), T.Tensor(bad_r))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dft_ops_take_exact_quarter_turns(dtype):
-    """exp(-+i pi/2) is exactly -+1j in the tape's matrices, as in compol.fft."""
+    """exp(-+i pi/2) is exactly -+1j in spectral_conv's matrices, as in
+    compol.fft.  Bin 1 of an impulse at n/4 is exactly -1j, so passing that
+    bin alone gives exactly 0 at t = 0 and 2/n at t = n/4 (1-D), or 0 and
+    1/n along the full axis (2-D, constant along the real axis)."""
     n = 64
-    impulse = np.zeros(n, dtype=dtype)
-    impulse[n // 4] = 1
-    for x in (impulse, impulse.astype(np.result_type(dtype, np.complex64))):
-        got = T.dft_analysis(T.Tensor(x), [1]).data
-        assert got[0] == -1j and got[0].real == 0
-    unit = np.ones(1, dtype=np.result_type(dtype, np.complex64))
-    got = T.dft_synthesis(T.Tensor(unit), [1], n).data
-    assert got[n // 4] == 1j / n and got[n // 4].real == 0
+    cdt = np.result_type(dtype, np.complex64)
+    v = np.zeros((1, n, 1), dtype)
+    v[0, n // 4] = 1
+    r = np.zeros((1, 1, 2), cdt)
+    r[..., 1] = 1
+    out = T.spectral_conv(T.Tensor(v), T.Tensor(r)).data[0, :, 0]
+    assert out[0] == 0 and out[n // 4] == 2 / n
+    v2 = np.zeros((1, n, 4, 1), dtype)
+    v2[0, n // 4] = 1
+    r2 = np.zeros((1, 1, 1, 2), cdt)
+    r2[..., 1] = 1                               # full-axis bin 1, real-axis bin 0
+    out = T.spectral_conv(T.Tensor(v2), T.Tensor(r2)).data[0, :, :, 0]
+    assert (out[0] == 0).all() and (out[n // 4] == 1 / n).all()
 
 
 def test_integer_input_promoted_to_float():
@@ -454,252 +483,198 @@ def test_non_numeric_dtype_rejected():
 
 
 # ---------------------------------------------------------------------------
-# truncated DFTs: the matrices, and their gradient conventions
+# spectral convolution: its truncated DFTs, its mix, and their gradients
 #
-# The loss L(x) = sum(Re(op(x) * g)) is linear in x, so collecting the
-# coefficient of each x entry gives the exact gradient in closed form.
-# Because the op is linear, L = Re(sum(x * h)) for some h, and in the
-# d/dRe + i*d/dIm convention the gradient is conj(h).  The DFT matrix
-# is symmetric, so h is the forward transform of g embedded at the bins
-# for analysis, and the inverse transform of g read at the bins for
-# synthesis — no transposes to fudge.
+# Gradients of the complex r follow the d/dRe + i*d/dIm convention.  A
+# loss L linear in r is Re(sum(r * c)) for some c, and its gradient is
+# conj(c); the closed forms below collect c with einsum and numpy's FFT.
 
 
-def _embed(a, bins, n):
-    full = np.zeros(a.shape[:-1] + (n,), dtype=complex)
-    full[..., bins] = a
-    return full
+def _cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _conv(v, r):
+    return T.spectral_conv(T.Tensor(v), T.Tensor(r)).data
+
+
+def _direct(n):
+    t = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(t, t) / n)
+
+
+def _direct_conv(v, r):
+    """The spectral convolution from the O(N^2) DFT sums."""
+    n, k1 = v.shape[-2], r.shape[2]
+    x = np.einsum("...tc,tk->...kc", v, _direct(n)[:, :k1])
+    if v.ndim == 4:
+        n1 = v.shape[1]
+        rows = T.full_axis_mode_indices(r.shape[3], n1)
+        x = np.einsum("btkc,tl->blkc", x, _direct(n1)[:, rows])
+        y = np.einsum("blki,iokl->blko", x, r)
+        y = np.einsum("blko,lt->btko", y, np.conj(_direct(n1)[rows])) / n1
+    else:
+        y = np.einsum("bki,iok->bko", x, r)
+    # the real signal with half spectrum y: DC and Nyquist count once, real parts only
+    bins = np.arange(k1)
+    w = np.where((bins == 0) | (2 * bins == n), 1.0, 2.0)[:, None]
+    return np.einsum("...kc,kt->...tc", y * w, np.conj(_direct(n)[:k1])).real / n
 
 
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_dft_ops_match_fft_and_direct_definition(n):
-    """Up to 64 points the tape and ``compol.fft`` share one dense matrix;
-    at 128 the tape's dense matrix meets fft's four-step and packed-real
-    path, and the direct O(N^2) sums check both."""
+    """1-D, every real-axis bin kept: against ``compol.fft`` and the direct
+    O(N^2) sums.  Up to 64 points the op and ``K.rfft`` share one dense
+    matrix; at 128 it meets fft's four-step and packed-real path."""
     rng = np.random.default_rng(3)
-    half = np.arange(n // 2 + 1)
-    rows = np.array([0, 1, n - 1, 2, n - 2])
-    t = np.arange(n)
-    x = rng.normal(size=(3, n))
-    z = x + 1j * rng.normal(size=(3, n))
-    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    h = rng.normal(size=(3, len(half))) + 1j * rng.normal(size=(3, len(half)))
-    direct = np.exp(-2j * np.pi * np.outer(t, t) / n)         # O(N^2) definition
-
-    got = T.dft_analysis(T.Tensor(x), half).data
-    assert np.abs(got - K.rfft(x)).max() < 1e-12
-    assert np.abs(got - x @ direct[:, half]).max() < 1e-12
-    got = T.dft_analysis(T.Tensor(z), rows).data
-    assert np.abs(got - K.fft(z)[:, rows]).max() < 1e-12
-    assert np.abs(got - z @ direct[:, rows]).max() < 1e-12
-
-    got = T.dft_synthesis(T.Tensor(a), rows, n).data
-    assert np.abs(got - K.ifft(_embed(a, rows, n))).max() < 1e-12
-    assert np.abs(got - a @ np.conj(direct[rows]) / n).max() < 1e-12
-    got = T.dft_synthesis(T.Tensor(h), half, n, real=True).data
-    assert got.dtype == np.float64
-    assert np.abs(got - K.irfft(h, (-1,), n)).max() < 1e-12
-    spectrum = _embed(h, half, n)
-    spectrum[:, n // 2 + 1:] = np.conj(spectrum[:, n // 2 - 1:0:-1])
-    spectrum[:, [0, n // 2]] = spectrum[:, [0, n // 2]].real   # irfft drops these
-    assert np.abs(got - (spectrum @ np.conj(direct) / n).real).max() < 1e-12
-
-
-def test_dft_ops_work_along_any_axis_and_keep_float32():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 8, 3)).astype(np.float32)
-    got = T.dft_analysis(T.Tensor(x), [0, 1, 7], 1)
-    assert got.dtype == np.complex64 and got.shape == (2, 3, 3)
-    want = np.fft.fft(x.astype(np.float64), axis=1)[:, [0, 1, 7]]
-    assert np.abs(got.data - want).max() < 1e-5
-    back = T.dft_synthesis(got, [0, 1, 7], 8, 1)
-    assert back.dtype == np.complex64 and back.shape == (2, 8, 3)
-    want = np.fft.ifft(_embed(np.moveaxis(want, 1, -1), [0, 1, 7], 8), axis=-1)
-    assert np.abs(back.data - np.moveaxis(want, -1, 1)).max() < 1e-5
-
-
-@pytest.mark.parametrize("op,shape,complex_in", [
-    (lambda x: T.dft_analysis(x, [0, 1, 2]), (2, 8), False),
-    (lambda x: T.dft_analysis(x, [0, 1, 7], -2), (2, 8, 3), True),
-    (lambda x: T.dft_synthesis(x, [0, 1, 2], 8, real=True), (2, 3), True),
-    (lambda x: T.dft_synthesis(x, [0, 1, 7], 8, -2), (2, 3, 4), True),
-], ids=["analysis-real", "analysis-complex", "synthesis-real", "synthesis-complex"])
-def test_dft_backward_keeps_a_wider_cotangent(op, shape, complex_in):
-    """A float64 cotangent reaching a float32 op (a float64 loss term does
-    that) is transformed in float64, as the float64 op would."""
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_in else 0)
-    x32 = x.astype(np.complex64 if complex_in else np.float32)
-    grads = []
-    for arr in (x32, x):
-        tape = T.Tape()
-        y = op(tape.leaf(arr))
-        if not grads:
-            g = rng.normal(size=y.shape) + (1j * rng.normal(size=y.shape) if y.is_complex else 0)
-        grads.append(tape._nodes[y.node_id].backward(g)[0])
-    assert grads[0].dtype == grads[1].dtype == x.dtype
-    assert np.array_equal(grads[0], grads[1])
-
-
-def _dft_adjoint(op, x0, g):
-    """Gradient of sum(Re(op(x) * g)) w.r.t. x, from the tape."""
-    tape = T.Tape()
-    x = tape.leaf(x0)
-    loss = T.reduce_sum(T.real(op(x) * T.Tensor(g)))
-    return T.backward(tape, loss)[x]
-
-
-def test_dft_analysis_adjoint_closed_form():
-    rng = np.random.default_rng(4)
-    bins = np.array([0, 1, 7, 2, 6])
-    g = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    want = np.conj(np.fft.fft(_embed(g, bins, 8), axis=-1))
-    got = _dft_adjoint(lambda x: T.dft_analysis(x, bins), np.zeros((2, 8), complex), g)
-    assert np.max(np.abs(got - want)) < 1e-12
-    # real input: the same gradient, real part taken
-    got = _dft_adjoint(lambda x: T.dft_analysis(x, bins), np.zeros((2, 8)), g)
-    assert got.dtype == np.float64
-    assert np.max(np.abs(got - want.real)) < 1e-12
-
-
-def test_dft_synthesis_adjoint_closed_form():
-    rng = np.random.default_rng(5)
-    bins = np.array([0, 1, 7, 2, 6])
-    g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    got = _dft_adjoint(lambda x: T.dft_synthesis(x, bins, 8), np.zeros((2, 5), complex), g)
-    want = np.conj(np.fft.ifft(g, axis=-1)[:, bins])
-    assert np.max(np.abs(got - want)) < 1e-12
-    # real output: g @ G^H with the Hermitian weights 1 (DC, Nyquist) and 2
-    half = np.arange(5)
-    gr = g.real
-    got = _dft_adjoint(lambda x: T.dft_synthesis(x, half, 8, real=True),
-                       np.zeros((2, 5), complex), gr)
-    want = np.fft.fft(gr, axis=-1)[:, half] * np.array([1, 2, 2, 2, 1]) / 8
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def _mid(a):
-    """[b, k] as [b, k, 3]: the axis of interest between two others."""
-    return np.ascontiguousarray(np.repeat(a[:, :, None], 3, axis=2) * [1.0, -0.5, 2.0])
+    k = n // 2 + 1
+    v, r = rng.normal(size=(3, n, 2)), _cplx(rng, 2, 3, k)
+    got = _conv(v, r)
+    mixed = np.einsum("bki,iok->bko", K.rfft(v, (1,)), r)
+    assert np.abs(got - K.irfft(mixed, (1,), n)).max() < 1e-12
+    assert np.abs(got - _direct_conv(v, r)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_dft_ops_on_a_middle_axis_match_fft_and_direct_definition(n):
-    """Axis 1 of [b, n, c], the channels-last grid axis: real input to
-    complex bins and back, and complex both ways."""
+    """2-D: the full axis is axis 1 of [b, n, 8, c], between the batch and the
+    real axis, and takes the complex DFT on five bins (0, 1, -1, 2, -2);
+    the real axis keeps all five of its bins."""
     rng = np.random.default_rng(14)
-    half = np.arange(n // 2 + 1)
-    rows = np.array([0, 1, n - 1, 2, n - 2])
-    t = np.arange(n)
-    direct = np.exp(-2j * np.pi * np.outer(t, t) / n)
-    x = rng.normal(size=(3, n, 4))
-    z = x + 1j * rng.normal(size=(3, n, 4))
-    a = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
-    h = rng.normal(size=(3, len(half), 4)) + 1j * rng.normal(size=(3, len(half), 4))
-
-    got = T.dft_analysis(T.Tensor(x), half, 1).data
-    assert np.abs(got - K.rfft(x, (1,))).max() < 1e-12
-    assert np.abs(got - np.einsum("btc,tk->bkc", x, direct[:, half])).max() < 1e-12
-    got = T.dft_analysis(T.Tensor(z), rows, 1).data
-    assert np.abs(got - K.fft(z, (1,))[:, rows]).max() < 1e-12
-    assert np.abs(got - np.einsum("btc,tk->bkc", z, direct[:, rows])).max() < 1e-12
-
-    got = T.dft_synthesis(T.Tensor(a), rows, n, 1).data
-    full = np.moveaxis(_embed(np.moveaxis(a, 1, -1), rows, n), -1, 1)
-    assert np.abs(got - K.ifft(full, (1,))).max() < 1e-12
-    assert np.abs(got - np.einsum("bkc,kt->btc", a, np.conj(direct[rows])) / n).max() < 1e-12
-    got = T.dft_synthesis(T.Tensor(h), half, n, 1, real=True).data
-    assert got.dtype == np.float64 and got.shape == (3, n, 4)
-    assert np.abs(got - K.irfft(h, (1,), n)).max() < 1e-12
-    weights = np.where((half == 0) | (half == n // 2), 1.0, 2.0)[None, :, None]
-    h_re = h.copy()
-    h_re[:, [0, n // 2]] = h_re[:, [0, n // 2]].real          # irfft drops these
-    want = (np.einsum("bkc,kt->btc", h_re * weights, np.conj(direct[half])) / n).real
-    assert np.abs(got - want).max() < 1e-12
+    v, r = rng.normal(size=(3, n, 8, 2)), _cplx(rng, 2, 3, 5, 5)
+    got = _conv(v, r)
+    rows = T.full_axis_mode_indices(5, n)
+    full = np.zeros((3, n, 5, 3), complex)
+    full[:, rows] = np.einsum("blki,iokl->blko", K.rfft(v, (1, 2))[:, rows], r)
+    assert np.abs(got - K.irfft(full, (1, 2), 8)).max() < 1e-12
+    assert np.abs(got - _direct_conv(v, r)).max() < 1e-12
 
 
-def test_dft_analysis_adjoint_on_a_middle_axis():
-    rng = np.random.default_rng(15)
-    bins = np.array([0, 1, 7, 2, 6])
-    g = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-    want = _mid(np.conj(np.fft.fft(_embed(g, bins, 8), axis=-1)))
-    op = lambda x: T.dft_analysis(x, bins, 1)
-    got = _dft_adjoint(op, np.zeros((2, 8, 3), complex), _mid(g))
-    assert np.max(np.abs(got - want)) < 1e-12
-    got = _dft_adjoint(op, np.zeros((2, 8, 3)), _mid(g))
-    assert got.dtype == np.float64
-    assert np.max(np.abs(got - want.real)) < 1e-12
+def test_dft_ops_work_along_any_axis_and_keep_float32():
+    """float32 in, float32 out, on the grid axis of 1-D and both of 2-D,
+    within float32 rounding of the float64 op."""
+    rng = np.random.default_rng(4)
+    for vs, rs in [((2, 16, 3), (3, 4, 6)), ((2, 8, 16, 3), (3, 4, 6, 5))]:
+        v, r = rng.normal(size=vs), _cplx(rng, *rs)
+        want = _conv(v, r)
+        got = _conv(v.astype(np.float32), r.astype(np.complex64))
+        assert got.dtype == np.float32 and got.shape == want.shape == vs[:-1] + (4,)
+        assert np.abs(got - want).max() < 1e-5 * np.abs(want).max()
 
 
-def test_dft_synthesis_adjoint_on_a_middle_axis():
+@pytest.mark.parametrize("rank,operand", [(1, 0), (2, 0), (1, 1), (2, 1)],
+                         ids=["analysis-real", "analysis-complex", "synthesis-real",
+                              "synthesis-complex"])
+def test_dft_backward_keeps_a_wider_cotangent(rank, operand):
+    """A float64 cotangent reaching a float32 op (a float64 loss term does
+    that) is transformed in float64, as the float64 op would: v's gradient
+    leaves through the analysis transposes (real axis, and in 2-D the
+    complex full axis), r's enters through the synthesis ones.  A float32
+    cotangent keeps float32 and complex64.  v is an impulse at the origin,
+    whose modes are exact in float32."""
+    rng = np.random.default_rng(8)
+    vs, rs = ((2, 8, 3), (3, 2, 4)) if rank == 1 else ((2, 8, 4, 3), (3, 2, 3, 5))
+    v = np.zeros(vs)
+    v[(slice(None),) + (0,) * rank] = rng.normal(size=(2, 3)).astype(np.float32)
+    r = _cplx(rng, *rs).astype(np.complex64)
+    g = rng.normal(size=vs[:-1] + (2,))
+
+    def grad(v_, r_, g_):
+        tape = T.Tape()
+        y = T.spectral_conv(tape.leaf(v_), tape.leaf(r_))
+        return tape._nodes[y.node_id].backward(g_)[operand]
+
+    wide = grad(v.astype(np.float32), r, g)
+    assert wide.dtype == (np.float64, np.complex128)[operand]
+    assert np.array_equal(wide, grad(v, r.astype(np.complex128), g))
+    narrow = grad(v.astype(np.float32), r, g.astype(np.float32))
+    assert narrow.dtype == (np.float32, np.complex64)[operand]
+
+
+@pytest.mark.parametrize("rank", [1, 2], ids=["1d", "2d"])
+def test_spectral_conv_adjoint(rank):
+    """The op is linear in v and, over the reals, in r, so the gradients of
+    sum(g * out) are its adjoints: <grad, d> = <g, out(d)> in any direction
+    d, with <a, b> = Re(vdot(a, b)) on complex r."""
     rng = np.random.default_rng(16)
-    bins = np.array([0, 1, 7, 2, 6])
-    g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    got = _dft_adjoint(lambda x: T.dft_synthesis(x, bins, 8, 1),
-                       np.zeros((2, 5, 3), complex), _mid(g))
-    want = _mid(np.conj(np.fft.ifft(g, axis=-1)[:, bins]))
-    assert np.max(np.abs(got - want)) < 1e-12
-    half = np.arange(5)
-    got = _dft_adjoint(lambda x: T.dft_synthesis(x, half, 8, 1, real=True),
-                       np.zeros((2, 5, 3), complex), _mid(g.real))
-    want = _mid(np.fft.fft(g.real, axis=-1)[:, half] * np.array([1, 2, 2, 2, 1]) / 8)
-    assert np.max(np.abs(got - want)) < 1e-12
+    vs, rs = ((2, 16, 3), (3, 4, 9)) if rank == 1 else ((2, 8, 16, 3), (3, 4, 9, 5))
+    v, r = rng.normal(size=vs), _cplx(rng, *rs)
+    g = rng.normal(size=vs[:-1] + (4,))
+    tape = T.Tape()
+    lv, lr = tape.leaf(v), tape.leaf(r)
+    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    dv, dr = rng.normal(size=vs), _cplx(rng, *rs)
+    for got, want in [(np.sum(grads[lv] * dv), np.sum(g * _conv(dv, r))),
+                      (np.real(np.vdot(grads[lr], dr)), np.sum(g * _conv(v, dr)))]:
+        assert abs(got - want) < 1e-10 * abs(want)
+
+
+def test_complex_leaf_gradient_has_its_shape_and_dtype():
+    rng = np.random.default_rng(17)
+    for vs, rs in [((2, 8, 3), (3, 3, 4)), ((2, 8, 8, 3), (3, 3, 4, 5))]:
+        for dtype in (np.complex64, np.complex128):
+            v, r = rng.normal(size=vs).astype(np.finfo(dtype).dtype), _cplx(rng, *rs).astype(dtype)
+            tape = T.Tape()
+            lr = tape.leaf(r)
+            grads = T.backward(tape, T.reduce_sum(T.spectral_conv(tape.leaf(v), lr)))
+            assert grads[lr].shape == r.shape and grads[lr].dtype == dtype
 
 
 def test_dft_round_trip_gradient_is_identity():
-    """Real synthesis of every real-axis bin inverts analysis exactly, so
-    the chain's gradient must be the probe."""
+    """Identity weights on every bin make the op the identity, in 1-D and
+    2-D: analysis and synthesis invert each other, and the gradient must
+    be the probe."""
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 16))
-    probe = rng.normal(size=(2, 16))
-    half = np.arange(9)
-    tape = T.Tape()
-    lx = tape.leaf(x)
-    y = T.dft_synthesis(T.dft_analysis(lx, half), half, 16, real=True)
-    assert np.max(np.abs(y.data - x)) < 1e-12
-    grads = T.backward(tape, T.reduce_sum(y * T.Tensor(probe)))
-    assert np.max(np.abs(grads[lx] - probe)) < 1e-12
-
-
-def _modes_last(a):
-    """[b, c, k..] as the [b, k.. reversed, c] block mode_mix takes."""
-    return np.ascontiguousarray(a.transpose((0,) + tuple(range(a.ndim - 1, 0, -1))))
+    for shape, modes in [((2, 16, 3), (9,)), ((2, 8, 16, 3), (9, 8))]:
+        x, probe = rng.normal(size=shape), rng.normal(size=shape)
+        r = np.eye(3).reshape((3, 3) + (1,) * len(modes)) * np.ones(modes) + 0j
+        tape = T.Tape()
+        lx = tape.leaf(x)
+        y = T.spectral_conv(lx, T.Tensor(r))
+        assert np.max(np.abs(y.data - x)) < 1e-12
+        grads = T.backward(tape, T.reduce_sum(y * T.Tensor(probe)))
+        assert np.max(np.abs(grads[lx] - probe)) < 1e-12
 
 
 def test_mode_mix_matches_einsum():
-    """Blocks are [b, k.., i] with the weights' mode axes reversed:
-    [b, k1, i] against [i, o, k1], [b, k2, k1, i] against [i, o, k1, k2]."""
+    """rfft, the per-mode einsum over the retained bins, irfft: mode axes
+    [b, k1, i] against [i, o, k1], and [b, k2, k1, i] against [i, o, k1, k2]."""
     rng = np.random.default_rng(7)
-    v = _modes_last(rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5)))
-    r = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
-    out = T.mode_mix(T.Tensor(v), T.Tensor(r)).data
-    want = np.einsum("bki,iok->bko", v, r)
-    assert np.max(np.abs(out - want)) < 1e-12
+    v, r = rng.normal(size=(2, 16, 3)), _cplx(rng, 3, 4, 5)
+    mixed = np.zeros((2, 9, 4), complex)
+    mixed[:, :5] = np.einsum("bki,iok->bko", np.fft.rfft(v, axis=1)[:, :5], r)
+    assert np.max(np.abs(_conv(v, r) - np.fft.irfft(mixed, 16, axis=1))) < 1e-12
 
-    v2 = _modes_last(rng.normal(size=(2, 3, 4, 5)) + 1j * rng.normal(size=(2, 3, 4, 5)))
-    r2 = rng.normal(size=(3, 6, 4, 5)) + 1j * rng.normal(size=(3, 6, 4, 5))
-    out2 = T.mode_mix(T.Tensor(v2), T.Tensor(r2)).data
-    want2 = np.einsum("blki,iokl->blko", v2, r2)
-    assert np.max(np.abs(out2 - want2)) < 1e-12
-    with pytest.raises(T.ShapeError):        # modes in the weights' order
-        T.mode_mix(T.Tensor(np.moveaxis(v2, 1, 2)), T.Tensor(r2))
+    v2, r2 = rng.normal(size=(2, 8, 8, 3)), _cplx(rng, 3, 6, 4, 5)
+    rows = T.full_axis_mode_indices(5, 8)
+    mixed2 = np.zeros((2, 8, 5, 6), complex)
+    v2_hat = np.fft.rfft2(v2, axes=(1, 2))[:, rows, :4]
+    mixed2[:, rows, :4] = np.einsum("blki,iokl->blko", v2_hat, r2)
+    want2 = np.fft.irfft2(mixed2, s=(8, 8), axes=(1, 2))
+    assert np.max(np.abs(_conv(v2, r2) - want2)) < 1e-12
 
 
 def test_mode_mix_gradients_match_einsum_adjoints():
+    """1-D, every bin kept.  L = sum(g * out) = Re(sum(Y h)) over the modes
+    Y = X r, with h = w conj(rfft(g)) / n and the Hermitian weights w (1 at
+    DC and Nyquist, 2 elsewhere).  Collect each operand's linear coefficient
+    and conjugate it (see above); v's is real, so its gradient is the real
+    part of the forward DFT of that coefficient."""
     rng = np.random.default_rng(8)
-    v = _modes_last(rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5)))
-    r = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
-    g = _modes_last(rng.normal(size=(2, 4, 5)) + 1j * rng.normal(size=(2, 4, 5)))
+    n, k = 16, 9
+    v, r, g = rng.normal(size=(2, n, 3)), _cplx(rng, 3, 4, k), rng.normal(size=(2, n, 4))
     tape = T.Tape()
     lv, lr = tape.leaf(v), tape.leaf(r)
-    loss = T.reduce_sum(T.real(T.mode_mix(lv, lr) * T.Tensor(g)))
-    grads = T.backward(tape, loss)
-    # L = Re(sum(v_bki r_iok g_bko)); collect each operand's linear
-    # coefficient and conjugate (d/dRe + i d/dIm convention, see above)
-    want_gv = np.conj(np.einsum("iok,bko->bki", r, g))
-    want_gr = np.conj(np.einsum("bki,bko->iok", v, g))
-    assert np.max(np.abs(grads[lv] - want_gv)) < 1e-12
+    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    w = np.where((np.arange(k) == 0) | (np.arange(k) == n // 2), 1.0, 2.0)[:, None]
+    h = w * np.conj(np.fft.rfft(g, axis=1)) / n
+    x = np.fft.rfft(v, axis=1)
+    want_gr = np.conj(np.einsum("bki,bko->iok", x, h))
+    q = np.zeros((2, n, 3), complex)
+    q[:, :k] = np.einsum("iok,bko->bki", r, h)
+    want_gv = np.fft.fft(q, axis=1).real
     assert np.max(np.abs(grads[lr] - want_gr)) < 1e-12
+    assert np.max(np.abs(grads[lv] - want_gv)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +683,14 @@ def test_mode_mix_gradients_match_einsum_adjoints():
 
 def test_finite_diff_through_nonlinear_chain():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 8))
-    probe = T.Tensor(rng.normal(size=(2, 8)))
+    x = rng.normal(size=(2, 8, 2))
+    probe = T.Tensor(rng.normal(size=(2, 8, 2)))
+
+    r = T.Tensor(_cplx(rng, 2, 2, 3))
 
     def f(a):
         h = T.gelu(a) * T.sigmoid(a)
-        low = np.arange(3)
-        return T.reduce_sum(T.dft_synthesis(T.dft_analysis(h, low), low, 8, real=True) * probe)
+        return T.reduce_sum(T.spectral_conv(h, r) * probe)
 
     err, _ = T.finite_diff_report(f, [x])
     assert err < 1e-6
