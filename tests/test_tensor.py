@@ -609,6 +609,96 @@ def test_spectral_conv_adjoint(rank):
         assert abs(got - want) < 1e-10 * abs(want)
 
 
+def _conv_grads(v, r, g):
+    """The v and r gradients of sum(g * spectral_conv(v, r))."""
+    tape = T.Tape()
+    lv, lr = tape.leaf(v), tape.leaf(r)
+    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    return grads[lv], grads[lr]
+
+
+def _impulse(grid, c):
+    """[1, *grid, c], 1 at the origin: every mode of it is exactly 1."""
+    x = np.zeros((1,) + grid + (c,))
+    x[(0,) * (len(grid) + 1)] = 1
+    return x
+
+
+def _hermitian(k, n):
+    """The weights of a real signal's half spectrum: 1 at DC and Nyquist, 2 elsewhere."""
+    return np.where((np.arange(k) == 0) | (2 * np.arange(k) == n), 1.0, 2.0)
+
+
+# The synthesis adjoint alone is the r gradient when v is an impulse at the
+# origin (its modes are 1).  The analysis adjoint alone is the v gradient
+# when g is an impulse at the origin (the synthesis adjoint takes it to
+# w / N on every mode) and r = N conj(c) / w, so the modes' cotangent is c.
+# A cotangent c on modes x is the loss Re(sum(x * conj(c))).
+
+
+def test_dft_analysis_adjoint_closed_form():
+    """Real input to bins 0..k-1: the gradient is Re(sum_k c_k exp(2 pi i k t / n)),
+    the real part of the unnormalized inverse DFT of c."""
+    rng = np.random.default_rng(4)
+    n = 8
+    for k in (5, 3):                                   # with and without Nyquist
+        c = _cplx(rng, 3, k)                           # [i, k]
+        r = (n * np.conj(c) / _hermitian(k, n))[:, None, :]
+        gv, _ = _conv_grads(rng.normal(size=(1, n, 3)), r, _impulse((n,), 1))
+        assert gv.dtype == np.float64
+        full = np.zeros((3, n), complex)
+        full[:, :k] = c
+        want = (n * np.fft.ifft(full, axis=-1)).real
+        assert np.max(np.abs(gv[0] - want.T)) < 1e-12
+
+
+def test_dft_synthesis_adjoint_closed_form():
+    """Bins 0..k-1 to the real output: the gradient is fft(g) on those bins
+    with the Hermitian weights 1 (DC, Nyquist) and 2, over n."""
+    rng = np.random.default_rng(5)
+    n = 8
+    for k in (5, 3):
+        g = rng.normal(size=(1, n, 2))
+        _, gr = _conv_grads(_impulse((n,), 1), _cplx(rng, 1, 2, k), g)
+        assert gr.dtype == np.complex128
+        want = np.fft.fft(g[0], axis=0)[:k] * _hermitian(k, n)[:, None] / n
+        assert np.max(np.abs(gr[0] - want.T)) < 1e-12
+
+
+def test_dft_analysis_adjoint_on_a_middle_axis():
+    """2-D: the full grid axis, axis 1 of [b, n1, n2, c], takes the complex
+    DFT on bins (0, 1, -1, 2, -2) and the last axis the real one on bins
+    0..k1-1; the gradient is the real part of the unnormalized inverse 2-D
+    DFT of c placed on those bins."""
+    rng = np.random.default_rng(15)
+    n1, n2, k1, k2 = 8, 8, 5, 5
+    rows = T.full_axis_mode_indices(k2, n1)
+    c = _cplx(rng, 3, k1, k2)                          # [i, k1, k2]
+    r = (n1 * n2 * np.conj(c) / _hermitian(k1, n2)[:, None])[:, None]
+    gv, _ = _conv_grads(rng.normal(size=(1, n1, n2, 3)), r, _impulse((n1, n2), 1))
+    assert gv.dtype == np.float64
+    full = np.zeros((3, n1, n2), complex)
+    full[:, rows, :k1] = c.swapaxes(1, 2)
+    want = (n1 * n2 * np.fft.ifft2(full, axes=(1, 2))).real
+    assert np.max(np.abs(gv[0] - np.moveaxis(want, 0, -1))) < 1e-12
+
+
+def test_dft_synthesis_adjoint_on_a_middle_axis():
+    """2-D: the gradient is fft2(g) on the retained bins, with the Hermitian
+    weights of the last axis, over n1 n2; the full axis's bins are
+    (0, 1, -1, 2, -2), that is 0, 1, 7, 2, 6 of 8."""
+    rng = np.random.default_rng(16)
+    n1, n2, k1, k2 = 8, 8, 5, 5
+    rows = T.full_axis_mode_indices(k2, n1)
+    assert rows.tolist() == [0, 1, 7, 2, 6]
+    g = rng.normal(size=(1, n1, n2, 2))
+    _, gr = _conv_grads(_impulse((n1, n2), 1), _cplx(rng, 1, 2, k1, k2), g)
+    assert gr.dtype == np.complex128
+    spec = np.fft.fft2(g[0], axes=(0, 1))[rows, :k1]            # [k2, k1, o]
+    want = spec * _hermitian(k1, n2)[None, :, None] / (n1 * n2)
+    assert np.max(np.abs(gr[0] - np.moveaxis(want, -1, 0).swapaxes(1, 2))) < 1e-12
+
+
 def test_complex_leaf_gradient_has_its_shape_and_dtype():
     rng = np.random.default_rng(17)
     for vs, rs in [((2, 8, 3), (3, 3, 4)), ((2, 8, 8, 3), (3, 3, 4, 5))]:
