@@ -8,10 +8,10 @@ CSV tables).
 
 Exit codes: 0 success, 1 verification or numeric failure (gradient check
 failed, solver blow-up, non-finite loss, incompatible checkpoint/data
-pair) or an interrupt (Ctrl-C), 2 usage or I/O error (bad flags, bad
-config schema, missing files, corrupt or truncated datasets and checkpoints).
-Every artifact written embeds the hash of the configuration that
-produced it.
+pair) or an interrupt (Ctrl-C or SIGTERM), 2 usage or I/O error (bad
+flags, bad config schema, missing files, corrupt or truncated datasets and
+checkpoints).  Every artifact embeds the hash of the configuration that
+produced it, and is written whole or not at all (``dataio.write_file``).
 
 ``COMPOL_THREADS`` sets the worker count, capped at the CPUs the process
 may run on; a value that is not an integer exits 2.  ``gen-data`` solves
@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from . import datagen as D
 from . import model as M
 from . import training as TR
 from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, check_fields, config_hash,
-                     load_dataset, write_fields, write_manifest)
+                     load_dataset, write_fields, write_file, write_json)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -222,9 +224,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     cfg_path = os.path.join(out_dir, CONFIG_FILENAME)
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cfg_path, resolved)
     record_path = os.path.join(out_dir, RECORD_FILENAME)
     TR.write_run_record(record_path, result,
                         extra_head={"experiment_hash": exp_hash,
@@ -294,7 +294,7 @@ def cmd_eval(args) -> int:
         }
         dump_path = os.path.join(out_dir, "error_fields.cmpd")
         write_fields(dump_path, header, [[err] for err in result.error_fields])
-        write_manifest(os.path.join(out_dir, MANIFEST_FILENAME), {
+        write_json(os.path.join(out_dir, MANIFEST_FILENAME), {
             "format": MAGIC.decode("ascii"), "version": FORMAT_VERSION,
             "files": [{"name": "error_fields.cmpd"}],
             "config_hash": (extra or {}).get("experiment_hash"),
@@ -368,8 +368,7 @@ def cmd_export_plot(args) -> int:
         lines = _csv_lines_comparison(runs)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(args.out, [text.encode("utf-8")])
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -426,9 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM ends a command as Ctrl-C does; only the main thread may set handlers
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if in_main else None
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError) as e:  # bad input files are ValueErrors
@@ -440,9 +446,12 @@ def main(argv=None) -> int:
     except (D.BlowUpError, TR.TrainingError, IncompatibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:       # Ctrl-C: a run that did not finish
+    except KeyboardInterrupt:       # Ctrl-C or SIGTERM: a run that did not finish
         print("error: interrupted", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

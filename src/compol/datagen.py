@@ -12,6 +12,7 @@ at the stored resolution.
 from __future__ import annotations
 
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -475,6 +476,16 @@ def _generate_chunk(spec_dict: dict, seed: int, start: int,
     return ics.astype(np.float32), finals.astype(np.float32)
 
 
+def _leave_signals_to_parent() -> None:
+    """Pool worker set-up: ignore Ctrl-C and take SIGTERM's default action.
+
+    The parent handles the interrupt and shuts the pool down; a forked
+    worker would otherwise inherit the parent's SIGTERM handler.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -512,6 +523,8 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
     every sample is seeded by (seed, index) alone, so serial and
     parallel runs write bit-identical files.  A count whose stored arrays
     would not fit in physical memory raises ``MemoryError`` before any work.
+    On an error or interrupt the chunks not yet started are cancelled and
+    the pool's workers are joined before the exception leaves.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -523,10 +536,14 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
               for s in range(0, n_samples, chunk_size)]
     workers_n = min(_resolve_workers(workers), max(1, len(bounds)))
     if workers_n > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=workers_n) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers_n,
+                                   initializer=_leave_signals_to_parent)
+        try:
             parts = list(pool.map(_generate_chunk, [spec_dict] * len(bounds),
                                   [seed] * len(bounds),
                                   [b[0] for b in bounds], [b[1] for b in bounds]))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     else:
         parts = [_generate_chunk(spec_dict, seed, a, b) for a, b in bounds]
 

@@ -7,6 +7,9 @@ length the header determines.  Each file is read whole, its header is
 checked against the format's schema, and the payload is taken with one
 ``np.frombuffer`` and sliced by an offset table.
 
+Every file compol writes goes through :func:`write_file`, whole or not
+at all: a crash mid-write leaves the previous file, if any, intact.
+
 :func:`check_fields` is the one check of which JSON value a field may
 hold.  Configs, system overrides, run records and dataset manifests each
 declare a table ``{key: (kind, least)}`` and pass their objects through it.
@@ -19,7 +22,9 @@ to back, each at the offset its header entry records.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,8 +37,8 @@ import numpy as np
 __all__ = [
     "MAGIC", "CKPT_MAGIC", "FORMAT_VERSION", "DataFormatError", "CheckpointError",
     "FieldTypeError", "check_fields", "canonical_json", "config_hash", "sha256_file",
-    "write_fields", "read_fields", "write_checkpoint", "read_checkpoint",
-    "write_manifest", "read_manifest",
+    "write_file", "write_json", "write_fields", "read_fields", "write_checkpoint",
+    "read_checkpoint", "read_manifest",
     "FieldDataset", "write_dataset", "load_dataset", "require_memory",
 ]
 
@@ -155,18 +160,42 @@ def sha256_file(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# framing
+# writing and framing
 
 
-def _write_frame(path, magic: bytes, header: dict, chunks) -> None:
-    """Write ``magic``, the version, ``header`` and the ``chunks`` arrays' raw bytes."""
+def write_file(path, chunks) -> None:
+    """Stream the bytes-like ``chunks`` to ``path``, whole or not at all.
+
+    They go to a new temp sibling, which ``os.replace`` renames onto ``path``
+    (atomic on POSIX).  Any exception, Ctrl-C included, removes it and is
+    re-raised.  Its mode is what a new ``open(path, "wb")`` gives.  No fsync:
+    the guard is against a crashed process, not a power loss.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):    # not made, or renamed already
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Indented, key-sorted JSON and a newline: manifests and config copies."""
+    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                       + "\n").encode("utf-8")])
+
+
+def _write_frame(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, the version, ``header`` and the ``arrays``' raw bytes."""
     blob = canonical_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(_PREFIX.pack(FORMAT_VERSION, len(blob)))
-        fh.write(blob)
-        for chunk in chunks:
-            fh.write(np.ascontiguousarray(chunk).data)
+    write_file(path, itertools.chain(
+        (magic, _PREFIX.pack(FORMAT_VERSION, len(blob)), blob),
+        (np.ascontiguousarray(a).data for a in arrays)))
 
 
 def _read_frame(path, magic: bytes, layout, error, sha256: "str | None" = None):
@@ -371,7 +400,7 @@ def _channel_stats(arrays: "list[np.ndarray]") -> "list[dict]":
 
 def write_dataset(out_dir: str, inputs: "list[np.ndarray]", outputs: "list[np.ndarray]",
                   meta: dict) -> dict:
-    """Write data file plus manifest; returns the manifest dict.
+    """Write data file, then manifest (the commit marker); returns the manifest.
 
     ``inputs[m]``/``outputs[m]`` are [n, channels_m, *grid] float arrays.
     ``meta`` supplies system/seed/config fields recorded verbatim.
@@ -411,14 +440,8 @@ def write_dataset(out_dir: str, inputs: "list[np.ndarray]", outputs: "list[np.nd
     })
     manifest["config_hash"] = config_hash(
         {k: manifest[k] for k in ("system", "seed", "counts") if k in manifest})
-    write_manifest(os.path.join(out_dir, MANIFEST_FILENAME), manifest)
+    write_json(os.path.join(out_dir, MANIFEST_FILENAME), manifest)
     return manifest
-
-
-def write_manifest(path: str, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def read_manifest(path: str) -> dict:

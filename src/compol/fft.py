@@ -30,6 +30,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 __all__ = ["fft", "ifft", "rfft", "irfft", "dft_matrix", "apply_dft", "UnsupportedLengthError"]
 
@@ -175,22 +176,6 @@ def _as_complex(a) -> np.ndarray:
     return a.astype(_complex_dtype(a.dtype), copy=False)
 
 
-def _normalize_axes(ndim: int, axes) -> tuple[int, ...]:
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = []
-    for ax in axes:
-        ax = int(ax)
-        if ax < 0:
-            ax += ndim
-        if not 0 <= ax < ndim:
-            raise ValueError(f"axis {ax} out of range for ndim {ndim}")
-        out.append(ax)
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate axes in {axes}")
-    return tuple(out)
-
-
 def _apply_along(x: np.ndarray, axes: tuple[int, ...], inverse: bool) -> np.ndarray:
     for ax in axes:
         _check_pow2(x.shape[ax])
@@ -242,13 +227,13 @@ def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
 def fft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
     """Unnormalized complex FFT along ``axes``."""
     x = _as_complex(a)
-    return _apply_along(x, _normalize_axes(x.ndim, axes), inverse=False)
+    return _apply_along(x, normalize_axis_tuple(axes, x.ndim), inverse=False)
 
 
 def ifft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
     """Inverse FFT along ``axes`` with 1/N per axis."""
     x = _as_complex(a)
-    return _apply_along(x, _normalize_axes(x.ndim, axes), inverse=True)
+    return _apply_along(x, normalize_axis_tuple(axes, x.ndim), inverse=True)
 
 
 def rfft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
@@ -259,7 +244,7 @@ def rfft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
     a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ValueError("rfft expects a real array")
-    axes = _normalize_axes(a.ndim, axes)
+    axes = normalize_axis_tuple(axes, a.ndim)
     last = axes[-1]
     _check_pow2(a.shape[last])
     real = _complex_dtype(a.dtype).char.lower()
@@ -274,7 +259,7 @@ def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
     ``numpy.fft.irfft`` ignores them.
     """
     x = _as_complex(a)
-    axes = _normalize_axes(x.ndim, axes)
+    axes = normalize_axis_tuple(axes, x.ndim)
     last = axes[-1]
     if n is None:
         n = 2 * (x.shape[last] - 1)

@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 from .fft import _frozen, dft_matrix
 
@@ -443,21 +444,12 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 def _normalize_axes(t: Tensor, axes) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(t.ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = []
-    for ax in axes:
-        ax = int(ax)
-        if ax < 0:
-            ax += t.ndim
-        if not 0 <= ax < t.ndim:
-            raise ShapeError(f"reduce axis out of range for shape {t.shape}")
-        out.append(ax)
-    if len(set(out)) != len(out):
-        raise ShapeError("duplicate reduce axes")
-    return tuple(sorted(out))
+    """Sorted non-negative reduce axes; None means all of them."""
+    try:
+        return tuple(sorted(normalize_axis_tuple(range(t.ndim) if axes is None else axes,
+                                                 t.ndim)))
+    except ValueError as e:     # numpy's AxisError, or a repeated axis
+        raise ShapeError(f"reduce axes {axes} for shape {t.shape}: {e}") from None
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import model as M
 from . import params as P
 from . import tensor as T
-from .dataio import FieldDataset, check_fields, config_hash
+from .dataio import FieldDataset, check_fields, config_hash, write_file
 
 __all__ = [
     "TrainingError", "AdamState", "EpochRecord", "TrainResult", "EvalResult",
@@ -197,9 +197,8 @@ class TrainResult:
     best_err: float
 
     def best_model(self) -> "M.CompolModel":
-        clone = M.init_params(self.config)
-        P.load_named(clone, self.best_params)
-        return clone
+        """The model with copies of the best epoch's parameters."""
+        return P.with_leaves(self.model, {k: a.copy() for k, a in self.best_params.items()})
 
 
 @dataclass
@@ -214,14 +213,11 @@ class EvalResult:
 def write_run_record(path: str, result: TrainResult,
                      extra_head: "dict | None" = None) -> None:
     """One JSON object per line: a head line, then one line per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
-        head = {"kind": "run", "seed": result.seed, "config_hash": result.config_hash,
-                "model": result.config.to_dict(), "best_epoch": result.best_epoch,
-                "best_err": result.best_err}
-        head.update(extra_head or {})
-        fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for rec in result.records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+    head = {"kind": "run", "seed": result.seed, "config_hash": result.config_hash,
+            "model": result.config.to_dict(), "best_epoch": result.best_epoch,
+            "best_err": result.best_err, **(extra_head or {})}
+    write_file(path, ((json.dumps(line, sort_keys=True) + "\n").encode("utf-8")
+                      for line in [head] + [rec.to_dict() for rec in result.records]))
 
 
 # the fields the CSV exports read; a head may omit all but best_err

@@ -5,8 +5,11 @@ Exit code contract: 0 success, 1 numeric/verification failures
 I/O problems (bad flags, bad schema, missing files).
 """
 
+import contextlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -595,3 +598,192 @@ def test_ctrl_c_is_one_error_line_and_exit_1(command, lv_data, tmp_path, monkeyp
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: interrupted\n"
+
+
+def test_main_handles_sigterm_only_while_a_command_runs(monkeypatch):
+    """SIGTERM during a command ends it as Ctrl-C does; the handler in place
+    before (here a recorder, so a regression cannot kill the test run) is
+    put back on return."""
+    received = []
+    before = signal.signal(signal.SIGTERM, lambda *args: received.append(args))
+
+    def command(args):
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(1)   # the handler interrupts this wait
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", command)
+    try:
+        code = cli.main(["gradcheck"])
+        restored = signal.getsignal(signal.SIGTERM)
+    finally:
+        recorder = signal.signal(signal.SIGTERM, before)
+    assert (code, received) == (1, [])
+    assert restored is recorder
+
+
+# the child: compol's main, with a marker file touched once the command is
+# under way (in a pool worker for gen-data, after an epoch for train)
+_SIGNAL_CHILD = """
+import functools, signal, sys
+from pathlib import Path
+from compol import cli, datagen, training
+
+def touching(real):
+    @functools.wraps(real)
+    def wrapped(*args, **kwargs):   # records the signal actions it runs under
+        Path(sys.argv[1]).write_text(
+            " ".join(repr(signal.getsignal(s)) for s in (signal.SIGINT, signal.SIGTERM)))
+        return real(*args, **kwargs)
+    return wrapped
+
+datagen._generate_chunk = touching(datagen._generate_chunk)
+training.evaluate = touching(training.evaluate)
+raise SystemExit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("signum,to_group", [(signal.SIGINT, True), (signal.SIGTERM, False),
+                                              (signal.SIGTERM, True)],
+                         ids=["SIGINT-to-the-group", "SIGTERM-to-compol", "SIGTERM-to-the-group"])
+def test_signals_end_in_one_error_line_and_leave_no_process(command, signum, to_group,
+                                                             lv_data, tmp_path):
+    """Ctrl-C (SIGINT to the whole process group, as a terminal sends it) and
+    SIGTERM to compol alone each end a run with exit 1 and one line, no
+    traceback from compol or its gen-data workers, and no process of the
+    session left behind.  The child runs in its own session with at most two
+    pool workers (``COMPOL_THREADS=2``); every wait is bounded, and the
+    session is killed whatever happens."""
+    if command == "gen-data":   # bz at its defaults: two rounds of 8-sample chunks
+        argv = ["gen-data", "--system", "bz", "--n", "32", "--resolution", "256",
+                "--seed", "1", "--out", str(tmp_path / "data")]
+    else:                       # far more epochs than the test waits for
+        doc = experiment_doc(lv_data, tmp_path / "run")
+        doc["train"]["epochs"] = 100000
+        argv = ["train", "--config", write_config(tmp_path / "exp.json", doc)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COMPOL_THREADS": "2", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    ready = tmp_path / "ready"
+    proc = subprocess.Popen([sys.executable, "-c", _SIGNAL_CHILD, str(ready), *argv],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not ready.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the command never got under way"
+            time.sleep(0.02)
+        if to_group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1, err
+        assert err == "error: interrupted\n"
+        with pytest.raises(ProcessLookupError):    # the session is empty
+            os.killpg(proc.pid, 0)
+        if command == "gen-data":   # the workers leave both signals to compol
+            assert ready.read_text() == f"{signal.SIG_IGN!r} {signal.SIG_DFL!r}"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate(timeout=10)
+
+
+# ---------------------------------------------------------------------------
+# crash points: every file is written whole or not at all
+
+
+_READERS = {"data.cmpd": D.read_fields, "error_fields.cmpd": D.read_fields,
+            "manifest.json": D.read_manifest, "checkpoint.ckpt": D.read_checkpoint,
+            "run.jsonl": TR.read_run_record, "config.json": cli.load_experiment_config}
+
+
+def _crash_case(command, lv_data, run_dir, tmp_path):
+    """The output directory, and two runs of ``command`` that write different bytes there."""
+    out = tmp_path / "out"
+    if command == "gen-data":
+        base = ["gen-data", "--system", "lv", "--n", "2", "--resolution", "32",
+                "--out", str(out)] + GEN_LV
+        return out, base + ["--seed", "9"], base + ["--seed", "10"]
+    if command == "train":
+        argvs = []
+        for seed in (0, 1):
+            doc = experiment_doc(lv_data, out, seed=seed)
+            argvs.append(["train", "--config", write_config(tmp_path / f"{seed}.json", doc)])
+        return out, *argvs
+    if command == "eval":
+        other = tmp_path / "other_run"
+        doc = experiment_doc(lv_data, other, seed=1)
+        assert cli.main(["train", "--config", write_config(tmp_path / "1.json", doc)]) == 0
+        return out, *[["eval", "--checkpoint", str(run / cli.CHECKPOINT_FILENAME),
+                       "--data", str(lv_data), "--dump-error-fields", str(out)]
+                      for run in (run_dir, other)]
+    base = ["export-plot", "--format", "csv", "--out", str(out / "plot.csv")]
+    out.mkdir()
+    return out, base + ["--run", str(run_dir)], base + ["--run", str(run_dir)] * 2
+
+
+def _tear_write(monkeypatch, k, calls):
+    """Record each ``write_file`` call's file name; the k-th (from 1) raises
+    ``KeyboardInterrupt`` after half of its bytes have been written."""
+    real = D.write_file
+
+    def write_file(path, chunks):
+        calls.append(os.path.basename(path))
+        if len(calls) == k:
+            data = b"".join(bytes(c) for c in chunks)
+
+            def torn():
+                yield data[:len(data) // 2]
+                raise KeyboardInterrupt
+            chunks = torn()
+        real(path, chunks)
+
+    for module in (D, cli, TR):
+        if hasattr(module, "write_file"):
+            monkeypatch.setattr(module, "write_file", write_file)
+
+
+def _files(directory):
+    """Each file's bytes, with the run record's wall times zeroed."""
+    return {p.name: re.sub(rb'"wall_ms": [0-9.e+-]+', b'"wall_ms": 0', p.read_bytes())
+            for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "export-plot"])
+def test_a_crash_in_any_write_leaves_only_whole_files(command, earlier, lv_data, run_dir,
+                                                      tmp_path, monkeypatch, capsys):
+    """Interrupt each of a command's writes in turn, halfway through its
+    bytes.  The files written before it hold the new run's bytes, the one
+    torn and those after it hold the earlier run's (or are absent), every
+    file left passes its reader, and no temp sibling is left."""
+    out, first, second = _crash_case(command, lv_data, run_dir, tmp_path)
+    assert cli.main(first) == 0
+    old = _files(out)
+    calls = []
+    with monkeypatch.context() as m:
+        _tear_write(m, 0, calls)
+        assert cli.main(second) == 0
+    new = _files(out)
+    assert sorted(calls) == sorted(new) and all(old[name] != new[name] for name in new)
+    capsys.readouterr()
+    for k in range(1, len(calls) + 1):
+        for path in out.iterdir():
+            path.unlink()
+        for name, raw in (old.items() if earlier else ()):
+            (out / name).write_bytes(raw)
+        with monkeypatch.context() as m:
+            _tear_write(m, k, [])
+            assert cli.main(second) == 1
+        assert capsys.readouterr().err == "error: interrupted\n"
+        want = {name: new[name] for name in calls[:k - 1]}
+        want.update({name: old[name] for name in calls[k - 1:] if earlier})
+        assert _files(out) == want, (k, calls[k - 1])
+        for name in want:
+            if name in _READERS:
+                _READERS[name](str(out / name))

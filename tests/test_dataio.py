@@ -3,6 +3,7 @@
 import builtins
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -237,3 +238,58 @@ def test_subset_views():
     assert sub.n_samples == 2
     assert np.array_equal(sub.inputs[0][0], inputs[0][2])
     assert np.array_equal(sub.inputs[0][1], inputs[0][0])
+
+
+# ---------------------------------------------------------------------------
+# the one writer
+
+
+def test_write_file_streams_to_a_temp_sibling_then_replaces(tmp_path):
+    """While the chunks stream, the final name keeps its old bytes and one
+    temp sibling grows; after the last chunk only the new file is left."""
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"old")
+    payload = np.arange(3, dtype="<f4")
+    seen = []
+
+    def chunks():
+        yield b"new "
+        seen.append((path.read_bytes(), sorted(os.listdir(tmp_path))))
+        yield np.ascontiguousarray(payload).data
+
+    D.write_file(path, chunks())
+    [(during, names)] = seen
+    assert during == b"old"
+    assert len(names) == 2 and names[1] == "f.bin" and names[0].startswith(".f.bin.")
+    assert path.read_bytes() == b"new " + payload.tobytes()
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+def test_write_file_failure_keeps_the_old_file_and_leaves_no_temp(tmp_path, error):
+    def chunks():
+        yield b"partial"
+        raise error
+
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(error):
+        D.write_file(path, chunks())
+    assert path.read_bytes() == b"old"
+    with pytest.raises(error):
+        D.write_file(tmp_path / "new.bin", chunks())
+    assert os.listdir(tmp_path) == ["f.bin"]
+
+
+def test_write_file_gives_the_mode_of_a_plain_open(tmp_path):
+    """0o666 less the umask, as ``open(path, "wb")`` makes a new file, not
+    the 0o600 of ``tempfile.mkstemp``."""
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        D.write_file(tmp_path / "written", [b""])
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("plain", "written")}
+    assert len(modes) == 1 and modes != {0o600}

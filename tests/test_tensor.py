@@ -472,6 +472,24 @@ def test_dft_ops_take_exact_quarter_turns(dtype):
     assert (out[0] == 0).all() and (out[n // 4] == 1 / n).all()
 
 
+@pytest.mark.parametrize("axes", [(0, 0), (1, -1), 2, (-3,)],
+                         ids=["repeated", "repeated-from-the-end", "past-the-end",
+                              "before-the-start"])
+@pytest.mark.parametrize("module", ["tensor", "fft"])
+def test_bad_axes_raise_each_module_s_error(module, axes):
+    """One axis check serves both modules: a tape reduction raises ShapeError,
+    a compol.fft transform ValueError."""
+    x = np.ones((2, 4))
+    if module == "tensor":
+        for op in (T.reduce_sum, T.reduce_mean):
+            with pytest.raises(T.ShapeError, match="reduce axes"):
+                op(T.Tensor(x), axes)
+    else:
+        for transform in (K.fft, K.ifft, K.rfft, K.irfft):
+            with pytest.raises(ValueError, match="axis"):
+                transform(x, axes)
+
+
 def test_integer_input_promoted_to_float():
     t = T.Tensor(np.ones(3, dtype=np.int64))
     assert t.data.dtype == np.float64
