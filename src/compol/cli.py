@@ -8,10 +8,11 @@ CSV tables).
 
 Exit codes: 0 success, 1 verification or numeric failure (gradient check
 failed, solver blow-up, non-finite loss, incompatible checkpoint/data
-pair) or an interrupt (Ctrl-C or SIGTERM), 2 usage or I/O error (bad
-flags, bad config schema, missing files, corrupt or truncated datasets and
-checkpoints).  Every artifact embeds the hash of the configuration that
-produced it, and is written whole or not at all (``dataio.write_file``).
+pair), an interrupt (Ctrl-C or SIGTERM) or a worker process that died,
+2 usage or I/O error (bad flags, bad config schema, missing files, corrupt
+or truncated datasets and checkpoints).  Every artifact embeds the hash of
+the configuration that produced it, and is written whole or not at all
+(``dataio.write_file``).
 
 ``COMPOL_THREADS`` sets the worker count, capped at the CPUs the process
 may run on; a value that is not an integer exits 2.  ``gen-data`` solves
@@ -30,6 +31,7 @@ import os
 import signal
 import sys
 import threading
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -307,6 +309,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from . import gradcheck as G
+    TR._keep_freed_blocks()     # the tape's freed blocks stay for the next check, as in train
     try:
         _, ok = G.run(args.module)
     except ValueError as e:
@@ -443,7 +446,8 @@ def main(argv=None) -> int:
     except MemoryError as e:        # a config sized beyond the machine
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
-    except (D.BlowUpError, TR.TrainingError, IncompatibleError) as e:
+    # BrokenExecutor: a gen-data worker ended on its own (SIGKILL, the OOM killer)
+    except (D.BlowUpError, TR.TrainingError, IncompatibleError, BrokenExecutor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:       # Ctrl-C or SIGTERM: a run that did not finish

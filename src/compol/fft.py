@@ -14,10 +14,12 @@ derives its real matrices for the retained bins from it.
 A longer length takes one four-step split ``n = n1 n2`` (Bailey 1990):
 ``n1``-point DFTs down the columns of the ``[n1, n2]`` view, one twiddle
 multiply, then ``n2``-point DFTs along its rows, recursing while a factor
-exceeds ``BLOCK``.  A longer real transform reads its ``N`` reals as
-``N/2`` complex values ``x[2j] + i x[2j+1]`` and separates the spectra of
-the even and odd samples with the post-twiddle of Sorensen et al. (1987),
-so it costs half a complex transform.
+exceeds ``BLOCK``.  A longer real transform reads its ``N = 2m`` reals as
+``m`` complex values ``x[2j] + i x[2j+1]`` and separates the spectra ``E``
+and ``O`` of the even and odd samples with the post-twiddle of Sorensen et
+al. (1987).  As ``X[k] = E_k + w^k O_k`` and ``X[m-k] = conj(E_k - w^k O_k)``,
+one half-length pass over the pairs ``k = 1..m/2`` gives both halves, and
+the inverse mirrors it: half a complex transform plus one pass.
 
 Every matmul is stacked over the first axis of its operand, with shapes
 that do not depend on that axis's extent: a slice of the first axis
@@ -100,16 +102,27 @@ def _twiddle(n1: int, n2: int, inverse: bool, dtype: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _sorensen(m: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(1 -+ i w^k) / 2`` and ``(1 +- i w^k) / 2`` for 0 < k < m.
+def _pair_twiddle(m: int, inverse: bool, dtype: str) -> np.ndarray:
+    """Factors ``(1 -+ i w^k) / 2`` for ``0 < k <= m/2``, ``w = exp(-+2 pi i / 2m)``."""
+    w = _phase(2, m // 2 + 1, 2 * m, inverse)[1, 1:]
+    return _frozen((1 + (1j if inverse else -1j) * w) / 2, dtype)
 
-    ``w = exp(-+2 pi i / 2m)``: the forward pair turns the packed spectrum
-    ``Z`` into ``X[k] = A_k Z[k] + B_k conj(Z[m-k])``; the inverse pair
-    (the conjugates) turns ``X`` back into ``Z``.
+
+def _pair_pass(src: np.ndarray, dst: np.ndarray, m: int, inverse: bool) -> None:
+    """Bins ``k`` and ``m-k`` of ``dst`` from the same bins of ``src``, ``0 < k <= m/2``.
+
+    ``a = src[k]``, ``b = conj(src[m-k])``, ``d = A_k (a - b)`` with ``A_k``
+    from :func:`_pair_twiddle`: ``dst[k] = b + d``, ``dst[m-k] = conj(a - d)``.
+    Forward ``src`` is ``Z`` and ``dst`` is ``X``; inverse, the other way round.
     """
-    w = _phase(2, m, 2 * m, inverse)[1, 1:]
-    i = 1j if inverse else -1j
-    return _frozen((1 + i * w) / 2, dtype), _frozen((1 - i * w) / 2, dtype)
+    h = m // 2
+    a = src[..., 1:h + 1]
+    b = np.conjugate(src[..., m - 1:h - 1:-1])
+    d = a - b
+    d *= _pair_twiddle(m, inverse, src.dtype.str)
+    np.add(b, d, out=dst[..., 1:h + 1])
+    np.subtract(a, d, out=b)
+    np.conjugate(b, out=dst[..., m - 1:h - 1:-1])
 
 
 def apply_dft(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
@@ -196,11 +209,7 @@ def _rfft_last(x: np.ndarray) -> np.ndarray:
     re, im = z[..., 0].real, z[..., 0].imag
     out[..., 0] = re + im
     out[..., m] = re - im
-    fa, fb = _sorensen(m, False, cdt.str)
-    mid = out[..., 1:m]
-    np.conjugate(z[..., :0:-1], out=mid)
-    mid *= fb
-    mid += z[..., 1:] * fa
+    _pair_pass(z, out, m, inverse=False)
     return out
 
 
@@ -210,16 +219,12 @@ def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
     if n <= BLOCK:
         return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, True, True, real.str))
     m = n // 2
-    # Z[k] = A'_k X[k] + B'_k conj(X[m-k]); only the real parts of X[0], X[m] count
+    # only the real parts of X[0] and X[m] count
     z = np.empty(x.shape[:-1] + (m,), dtype=x.dtype)
     dc, ny = x[..., 0].real, x[..., m].real
     z.real[..., 0] = (dc + ny) * 0.5
     z.imag[..., 0] = (dc - ny) * 0.5
-    fa, fb = _sorensen(m, True, x.dtype.str)
-    mid = z[..., 1:]
-    np.conjugate(x[..., m - 1:0:-1], out=mid)
-    mid *= fb
-    mid += x[..., 1:m] * fa
+    _pair_pass(x, z, m, inverse=True)
     # the inverse of Z interleaves the even and odd samples
     return _along(z, -1, inverse=True).view(real)
 
@@ -248,8 +253,9 @@ def rfft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
     last = axes[-1]
     _check_pow2(a.shape[last])
     real = _complex_dtype(a.dtype).char.lower()
-    x = _rfft_last(np.ascontiguousarray(np.moveaxis(a, last, -1), dtype=real))
-    return _apply_along(np.moveaxis(x, -1, last), axes[:-1], inverse=False)
+    moved = last != a.ndim - 1
+    x = _rfft_last(np.ascontiguousarray(np.moveaxis(a, last, -1) if moved else a, dtype=real))
+    return _apply_along(np.moveaxis(x, -1, last) if moved else x, axes[:-1], inverse=False)
 
 
 def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
@@ -268,5 +274,6 @@ def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {n // 2 + 1} half-spectrum bins, got {x.shape[last]}")
     if axes[:-1]:
         x = _apply_along(x, axes[:-1], inverse=True)
-    out = _irfft_last(np.moveaxis(x, last, -1), n)
-    return np.ascontiguousarray(np.moveaxis(out, -1, last))
+    moved = last != x.ndim - 1
+    out = _irfft_last(np.moveaxis(x, last, -1) if moved else x, n)
+    return np.ascontiguousarray(np.moveaxis(out, -1, last)) if moved else out

@@ -6,19 +6,22 @@ I/O problems (bad flags, bad schema, missing files).
 """
 
 import contextlib
+import ctypes
 import json
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from compol import cli
+from compol import cli, datagen
 from compol import dataio as D
 from compol import model as M
 from compol import training as TR
@@ -154,6 +157,51 @@ def test_gen_data_blow_up_on_the_pool_is_one_error_line(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: sample(s) [0, 1, 2, 3, 4, 5, 6, 7]: non-finite state")
+
+
+_TEST_PID = os.getpid()
+_solve_chunk = datagen._generate_chunk
+
+
+def _die_in_chunk_0(spec_dict, seed, start, stop):
+    """A pool worker that ends on its own at chunk 0, as SIGKILL would end it."""
+    if start == 0:
+        assert os.getpid() != _TEST_PID, "chunk 0 ran in the test process"
+        os._exit(9)
+    return _solve_chunk(spec_dict, seed, start, stop)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not hasattr(signal, "alarm"),
+                    reason="the pool workers must inherit the patched chunk solver")
+def test_gen_data_worker_that_dies_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A gen-data pool worker that dies on its own breaks the pool: exit 1
+    and one line, no traceback, no dataset, and no worker left behind.  Two
+    workers are forced even on one CPU, and the command has 120 s."""
+    monkeypatch.setenv("COMPOL_THREADS", "2")
+    monkeypatch.setattr(datagen, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(datagen, "_generate_chunk", _die_in_chunk_0)
+    before = set(multiprocessing.active_children())
+
+    def too_slow(signum, frame):
+        raise AssertionError("gen-data did not end within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(120)
+    try:
+        code = cli.main(["gen-data", "--system", "lv", "--n", "16", "--resolution", "32",
+                         "--seed", "1", "--out", str(tmp_path / "out")] + GEN_LV)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        left = set(multiprocessing.active_children()) - before
+        for p in left:
+            p.kill()
+            p.join(10)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+    assert left == set()
 
 
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="physical memory is not known")
@@ -576,6 +624,26 @@ def test_gradcheck_tensor_module(capsys):
     assert "PASS" in out
 
 
+def test_gradcheck_sets_glibc_thresholds_before_its_sweeps(monkeypatch):
+    """As ``train`` and ``eval`` do, so the tape's freed blocks are reused
+    and not faulted in again by the next check."""
+    from compol import gradcheck as G
+    events = []
+
+    def mallopt(param, value):
+        events.append((param, value))
+        return 1
+
+    def sweeps(module):
+        events.append(("run", module))
+        return [], True
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(G, "run", sweeps)
+    assert cli.main(["gradcheck", "--module", "tensor"]) == 0
+    assert events == [(-1, 256 << 20), (-3, 32 << 20), ("run", "tensor")]  # M_TRIM_, M_MMAP_THRESHOLD
+
+
 # ---------------------------------------------------------------------------
 # interrupts
 
@@ -625,15 +693,19 @@ def test_main_handles_sigterm_only_while_a_command_runs(monkeypatch):
 # the child: compol's main, with a marker file touched once the command is
 # under way (in a pool worker for gen-data, after an epoch for train)
 _SIGNAL_CHILD = """
-import functools, signal, sys
+import functools, os, signal, sys
 from pathlib import Path
 from compol import cli, datagen, training
 
 def touching(real):
     @functools.wraps(real)
     def wrapped(*args, **kwargs):   # records the signal actions it runs under
-        Path(sys.argv[1]).write_text(
+        # whole or not at all: both pool workers write the marker, and either
+        # may be killed halfway through
+        part = Path(f"{sys.argv[1]}.{os.getpid()}")
+        part.write_text(
             " ".join(repr(signal.getsignal(s)) for s in (signal.SIGINT, signal.SIGTERM)))
+        os.replace(part, sys.argv[1])
         return real(*args, **kwargs)
     return wrapped
 

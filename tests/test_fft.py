@@ -41,6 +41,13 @@ def naive_irfft(h: np.ndarray, n: int) -> np.ndarray:
     return naive_dft(full.astype(np.complex128), inverse=True).real
 
 
+def naive_irfft_at(h: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+    """:func:`naive_irfft` at the chosen samples ``t`` only."""
+    full = np.concatenate([h, np.conj(h[..., 1:n // 2][..., ::-1])], axis=-1)
+    phase = np.outer(np.arange(n), t) % n
+    return (full.astype(np.complex128) @ np.exp(2j * np.pi * phase / n)).real / n
+
+
 # ---------------------------------------------------------------------------
 # forward/inverse against the oracle
 
@@ -130,23 +137,34 @@ def test_irfft_roundtrip_and_hermitian_consistency():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [2, 4, 64, 128, 1024])
+@pytest.mark.parametrize("n", [2, 4, 64, 128, 256, 512, 1024, 2048, 8192])
 def test_rfft_irfft_match_naive_dft(n, dtype):
     """Both real transforms against the direct DFT, in the input's precision:
     up to BLOCK points one real matmul, beyond it the packed half-length
-    transform with its post-twiddle."""
+    transform with its pair pass.  Up to 2,048 points the oracle takes every
+    bin and sample; at 8,192, whose full oracle matrices would take gigabytes,
+    the ends, bin n/4 (where the pairs k and m-k of the pass meet) with its
+    neighbours, and random ones."""
     tol = 2e-6 if dtype == np.float32 else 1e-10   # the oracle's own error in float64
     rng = np.random.default_rng(n)
     x = rng.normal(size=(3, n)).astype(dtype)
     got = F.rfft(x, axes=(-1,))
     assert got.dtype == (np.complex64 if dtype == np.float32 else np.complex128)
-    assert np.max(np.abs(got - naive_rfft(x))) < tol * n
+    if n <= 2048:
+        assert np.max(np.abs(got - naive_rfft(x))) < tol * n
     h = (rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1)))
     h[:, [0, -1]] = h[:, [0, -1]].real
     h = h.astype(got.dtype)
     back = F.irfft(h, axes=(-1,))
     assert back.dtype == dtype
-    assert np.max(np.abs(back - naive_irfft(h, n))) < tol
+    if n <= 2048:
+        assert np.max(np.abs(back - naive_irfft(h, n))) < tol
+        return
+    q = n // 4
+    pick = np.unique(np.r_[0, 1, q - 1, q, q + 1, 2 * q - 1, 2 * q, rng.integers(0, 2 * q, 64)])
+    want = naive_dft_bins(x.astype(np.float64), pick)
+    assert np.max(np.abs(got[:, pick] - want)) < tol * n
+    assert np.max(np.abs(back[:, pick] - naive_irfft_at(h, n, pick))) < tol
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -186,6 +204,24 @@ def test_first_axis_slices_transform_alike(n):
     assert np.array_equal(whole[3], F.rfft(y[3:4], axes=(-2, -1))[0])
     assert np.array_equal(F.irfft(whole, axes=(-2, -1))[3],
                           F.irfft(whole[3:4], axes=(-2, -1))[0])
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_last_axis_in_place_and_moved_give_the_same_bits(n):
+    """On a C-ordered last axis rfft and irfft skip the axis moves and the
+    contiguous copies.  The same rows as the first axis of the transpose,
+    or as a strided slice, take the general path to the same bits."""
+    rng = np.random.default_rng(n + 7)
+    x = rng.normal(size=(5, n))
+    h = F.rfft(x, axes=(-1,))
+    y = F.irfft(h, axes=(-1,))
+    assert np.array_equal(F.rfft(x.T, axes=(0,)), h.T)
+    assert np.array_equal(F.irfft(h.T, axes=(0,)), y.T)
+    wide = np.repeat(x, 2, axis=-1)[:, ::2]
+    assert not wide.flags.c_contiguous and np.array_equal(wide, x)
+    assert np.array_equal(F.rfft(wide, axes=(-1,)), h)
+    wide_h = np.repeat(h, 2, axis=-1)[:, ::2]
+    assert np.array_equal(F.irfft(wide_h, axes=(-1,)), y)
 
 
 def test_irfft_explicit_n():
