@@ -36,6 +36,7 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from . import datagen as D
+from . import gradcheck as GC
 from . import model as M
 from . import training as TR
 from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, check_fields, config_hash,
@@ -308,12 +309,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import gradcheck as G
     TR._keep_freed_blocks()     # the tape's freed blocks stay for the next check, as in train
-    try:
-        _, ok = G.run(args.module)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    _, ok = GC.run(args.module)     # the parser takes its choices from GC.SUITES
     return 0 if ok else 1
 
 
@@ -415,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    c.add_argument("--module", default="all",
-                   choices=("all", "tensor", "layers", "aggregation", "model"))
+    c.add_argument("--module", default="all", choices=("all",) + tuple(GC.SUITES))
     c.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-plot", help="run records to CSV tables")

@@ -476,14 +476,20 @@ def _generate_chunk(spec_dict: dict, seed: int, start: int,
     return ics.astype(np.float32), finals.astype(np.float32)
 
 
+_POOL_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
 def _leave_signals_to_parent() -> None:
     """Pool worker set-up: ignore Ctrl-C and take SIGTERM's default action.
 
     The parent handles the interrupt and shuts the pool down; a forked
-    worker would otherwise inherit the parent's SIGTERM handler.
+    worker would otherwise inherit the parent's SIGTERM handler.  The
+    worker starts with both signals blocked (see :func:`generate_dataset`)
+    and unblocks them only once its own handlers are in place.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _POOL_SIGNALS)
 
 
 def _usable_cpus() -> int:
@@ -539,9 +545,17 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
         pool = ProcessPoolExecutor(max_workers=workers_n,
                                    initializer=_leave_signals_to_parent)
         try:
-            parts = list(pool.map(_generate_chunk, [spec_dict] * len(bounds),
-                                  [seed] * len(bounds),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
+            # The workers and the pool's management thread start while SIGINT and
+            # SIGTERM are blocked, so none of them runs the parent's handlers; a
+            # signal sent meanwhile reaches the parent once its mask is restored.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_SIGNALS)
+            try:
+                results = pool.map(_generate_chunk, [spec_dict] * len(bounds),
+                                   [seed] * len(bounds),
+                                   [b[0] for b in bounds], [b[1] for b in bounds])
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            parts = list(results)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     else:

@@ -1,10 +1,22 @@
 """Finite-difference verification of every differentiable building block.
 
-Each check compares tape gradients against central differences on small
-fixed random probes (float64).  Probes are generic — drawn once from
-seeded streams, never structured — because special inputs such as
-all-ones have zero gradient through most spectral coefficients and can
-mask real bugs.
+Each check names an op and its inputs; the harness draws the rest.  An
+input is one of:
+
+- a shape tuple: real normals, swept;
+- ``_cplx(*shape)``: complex normals, swept in both parts;
+- ``_fixed(*shape)``: real normals passed as a constant tensor, not swept;
+- a function of a generator returning an array (swept), or a parameter
+  tree whose arrays all become swept inputs; the op receives the tree.
+
+The inputs, in order, and then a probe of the op's output shape (one per
+output when the op returns a list) are drawn from one stream keyed by the
+check's suite and name, so adding or retiring a check never shifts another
+check's values.  The loss is the probe's dot product with the output, and
+its tape gradient is compared against central differences on every element
+(float64).  Probes are generic random draws, never structured, because
+special inputs such as all-ones have zero gradient through most spectral
+coefficients and can mask real bugs.
 
 Run via ``compol gradcheck`` or :func:`run`, which returns a list of
 :class:`CheckResult` and an overall pass flag.
@@ -12,6 +24,7 @@ Run via ``compol gradcheck`` or :func:`run`, which returns a list of
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -48,224 +61,133 @@ class CheckResult:
                 f"({self.seconds:.2f}s)")
 
 
-def _rng(tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([20259, tag]))
+def _cplx(*shape):
+    return lambda rng: rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _leaves(tree):
-    """A parameter tree's arrays, and a function rebuilding it around given leaves."""
-    named = P.named_arrays(tree)
-    names = [k for k, _ in named]
-    return [a for _, a in named], lambda leaves: P.with_leaves(tree, dict(zip(names, leaves)))
+def _fixed(*shape):
+    return lambda rng: T.Tensor(rng.normal(size=shape))
 
 
-def _real(rng, *shape):
-    return rng.normal(size=shape)
-
-
-def _cplx(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def _check(suite, name, f, xs, results):
+def _check(suite: str, name: str, op, *inputs) -> CheckResult:
+    """Draw ``op``'s inputs and probe from the check's own stream and sweep its inputs."""
     t0 = time.perf_counter()
-    err, where = T.finite_diff_report(f, xs, _EPS)
-    results.append(CheckResult(suite, name, err, where, time.perf_counter() - t0))
+    rng = np.random.default_rng(np.random.SeedSequence([20259, *f"{suite}/{name}".encode()]))
+    trees = [rng.normal(size=spec) if isinstance(spec, tuple) else spec(rng) for spec in inputs]
+    named = [P.named_arrays(tree) for tree in trees]
+    probes = []
+
+    def loss(*leaves):
+        it = iter(leaves)
+        args = [P.with_leaves(tree, {k: next(it) for k, _ in arrs}) if arrs else tree
+                for tree, arrs in zip(trees, named)]
+        out = op(*args)
+        outs = out if isinstance(out, list) else [out]
+        if not probes:
+            probes.extend(T.Tensor(rng.normal(size=o.shape)) for o in outs)
+        return functools.reduce(T.add, [T.reduce_sum(o * p) for o, p in zip(outs, probes)])
+
+    err, where = T.finite_diff_report(loss, [a for arrs in named for _, a in arrs], _EPS)
+    return CheckResult(suite, name, err, where, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # tensor ops
 
+_X = (3, 5)
 
-def _suite_tensor(results):
-    rng = _rng(1)
-    x = _real(rng, 3, 5)
-    y = _real(rng, 3, 5)
-    pr = _real(rng, 3, 5)          # fixed probe for non-scalar outputs
-    prT = T.Tensor(pr)
-
-    _check("tensor", "add", lambda a, b: T.reduce_sum((a + b) * prT), [x, y], results)
-    _check("tensor", "sub", lambda a, b: T.reduce_sum((a - b) * prT), [x, y], results)
-    _check("tensor", "mul", lambda a, b: T.reduce_sum((a * b) * prT), [x, y], results)
-    _check("tensor", "scale", lambda a: T.reduce_sum(T.scale(a, -1.7) * prT), [x], results)
-    _check("tensor", "tanh", lambda a: T.reduce_sum(T.tanh(a) * prT), [x], results)
-    _check("tensor", "sigmoid", lambda a: T.reduce_sum(T.sigmoid(a) * prT), [x], results)
-    _check("tensor", "gelu", lambda a: T.reduce_sum(T.gelu(a) * prT), [x], results)
-    xp = np.abs(x) + 0.5
-    _check("tensor", "sqrt", lambda a: T.reduce_sum(T.sqrt(a) * prT), [xp], results)
-
-    _real(rng, 235)                 # unused draws: the probes after them stay as they were
-    ra = _rng(11)                   # its own stream, so the draws after it keep theirs
-    pr235 = T.Tensor(_real(ra, 2, 3, 5))
-    _check("tensor", "affine",
-           lambda a, w_, b_: T.reduce_sum(T.affine(a, w_, b_) * pr235),
-           [_real(ra, 2, 3, 4), _real(ra, 4, 5), _real(ra, 5)], results)
-    rs = _rng(12)
-    pr243 = T.Tensor(_real(rs, 2, 4, 3))
-    _check("tensor", "einsum",
-           lambda a, b: T.reduce_sum(T.einsum("...c,m...c->m...", a, b) * pr243),
-           [_real(rs, 4, 3, 5), _real(rs, 2, 4, 3, 5)], results)
-
-    pr3 = T.Tensor(_real(rng, 3))
-    _check("tensor", "reduce_sum_axis",
-           lambda a: T.reduce_sum(T.reduce_sum(a, (1,)) * pr3), [x], results)
-    _check("tensor", "reduce_mean",
-           lambda a: T.reduce_sum(T.reduce_mean(a, (1,)) * pr3), [x], results)
-
-    _real(rng, 636)                 # unused draws: the probes after them stay as they were
-    rc = _rng(13)
+_TENSOR = (
+    ("add", T.add, _X, _X),
+    ("sub", T.sub, _X, _X),
+    ("mul", T.mul, _X, _X),
+    ("scale", lambda a: T.scale(a, -1.7), _X),
+    ("tanh", T.tanh, _X),
+    ("sigmoid", T.sigmoid, _X),
+    ("gelu", T.gelu, _X),
+    ("sqrt", T.sqrt, lambda rng: np.abs(rng.normal(size=_X)) + 0.5),
+    ("affine", T.affine, (2, 3, 4), (4, 5), (5,)),
+    ("einsum", lambda a, b: T.einsum("...c,m...c->m...", a, b), (4, 3, 5), (2, 4, 3, 5)),
+    ("reduce_sum_axis", lambda a: T.reduce_sum(a, (1,)), _X),
+    ("reduce_mean", lambda a: T.reduce_mean(a, (1,)), _X),
     # every real-axis bin, Nyquist included, and in 2-D every full-axis bin
-    for name, grid, modes in (("spectral_conv_all_bins", (8,), (5,)),
-                              ("spectral_conv_2d_all_bins", (8, 4), (3, 8))):
-        pr_sc = T.Tensor(_real(rc, 2, *grid, 2))
-        _check("tensor", name,
-               lambda v_, r_, _pr=pr_sc: T.reduce_sum(T.spectral_conv(v_, r_) * _pr),
-               [_real(rc, 2, *grid, 3), _cplx(rc, 3, 2, *modes)], results)
-
-    _check("tensor", "softmax",
-           lambda a: T.reduce_sum(T.softmax(a, -1) * prT), [x], results)
-    _real(rng, 3, 5)                # unused draws: the probes after them stay as they were
-    pr27 = T.Tensor(_real(rng, 2, 7))
-    _check("tensor", "concat",
-           lambda a, b: T.reduce_sum(T.concat([a, b], 1) * pr27),
-           [_real(rng, 2, 3), _real(rng, 2, 4)], results)
-    pr_mv = T.Tensor(_real(rng, 5, 3))
-    _check("tensor", "moveaxis",
-           lambda a: T.reduce_sum(T.moveaxis(a, 0, 1) * pr_mv), [x], results)
-    pr_rs = T.Tensor(_real(rng, 15))
-    _check("tensor", "reshape",
-           lambda a: T.reduce_sum(T.reshape(a, (15,)) * pr_rs), [x], results)
+    ("spectral_conv_all_bins", T.spectral_conv, (2, 8, 3), _cplx(3, 2, 5)),
+    ("spectral_conv_2d_all_bins", T.spectral_conv, (2, 8, 4, 3), _cplx(3, 2, 3, 8)),
+    ("softmax", lambda a: T.softmax(a, -1), _X),
+    ("concat", lambda a, b: T.concat([a, b], 1), (2, 3), (2, 4)),
+    ("moveaxis", lambda a: T.moveaxis(a, 0, 1), _X),
+    ("reshape", lambda a: T.reshape(a, (15,)), _X),
+)
 
 
 # ---------------------------------------------------------------------------
-# layers
+# layers: latents are channels-last, [batch, *grid, width]
+
+_B, _W, _N, _M = 2, 4, 8, 3
+_V = (_B, _N, _W)
 
 
-def _suite_layers(results):
-    """Latents are channels-last, [batch, *grid, width]."""
-    rng = _rng(2)
-    b, w, n, m = 2, 4, 8, 3
+def _head(rng):
+    return L.init_lift_project(rng, d_in=2, d_out=1, width=_W, dtype=np.float64)
 
-    vw = _real(rng, b, n, w)
-    ww = _real(rng, w, w)
-    bw = _real(rng, w)
-    pr = T.Tensor(_real(rng, b, n, w))
-    _check("layers", "channel_affine",
-           lambda v_, w_, b_: T.reduce_sum(L.channel_affine(v_, w_, b_) * pr),
-           [vw, ww, bw], results)
 
-    r = _cplx(rng, w, w, m)
-    _check("layers", "spectral_conv",
-           lambda v_, r_: T.reduce_sum(L.spectral_conv(v_, r_) * pr),
-           [vw, r], results)
-
-    arrs_fl, fl_tree = _leaves(L.init_fourier_layer(_rng(21), w, m, 1, dtype=np.float64))
-    _check("layers", "fourier_layer",
-           lambda *ls: T.reduce_sum(L.fourier_layer(T.Tensor(vw), fl_tree(ls)) * pr),
-           arrs_fl, results)
-
-    r2 = _cplx(rng, w, w, 2, 3)
-    v2 = _real(rng, b, 8, 8, w)
-    pr2 = T.Tensor(_real(rng, b, 8, 8, w))
-    _check("layers", "spectral_conv_2d",
-           lambda v_, r_: T.reduce_sum(L.spectral_conv(v_, r_) * pr2),
-           [v2, r2], results)
-
-    arrs_h, h_tree = _leaves(
-        L.init_lift_project(_rng(22), d_in=2, d_out=1, width=w, dtype=np.float64))
-    fin = _real(rng, b, 1, n)
-    prl = T.Tensor(_real(rng, b, n, w))
-    _check("layers", "lift",
-           lambda *ls: T.reduce_sum(L.lift(T.Tensor(fin), h_tree(ls)) * prl),
-           arrs_h, results)
-
-    prq = T.Tensor(_real(rng, b, 1, n))
-    _check("layers", "project",
-           lambda *ls: T.reduce_sum(L.project(T.Tensor(vw), h_tree(ls)) * prq),
-           arrs_h, results)
+_LAYERS = (
+    ("channel_affine", L.channel_affine, _V, (_W, _W), (_W,)),
+    ("spectral_conv", L.spectral_conv, _V, _cplx(_W, _W, _M)),
+    ("fourier_layer", L.fourier_layer, _fixed(*_V),
+     lambda rng: L.init_fourier_layer(rng, _W, _M, 1, dtype=np.float64)),
+    ("spectral_conv_2d", L.spectral_conv, (_B, 8, 8, _W), _cplx(_W, _W, 2, 3)),
+    ("lift", L.lift, _fixed(_B, 1, _N), _head),
+    ("project", L.project, _fixed(*_V), _head),
+)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def _suite_aggregation(results):
-    rng = _rng(3)
-    b, w, n = 2, 4, 8
-    fields = [_real(rng, b, n, w) for _ in range(3)]
-    pr = T.Tensor(_real(rng, b, n, w))
+def _attention(heads: int):
+    return lambda rng: agg.init_attention(rng, _W, _W, heads=heads, dtype=np.float64)
 
-    arrs, mix_tree = _leaves(agg.init_mix(_rng(31), 3, w, w, dtype=np.float64))
-    _check("aggregation", "mix_linear",
-           lambda f0, f1, f2, *ls: T.reduce_sum(
-               agg.mix_processes([f0, f1, f2], "linear", mix_tree(ls)) * pr),
-           fields + arrs, results)
-    _check("aggregation", "mix_add",
-           lambda f0, f1, f2: T.reduce_sum(
-               agg.mix_processes([f0, f1, f2], "add") * pr),
-           fields, results)
 
-    arrs_g, gru_tree = _leaves(agg.init_gru(_rng(32), w, w, dtype=np.float64))
-    mixed = _real(rng, b, n, w)
-    zprev = _real(rng, b, n, w)
-    _check("aggregation", "gru_step",
-           lambda m_, z_, *ls: T.reduce_sum(agg.gru_step(m_, z_, gru_tree(ls)) * pr),
-           [mixed, zprev] + arrs_g, results)
-
-    for name, seed, heads in (("attention", 33, 1), ("attention_2head", 34, 2)):
-        arrs_a, attn_tree = _leaves(
-            agg.init_attention(_rng(seed), w, w, heads=heads, dtype=np.float64))
-        _check("aggregation", name,
-               lambda f0, f1, f2, *ls, _tree=attn_tree: T.reduce_sum(
-                   agg.attention_aggregate([f0, f1, f2], _tree(ls)) * pr),
-               fields + arrs_a, results)
-
-    arrs_s, skip_tree = _leaves(agg.init_skip(_rng(35), w, w, dtype=np.float64))
-    _check("aggregation", "skip",
-           lambda m_, z_, *ls: T.reduce_sum(agg.skip_aggregate(m_, z_, skip_tree(ls)) * pr),
-           [mixed, zprev] + arrs_s, results)
-
-    arrs_i, inject_tree = _leaves(agg.init_inject(_rng(36), w, dtype=np.float64))
-    _check("aggregation", "inject_add",
-           lambda v_, z_: T.reduce_sum(agg.inject(v_, z_, "add") * pr),
-           [mixed, zprev], results)
-    _check("aggregation", "inject_concat_reduce",
-           lambda v_, z_, *ls: T.reduce_sum(
-               agg.inject(v_, z_, "concat_reduce", inject_tree(ls)) * pr),
-           [mixed, zprev] + arrs_i, results)
+_AGGREGATION = (
+    ("mix_linear", lambda f0, f1, f2, p: agg.mix_processes([f0, f1, f2], "linear", p),
+     _V, _V, _V, lambda rng: agg.init_mix(rng, 3, _W, _W, dtype=np.float64)),
+    ("mix_add", lambda f0, f1, f2: agg.mix_processes([f0, f1, f2], "add"), _V, _V, _V),
+    ("gru_step", agg.gru_step, _V, _V, lambda rng: agg.init_gru(rng, _W, _W, dtype=np.float64)),
+    ("attention", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
+     _V, _V, _V, _attention(1)),
+    ("attention_2head", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
+     _V, _V, _V, _attention(2)),
+    ("skip", agg.skip_aggregate, _V, _V,
+     lambda rng: agg.init_skip(rng, _W, _W, dtype=np.float64)),
+    ("inject_add", lambda v, z: agg.inject(v, z, "add"), _V, _V),
+    ("inject_concat_reduce", lambda v, z, p: agg.inject(v, z, "concat_reduce", p), _V, _V,
+     lambda rng: agg.init_inject(rng, _W, dtype=np.float64)),
+)
 
 
 # ---------------------------------------------------------------------------
-# full model
+# full model: two coupled processes on a 32-point grid
 
 
-def _model_config(aggregation: str) -> M.CompolConfig:
-    return M.CompolConfig(
+def _model(aggregation: str):
+    config = M.CompolConfig(
         processes=2, channels=[1, 1], layers=2, width=8, modes=4,
-        spatial_dims=1, aggregation=aggregation, mix="add",
-        dtype="real64", seed=5)
+        spatial_dims=1, aggregation=aggregation, mix="add", dtype="real64")
+    return lambda rng: M.init_params(config, seed=int(rng.integers(1 << 31)))
 
 
-def _suite_model(results, grid: int = 32):
-    rng = _rng(4)
-    for kind in ("gru", "attention"):
-        arrs, model_tree = _leaves(M.init_params(_model_config(kind)))
-        xs = [_real(rng, 2, 1, grid) for _ in range(2)]
-        probes = [T.Tensor(_real(rng, 2, 1, grid)) for _ in range(2)]
-
-        def full(*leaves, _tree=model_tree, _xs=xs, _probes=probes):
-            outs = M.forward(_tree(leaves), _xs, None)
-            total = T.reduce_sum(outs[0] * _probes[0])
-            return total + T.reduce_sum(outs[1] * _probes[1])
-
-        _check("model", f"compol_{kind}", full, arrs, results)
+_MODEL = tuple(
+    (f"compol_{kind}", lambda x0, x1, model: M.forward(model, [x0, x1]),
+     _fixed(2, 1, 32), _fixed(2, 1, 32), _model(kind))
+    for kind in ("gru", "attention"))
 
 
 SUITES = {
-    "tensor": _suite_tensor,
-    "layers": _suite_layers,
-    "aggregation": _suite_aggregation,
-    "model": _suite_model,
+    "tensor": _TENSOR,
+    "layers": _LAYERS,
+    "aggregation": _AGGREGATION,
+    "model": _MODEL,
 }
 
 
@@ -274,10 +196,8 @@ def run(module: str = "all", verbose: bool = True) -> tuple[list[CheckResult], b
     if module != "all" and module not in SUITES:
         raise ValueError(f"unknown gradcheck module {module!r}; "
                          f"choose from {('all',) + tuple(SUITES)}")
-    selected = SUITES if module == "all" else {module: SUITES[module]}
-    results: list[CheckResult] = []
-    for fn in selected.values():
-        fn(results)
+    selected = SUITES if module == "all" else [module]
+    results = [_check(suite, *check) for suite in selected for check in SUITES[suite]]
     for res in results:
         if verbose:
             print(res.line())

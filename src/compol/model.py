@@ -173,7 +173,9 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     """
     cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
     dtype = cfg.np_dtype
-    require_memory(_param_elements(cfg) * np.dtype(dtype).itemsize, "the parameters")
+    # the complex spectral weights take twice the real itemsize, so they count twice
+    require_memory((_param_elements(cfg) + _spectral_elements(cfg)) * np.dtype(dtype).itemsize,
+                   "the parameters")
     n_coords = cfg.spatial_dims if cfg.coords else 0
 
     processes = []
@@ -206,14 +208,19 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     return CompolModel(config=cfg, processes=processes, aggregation=layer_aggs)
 
 
+def _spectral_elements(cfg: CompolConfig) -> int:
+    """Elements of the complex spectral weights ``r`` of every process and layer."""
+    k = math.prod(L._mode_counts(cfg.modes, cfg.spatial_dims))
+    return int(cfg.processes) * int(cfg.layers) * int(cfg.width) ** 2 * k
+
+
 def _param_elements(cfg: CompolConfig) -> int:
     """Array elements ``init_params(cfg)`` allocates, counted without allocating them."""
     P, n_layers, w = int(cfg.processes), int(cfg.layers), int(cfg.width)
     d, kw, ph = int(cfg.effective_d_mix), int(cfg.effective_key_width), L.PROJECT_HIDDEN
     n_coords = cfg.spatial_dims if cfg.coords else 0
-    k = math.prod(L._mode_counts(cfg.modes, cfg.spatial_dims))
     total = sum((c + n_coords + 1 + ph) * w + ph + (ph + 1) * c for c in cfg.channels)
-    total += P * n_layers * (w * w * k + w * w + w)
+    total += _spectral_elements(cfg) + P * n_layers * (w * w + w)
     if cfg.aggregation == "none":
         return total
     per_layer = 0

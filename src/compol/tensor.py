@@ -205,9 +205,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _require_real(op: str, *ts: Tensor) -> None:
+def _real_operands(op: str, *xs) -> tuple[Tensor, ...]:
+    """The operands as tensors; a complex one raises :class:`DtypeError`."""
+    ts = tuple(map(_wrap, xs))
     if any(t.is_complex for t in ts):
         raise DtypeError(f"{op}: complex input not supported")
+    return ts
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
@@ -222,8 +225,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _require_real("add", a, b)
+    a, b = _real_operands("add", a, b)
     _check_broadcast(a, b, "add")
     out = a.data + b.data
 
@@ -234,8 +236,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _require_real("sub", a, b)
+    a, b = _real_operands("sub", a, b)
     _check_broadcast(a, b, "sub")
     out = a.data - b.data
 
@@ -246,8 +247,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _require_real("mul", a, b)
+    a, b = _real_operands("mul", a, b)
     _check_broadcast(a, b, "mul")
     out = a.data * b.data
     ad, bd = a.data, b.data
@@ -259,8 +259,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _wrap(a)
-    _require_real("scale", a, _wrap(c))
+    a, _ = _real_operands("scale", a, c)
     out = a.data * c
 
     def bwd(g):
@@ -270,8 +269,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    _require_real("tanh", a)
+    a, = _real_operands("tanh", a)
     t = np.tanh(a.data)
 
     def bwd(g):
@@ -281,14 +279,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    _require_real("sigmoid", a)
+    a, = _real_operands("sigmoid", a)
     # Clipping at |x| = 60 avoids exp overflow; the result is already
     # saturated to within 1e-26 there, far below float64 resolution of 1.
     x = np.clip(a.data, -60.0, 60.0)
     s = 1.0 / (1.0 + np.exp(-x))
-    if s.dtype != a.data.dtype:
-        s = s.astype(a.data.dtype)
 
     def bwd(g):
         return (g * (s * (1.0 - s)),)
@@ -310,8 +305,7 @@ def gelu(a: Tensor) -> Tensor:
     made.  On a tape the same pass also writes the derivative, and the
     closure keeps that one array: not the input, the tanh or the output.
     """
-    a = _wrap(a)
-    _require_real("gelu", a)
+    a, = _real_operands("gelu", a)
     x = a.data.reshape(-1)
     out = np.empty_like(a.data)
     o = out.reshape(-1)
@@ -354,8 +348,7 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = _wrap(a)
-    _require_real("sqrt", a)
+    a, = _real_operands("sqrt", a)
     r = np.sqrt(a.data)
 
     def bwd(g):
@@ -380,7 +373,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine: {x.shape} @ {w.shape} over the last axis")
     if b is not None and ins[2].shape != (w.shape[1],):
         raise ShapeError(f"affine: bias {ins[2].shape} for {w.shape[1]} outputs")
-    _require_real("affine", *ins)
+    _real_operands("affine", *ins)     # after the shape checks: a bad shape is a ShapeError
     rows = x.data.reshape(-1, w.shape[0])
     wd = w.data
     out = rows @ wd
@@ -417,8 +410,7 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     not invert raises :class:`ShapeError`: an index (``...`` counts as one) in one
     term only or twice in a term, or ``...`` over different extents in the inputs.
     """
-    a, b = _wrap(a), _wrap(b)
-    _require_real("einsum", a, b)
+    a, b = _real_operands("einsum", a, b)
     terms = spec.replace(" ", "").replace("->", ",").split(",")
     keys = [t.replace("...", ".") for t in terms]
     dots = {x.shape[k.find("."):x.ndim + k.find(".") + 1 - len(k)]
@@ -460,8 +452,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]
 
 
 def reduce_sum(a: Tensor, axes=None) -> Tensor:
-    a = _wrap(a)
-    _require_real("reduce_sum", a)
+    a, = _real_operands("reduce_sum", a)
     ax = _normalize_axes(a, axes)
     out = a.data.sum(axis=ax)
     shape = a.shape
@@ -473,8 +464,7 @@ def reduce_sum(a: Tensor, axes=None) -> Tensor:
 
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:
-    a = _wrap(a)
-    _require_real("reduce_mean", a)
+    a, = _real_operands("reduce_mean", a)
     ax = _normalize_axes(a, axes)
     out = a.data.mean(axis=ax) if ax else a.data.copy()
     shape = a.shape
@@ -612,10 +602,9 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
+    ts = _real_operands("concat", *tensors)
     if not ts:
         raise ShapeError("concat of an empty list")
-    _require_real("concat", *ts)
     out = np.concatenate([t.data for t in ts], axis=axis)
     ends = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
@@ -626,8 +615,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
-    a = _wrap(a)
-    _require_real("moveaxis", a)
+    a, = _real_operands("moveaxis", a)
     out = np.moveaxis(a.data, src, dst)
 
     def bwd(g):
@@ -637,8 +625,7 @@ def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
-    _require_real("reshape", a)
+    a, = _real_operands("reshape", a)
     out = a.data.reshape(shape)
     old = a.shape
 
@@ -649,8 +636,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
-    a = _wrap(a)
-    _require_real("softmax", a)
+    a, = _real_operands("softmax", a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)

@@ -7,8 +7,10 @@ RK4 integrator written here; and with everything on, Richardson
 extrapolation over halved steps must show fourth-order convergence.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
 import warnings
 
 import numpy as np
@@ -499,6 +501,50 @@ def test_generate_dataset_parallel_matches_serial(tmp_path):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "par" / name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork" or not hasattr(signal, "alarm"),
+                    reason="the pool workers must inherit the patched initializer")
+def test_pool_starts_with_sigint_and_sigterm_blocked(tmp_path, monkeypatch):
+    """A worker enters its initializer with both signals blocked, so no
+    signal reaches it before its own handlers are set, and the parent's
+    mask after the call is the one it had before (here with SIGUSR1
+    blocked).  Two workers, at most 60 s, and none is left running."""
+    real = G._leave_signals_to_parent
+
+    def recording():
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        (tmp_path / f"mask-{os.getpid()}").write_text(
+            " ".join(str(int(s)) for s in sorted(blocked)))
+        real()
+
+    def too_slow(signum, frame):
+        raise AssertionError("generate_dataset did not end within 60 s")
+
+    monkeypatch.setattr(G, "_leave_signals_to_parent", recording)
+    children = set(multiprocessing.active_children())
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        signal.alarm(60)
+        G.generate_dataset(quick_lv(), 4, seed=3, out_dir=tmp_path / "out",
+                           chunk_size=2, workers=2)
+        after = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    finally:
+        signal.alarm(0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, before)
+        signal.signal(signal.SIGALRM, previous)
+        left = set(multiprocessing.active_children()) - children
+        for p in left:
+            p.kill()
+            p.join(10)
+    assert after == mask
+    masks = [p.read_text().split() for p in sorted(tmp_path.glob("mask-*"))]
+    assert len(masks) == 2
+    for blocked in masks:
+        assert {str(int(signal.SIGINT)), str(int(signal.SIGTERM))} <= set(blocked), blocked
+    assert left == set()
 
 
 def test_env_workers_is_checked_and_capped(monkeypatch):

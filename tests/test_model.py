@@ -3,6 +3,7 @@ parameter streams, counting, and checkpoints."""
 
 import dataclasses
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -364,6 +365,25 @@ def test_param_elements_match_init_params(kw):
     # load_checkpoint compares this count with the file before it allocates
     cfg = small_cfg(**kw)
     assert M._param_elements(cfg) == sum(a.size for _, a in M.init_params(cfg).named_parameters())
+
+
+def test_init_params_memory_guard_counts_complex_weights_at_their_size(monkeypatch):
+    """At the c07 shape the arrays take 988,936 bytes, 393,216 more than
+    their element count at the float32 itemsize: the complex spectral
+    weights are 8 bytes each.  A machine reported between the two figures
+    is refused; one of exactly the arrays' size is not."""
+    cfg = M.CompolConfig(processes=2, channels=[1, 1], layers=4, width=32, modes=12,
+                         aggregation="gru")
+    need = sum(a.nbytes for _, a in M.init_params(cfg).named_parameters())
+    assert need == 988_936
+    for have, fits in ((800_000, False), (need, True)):
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name, have=have: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": have}[name])
+        if fits:
+            M.init_params(cfg)
+        else:
+            with pytest.raises(MemoryError, match="the parameters need 988936 bytes"):
+                M.init_params(cfg)
 
 
 def test_checkpoint_bad_magic(tmp_path):

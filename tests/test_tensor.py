@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compol import fft as K
+from compol import gradcheck as G
 from compol import tensor as T
 
 
@@ -802,6 +803,20 @@ def test_finite_diff_through_nonlinear_chain():
 
     err, _ = T.finite_diff_report(f, [x])
     assert err < 1e-6
+
+
+def test_a_gradcheck_check_gives_the_same_bits_alone_and_in_any_order():
+    """Each check draws its inputs and probe from its own stream, keyed by
+    suite and name: gelu declared alone here gives the result it gives in
+    the tensor suite, and the layer checks run in reverse order give theirs."""
+    tensor, _ = G.run("tensor", verbose=False)
+    layers, _ = G.run("layers", verbose=False)
+    suite = {r.name: (r.max_rel_err, r.location) for r in tensor + layers}
+    alone = G._check("tensor", "gelu", T.gelu, (3, 5))
+    assert (alone.max_rel_err, alone.location) == suite["gelu"]
+    for check in reversed(G.SUITES["layers"]):
+        r = G._check("layers", *check)
+        assert (r.max_rel_err, r.location) == suite[r.name], r.name
 
 
 @settings(max_examples=15, deadline=None)
