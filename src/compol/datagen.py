@@ -11,6 +11,7 @@ at the stored resolution.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
@@ -171,6 +172,9 @@ class SystemSpec:
             raise ValueError(f"unknown system {self.system!r}")
         if not self.dt > 0 or not self.horizon > 0:
             raise ValueError("horizon and dt must be positive")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon / dt must be a finite step count, "
+                             f"got {self.horizon!r} / {self.dt!r}")
         if not self.domain_size > 0:
             raise ValueError("domain_size must be positive")
         _check_pow2(self.resolution, "resolution")
@@ -360,13 +364,20 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
     h = spec.horizon / n_steps
 
     axes = tuple(range(-spec.dim, 0))
-    hL = h * _linear_symbol(spec, n)[None]
-    e_full, p1f, p2f, p3f = phi_coefficients(hL, contour_points)
-    e_half, p1h, _, _ = phi_coefficients(0.5 * hL, contour_points)
-    q = 0.5 * h * p1h
-    f1 = h * (p1f - 3.0 * p2f + 4.0 * p3f)
-    f2 = h * (p2f - 2.0 * p3f)
-    f3 = h * (4.0 * p3f - p2f)
+    # a diffusion symbol too large for float64 gives non-finite coefficients,
+    # which would blow up at step 1: refuse the spec once, without warnings
+    with np.errstate(all="ignore"):
+        hL = h * _linear_symbol(spec, n)[None]
+        e_full, p1f, p2f, p3f = phi_coefficients(hL, contour_points)
+        e_half, p1h, _, _ = phi_coefficients(0.5 * hL, contour_points)
+        q = 0.5 * h * p1h
+        f1 = h * (p1f - 3.0 * p2f + 4.0 * p3f)
+        f2 = h * (p2f - 2.0 * p3f)
+        f3 = h * (4.0 * p3f - p2f)
+    if not all(np.isfinite(c).all() for c in (e_full, e_half, q, f1, f2, f3)):
+        raise ValueError(
+            f"{spec.system}: ETDRK4 coefficients are not finite at dt {h:.6g} "
+            f"(diffusivities {spec.diffusivities()}, domain_size {spec.domain_size:.6g})")
 
     if zero_nonlinearity:
         react = None
@@ -521,45 +532,93 @@ def _resolve_workers(workers: int | None) -> int:
     return env_workers() or _usable_cpus()
 
 
+# Elements of one solve's state [samples, M, *grid] at the solve resolution.
+# Each ETDRK4 step makes ~100 numpy calls whatever the batch, so a solve of
+# several chunks shares that cost: lv at 256 points takes about 17 ms per
+# sample solved 8 at a time and 11 ms at 48 (1 BLAS thread), with the same
+# bits.  A bz chunk of 8 at 1,024 points already holds 24,576 elements, where
+# the calls are a small share, so 2**15 leaves bz and gs at one chunk a call.
+SOLVE_BUDGET = 2 ** 15
+
+
+def _solve_groups(spec: SystemSpec, n_samples: int, chunk_size: int,
+                  workers: int) -> "list[tuple[int, int]]":
+    """Sample ranges [start, stop) of the ``_generate_chunk`` calls.
+
+    Each range is a run of whole chunks of ``chunk_size`` samples, as many
+    as keep the solve within ``SOLVE_BUDGET`` elements (one chunk when a
+    single chunk exceeds it).  The chunks are split evenly into a number of
+    ranges rounded up to a multiple of ``workers``, so that every worker
+    gets as many solves, unless that would need more ranges than chunks.
+    """
+    chunks = -(-n_samples // chunk_size)
+    per_chunk = chunk_size * spec.processes * spec.solve_resolution ** spec.dim
+    groups = -(-chunks // max(1, SOLVE_BUDGET // per_chunk))
+    groups = min(chunks, -(-groups // workers) * workers)
+    edges = [g * chunks // groups * chunk_size for g in range(groups)] + [n_samples]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
                      chunk_size: int = 8, workers: int | None = None) -> dict:
     """Generate, solve, and write a dataset; returns the manifest.
 
-    Chunks are fixed by ``chunk_size`` regardless of worker count, and
-    every sample is seeded by (seed, index) alone, so serial and
-    parallel runs write bit-identical files.  A count whose stored arrays
-    would not fit in physical memory raises ``MemoryError`` before any work.
-    On an error or interrupt the chunks not yet started are cancelled and
-    the pool's workers are joined before the exception leaves.
+    Samples are grouped in chunks of ``chunk_size`` regardless of worker
+    count, and each ``_generate_chunk`` call solves a run of whole chunks
+    sized by ``_solve_groups`` to ``SOLVE_BUDGET`` (2**15 elements: small
+    lv and burgers chunks share a call, a bz or gs chunk fills one alone).
+    Every sample is seeded by (seed, index) alone and every solver operation
+    acts per sample, so serial and parallel runs, and any grouping, write
+    bit-identical files.
+    A blow-up in a solve of several chunks is reported as its first chunk
+    alone would report it.  A count whose stored arrays would not fit in
+    physical memory raises ``MemoryError`` before any work.  On an error or
+    interrupt the solves not yet started are cancelled and the pool's
+    workers are joined before the exception leaves.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     # float32 inputs and outputs, one field per process each
     stored = 2 * 4 * n_samples * spec.processes * spec.resolution ** spec.dim
     dataio.require_memory(stored, f"{n_samples} samples")
     spec_dict = spec.to_dict()
-    bounds = [(s, min(s + chunk_size, n_samples))
-              for s in range(0, n_samples, chunk_size)]
-    workers_n = min(_resolve_workers(workers), max(1, len(bounds)))
-    if workers_n > 1 and len(bounds) > 1:
-        pool = ProcessPoolExecutor(max_workers=workers_n,
-                                   initializer=_leave_signals_to_parent)
-        try:
-            # The workers and the pool's management thread start while SIGINT and
-            # SIGTERM are blocked, so none of them runs the parent's handlers; a
-            # signal sent meanwhile reaches the parent once its mask is restored.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_SIGNALS)
+    workers_n = _resolve_workers(workers)
+    bounds = _solve_groups(spec, n_samples, chunk_size, workers_n)
+    workers_n = min(workers_n, max(1, len(bounds)))
+    parts = []
+    try:
+        if workers_n > 1 and len(bounds) > 1:
+            pool = ProcessPoolExecutor(max_workers=workers_n,
+                                       initializer=_leave_signals_to_parent)
             try:
-                results = pool.map(_generate_chunk, [spec_dict] * len(bounds),
-                                   [seed] * len(bounds),
-                                   [b[0] for b in bounds], [b[1] for b in bounds])
+                # The workers and the pool's management thread start while SIGINT and
+                # SIGTERM are blocked, so none of them runs the parent's handlers; a
+                # signal sent meanwhile reaches the parent once its mask is restored.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_SIGNALS)
+                try:
+                    results = pool.map(_generate_chunk, [spec_dict] * len(bounds),
+                                       [seed] * len(bounds),
+                                       [b[0] for b in bounds], [b[1] for b in bounds])
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                for part in results:
+                    parts.append(part)
             finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            parts = list(results)
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    else:
-        parts = [_generate_chunk(spec_dict, seed, a, b) for a, b in bounds]
+                pool.shutdown(wait=True, cancel_futures=True)
+        else:
+            for a, b in bounds:
+                parts.append(_generate_chunk(spec_dict, seed, a, b))
+    except BlowUpError:
+        # A solve stops at the first step where any of its samples diverges.
+        # Its chunks, solved alone and in order, name the step and samples
+        # that chunk-by-chunk generation names: the first to fail raises.
+        start, stop = bounds[len(parts)]
+        if stop - start > chunk_size:
+            for a in range(start, stop, chunk_size):
+                _generate_chunk(spec_dict, seed, a, min(a + chunk_size, stop))
+        raise
 
     grid = (spec.resolution,) * spec.dim
     if parts:

@@ -143,6 +143,43 @@ def test_gen_data_param_types_exit_2(tmp_path, capsys, param):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("system,horizon,dt", [("lv", "1e308", "1e-308"),
+                                               ("bz", "1e300", "1e-10")])
+def test_gen_data_step_count_past_float_range_exits_2(tmp_path, capsys, system, horizon, dt):
+    """A horizon / dt that overflows to infinity is refused with the spec,
+    before any sample is drawn."""
+    code = cli.main(["gen-data", "--system", system, "--n", "2", "--resolution", "32",
+                     "--param", f"horizon={horizon}", "--param", f"dt={dt}",
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: horizon / dt must be a finite step count"), err
+    assert len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("param", ["du=1e308", "domain_size=1e-320"])
+def test_gen_data_diffusion_past_float_range_is_one_line(tmp_path, param, threads):
+    """A diffusion symbol too large for float64 is refused before the time
+    loop: exit 2 and the whole of stderr is one line, with Python's default
+    warning filters, in one process and on the pool (16 samples in two
+    solves)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COMPOL_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "compol.cli", "gen-data", "--system", "lv",
+         "--n", "16", "--resolution", "32", "--seed", "1", "--out", str(tmp_path / "out"),
+         "--param", param],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: lv: ETDRK4 coefficients are not finite"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_blow_up_on_the_pool_is_one_error_line(tmp_path):
     """A blow-up in a worker reaches the parent intact: exit 1 and one line,
     without a RuntimeWarning from any process."""

@@ -274,7 +274,8 @@ def test_unstable_reaction_raises_blow_up():
 
 def blow_up_spec():
     """lv with the predation sign flipped, 200 steps: of seed 0's samples 0-5
-    only 2, 4 and 5 diverge in time, sample 2 first, at step 180."""
+    only 2, 4 and 5 diverge in time (at steps 180, 155 and 175).  Sample 4
+    diverges first, but in chunk order sample 2, at step 180, is named."""
     return G.system_spec("lv", resolution=16, overrides={"b": -1.0, "horizon": 2.0,
                                                          "dt": 0.01, "fine_factor": 1})
 
@@ -578,14 +579,89 @@ TINY_SPECS = {
 
 
 @pytest.mark.parametrize("system", sorted(TINY_SPECS))
-def test_generate_dataset_chunking_invariant(tmp_path, system):
-    """A sample's bytes do not depend on how many samples share its chunk."""
+def test_generate_dataset_chunking_invariant(tmp_path, monkeypatch, system):
+    """A sample's bytes do not depend on how many samples share its solve:
+    chunks of one sample, solved one per call, in runs of up to three, and
+    all eight in one call."""
     name, resolution, overrides = TINY_SPECS[system]
     spec = G.system_spec(name, resolution=resolution, overrides=overrides)
-    digests = {c: G.generate_dataset(spec, 8, seed=3, out_dir=tmp_path / str(c),
-                                     chunk_size=c, workers=1)["files"][0]["sha256"]
-               for c in (1, 3, 8)}
+    per_sample = spec.processes * spec.solve_resolution ** spec.dim
+    digests, extents = {}, {}
+    for run in (1, 3, 8):
+        monkeypatch.setattr(G, "SOLVE_BUDGET", run * per_sample)
+        extents[run] = [b - a for a, b in G._solve_groups(spec, 8, 1, 1)]
+        digests[run] = G.generate_dataset(spec, 8, seed=3, out_dir=tmp_path / str(run),
+                                          chunk_size=1, workers=1)["files"][0]["sha256"]
+    assert extents == {1: [1] * 8, 3: [2, 3, 3], 8: [8]}
     assert len(set(digests.values())) == 1, digests
+
+
+def _check_plan(spec, n, chunk_size, workers):
+    groups = G._solve_groups(spec, n, chunk_size, workers)
+    chunks = -(-n // chunk_size)
+    per_chunk = chunk_size * spec.processes * spec.solve_resolution ** spec.dim
+    # every sample once, in order, split only at chunk boundaries
+    assert [i for a, b in groups for i in range(a, b)] == list(range(n))
+    for a, b in groups:
+        assert a % chunk_size == 0 and a < b
+        runs = -(-(b - a) // chunk_size)
+        assert runs == 1 or runs * per_chunk <= G.SOLVE_BUDGET, (a, b)
+    # as many solves per worker, unless the groups are single chunks already
+    if chunks >= workers:
+        assert len(groups) % workers == 0 or len(groups) == chunks, groups
+    else:
+        assert len(groups) == chunks
+    return groups
+
+
+@pytest.mark.parametrize("name", G.SYSTEM_NAMES)
+def test_solve_groups_cover_every_sample_within_the_budget(name):
+    for resolution in (16, 64, 256):
+        spec = G.system_spec(name, resolution=resolution)
+        for n in (0, 1, 7, 8, 9, 50, 192):
+            for chunk_size in (1, 3, 8):
+                for workers in (1, 2, 3, 5):
+                    _check_plan(spec, n, chunk_size, workers)
+
+
+def test_solve_groups_at_the_shipped_recipes():
+    """The c07 lv recipe solves 4 runs of 48 samples on 2 workers; bz and gs
+    at their defaults keep one chunk per call; default lv pairs its chunks
+    and burgers takes four."""
+    def sizes(spec, n, workers=2):
+        return [b - a for a, b in _check_plan(spec, n, 8, workers)]
+
+    c07 = G.system_spec("lv", resolution=64, overrides={"horizon": 2.0})
+    assert sizes(c07, 192) == [48] * 4
+    assert sizes(G.system_spec("bz"), 16) == [8, 8]
+    assert sizes(G.system_spec("bz"), 40, workers=3) == [8] * 5
+    assert sizes(G.system_spec("gs"), 64) == [8] * 8
+    assert sizes(G.system_spec("lv"), 64) == [16] * 4
+    assert sizes(G.system_spec("burgers"), 64, workers=1) == [32, 32]
+    assert G._solve_groups(c07, 0, 8, 2) == []
+
+
+def test_blow_up_in_a_run_of_chunks_is_named_by_its_first_failing_chunk(
+        tmp_path, monkeypatch):
+    """A run of chunks that blows up is solved again chunk by chunk, in order,
+    up to the first chunk that fails; a single chunk is never solved twice."""
+    calls = []
+    solve = G._generate_chunk
+
+    def counted(spec_dict, seed, start, stop):
+        calls.append((start, stop))
+        return solve(spec_dict, seed, start, stop)
+
+    monkeypatch.setattr(G, "_generate_chunk", counted)
+    for budget, want in ((G.SOLVE_BUDGET, [(0, 6), (0, 2), (2, 4)]),
+                         (1, [(0, 2), (2, 4)])):
+        monkeypatch.setattr(G, "SOLVE_BUDGET", budget)
+        calls.clear()
+        with pytest.raises(G.BlowUpError) as info:
+            G.generate_dataset(blow_up_spec(), 6, seed=0, out_dir=tmp_path / "out",
+                               chunk_size=2, workers=1)
+        assert (info.value.step, info.value.samples) == (180, [2])
+        assert calls == want
 
 
 def test_generate_dataset_empty(tmp_path):
@@ -597,3 +673,8 @@ def test_generate_dataset_empty(tmp_path):
 def test_generate_dataset_rejects_negative_count(tmp_path):
     with pytest.raises(ValueError):
         G.generate_dataset(quick_lv(), -1, seed=1, out_dir=tmp_path)
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            G.generate_dataset(quick_lv(), 4, seed=1, out_dir=tmp_path / "out",
+                               chunk_size=chunk_size)
+    assert not (tmp_path / "out").exists()
