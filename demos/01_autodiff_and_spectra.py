@@ -29,7 +29,7 @@ print("grad shapes:", grads[x].shape, grads[w].shape)
 
 # the same function through the finite-difference helper (it takes tensor
 # arguments and rebuilds the graph per probe); reported is the worst
-# relative error across every input entry
+# relative error across every input entry, and where it falls
 
 
 def f(tx, tw):
@@ -37,8 +37,8 @@ def f(tx, tw):
     return T.reduce_mean(T.mul(h, h))
 
 
-err = T.finite_diff_check(f, [x.data, w.data])
-print("finite-difference relative error:", err)
+err, where = T.finite_diff_report(f, [x.data, w.data])
+print("finite-difference relative error:", err, "at (input, flat index, part)", where)
 
 # --- FFT: round trip, Parseval, and the O(N^2) definition ------------------
 u = rng.standard_normal(256)

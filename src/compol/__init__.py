@@ -20,7 +20,7 @@ Subpackages
     ``compol`` command: gen-data / train / eval / gradcheck / export-plot.
 """
 
-from .tensor import Tape, Tensor, backward, finite_diff_check, finite_diff_report
+from .tensor import Tape, Tensor, backward, finite_diff_report
 from .model import (
     CompolConfig,
     CompolModel,
@@ -29,7 +29,6 @@ from .model import (
     forward,
     init_params,
     load_checkpoint,
-    make_fno_concat,
     save_checkpoint,
     total_params,
 )
@@ -58,9 +57,9 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tape", "Tensor", "backward", "finite_diff_check", "finite_diff_report",
+    "Tape", "Tensor", "backward", "finite_diff_report",
     "CompolConfig", "CompolModel", "MODEL_KINDS", "config_for_kind",
-    "forward", "init_params", "load_checkpoint", "make_fno_concat",
+    "forward", "init_params", "load_checkpoint",
     "save_checkpoint", "total_params",
     "BlowUpError", "GrfSpec", "SystemSpec", "SYSTEM_NAMES",
     "etdrk4_solve", "generate_dataset", "sample_grf", "system_spec",

@@ -1,8 +1,8 @@
 """Latent aggregation across coupled process branches.
 
 After every operator layer the per-process latent fields are fused into
-one shared state z which is re-injected into each branch before the next
-layer.  Four mechanisms are provided:
+one shared state z which is added back into each branch before the next
+layer.  Every map returns the latent width.  Four mechanisms are provided:
 
 * ``gru``       -- a convex gated update driven by the mixed latents,
                    carrying state across layers,
@@ -31,9 +31,9 @@ from .layers import channel_affine, glorot_uniform
 from .tensor import Tensor
 
 __all__ = [
-    "MixParams", "GruParams", "AttentionParams", "SkipParams", "InjectParams",
+    "MixParams", "GruParams", "AttentionParams", "SkipParams",
     "mix_processes", "gru_step", "attention_aggregate", "skip_aggregate", "inject",
-    "init_mix", "init_gru", "init_attention", "init_skip", "init_inject",
+    "init_mix", "init_gru", "init_attention", "init_skip",
 ]
 
 
@@ -41,15 +41,15 @@ __all__ = [
 class MixParams:
     """Learned pointwise map from the stacked process channels."""
 
-    w: np.ndarray   # [n_proc * width, d_mix]
-    b: np.ndarray   # [d_mix]
+    w: np.ndarray   # [n_proc * width, width]
+    b: np.ndarray   # [width]
 
 
 @dataclass
 class GruParams:
     """Gated recurrent update z_l = q * z_{l-1} + (1 - q) * cand."""
 
-    wq: np.ndarray  # [d_mix, width]
+    wq: np.ndarray  # [width, width]
     uq: np.ndarray  # [width, width]
     bq: np.ndarray  # [width]
     wr: np.ndarray
@@ -69,9 +69,9 @@ class AttentionParams:
     could never receive gradient.
     """
 
-    wq: np.ndarray  # [width, d_k]
-    bq: np.ndarray  # [d_k]
-    wk: np.ndarray  # [width, d_k]
+    wq: np.ndarray  # [width, width]
+    bq: np.ndarray  # [width]
+    wk: np.ndarray  # [width, width]
     wa: np.ndarray  # [width, width]
     ba: np.ndarray  # [width]
     heads: int = 1
@@ -79,28 +79,20 @@ class AttentionParams:
 
 @dataclass
 class SkipParams:
-    w: np.ndarray   # [d_mix, width]
+    w: np.ndarray   # [width, width]
     b: np.ndarray   # [width]
 
 
-@dataclass
-class InjectParams:
-    """Pointwise reduction for concat-style injection, [2*width] -> [width]."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-
-def init_mix(rng, n_proc: int, width: int, d_mix: int, dtype=np.float32) -> MixParams:
+def init_mix(rng, n_proc: int, width: int, dtype=np.float32) -> MixParams:
     return MixParams(
-        w=glorot_uniform(rng, n_proc * width, d_mix).astype(dtype),
-        b=np.zeros(d_mix, dtype=dtype),
+        w=glorot_uniform(rng, n_proc * width, width).astype(dtype),
+        b=np.zeros(width, dtype=dtype),
     )
 
 
-def init_gru(rng, d_mix: int, width: int, dtype=np.float32) -> GruParams:
+def init_gru(rng, width: int, dtype=np.float32) -> GruParams:
     def pair():
-        return (glorot_uniform(rng, d_mix, width).astype(dtype),
+        return (glorot_uniform(rng, width, width).astype(dtype),
                 glorot_uniform(rng, width, width).astype(dtype),
                 np.zeros(width, dtype=dtype))
 
@@ -110,28 +102,22 @@ def init_gru(rng, d_mix: int, width: int, dtype=np.float32) -> GruParams:
     return GruParams(wq, uq, bq, wr, ur, br, wz, uz, bz)
 
 
-def init_attention(rng, width: int, d_k: int, heads: int = 1, dtype=np.float32) -> AttentionParams:
-    if heads < 1 or d_k % heads or width % heads:
-        raise ValueError(f"head count {heads} must be positive and divide d_k={d_k} "
-                         f"and width={width}")
+def init_attention(rng, width: int, heads: int = 1, dtype=np.float32) -> AttentionParams:
+    if heads < 1 or width % heads:
+        raise ValueError(f"head count {heads} must be positive and divide width={width}")
     return AttentionParams(
-        wq=glorot_uniform(rng, width, d_k).astype(dtype),
-        bq=np.zeros(d_k, dtype=dtype),
-        wk=glorot_uniform(rng, width, d_k).astype(dtype),
+        wq=glorot_uniform(rng, width, width).astype(dtype),
+        bq=np.zeros(width, dtype=dtype),
+        wk=glorot_uniform(rng, width, width).astype(dtype),
         wa=glorot_uniform(rng, width, width).astype(dtype),
         ba=np.zeros(width, dtype=dtype),
         heads=heads,
     )
 
 
-def init_skip(rng, d_mix: int, width: int, dtype=np.float32) -> SkipParams:
-    return SkipParams(w=glorot_uniform(rng, d_mix, width).astype(dtype),
+def init_skip(rng, width: int, dtype=np.float32) -> SkipParams:
+    return SkipParams(w=glorot_uniform(rng, width, width).astype(dtype),
                       b=np.zeros(width, dtype=dtype))
-
-
-def init_inject(rng, width: int, dtype=np.float32) -> InjectParams:
-    return InjectParams(w=glorot_uniform(rng, 2 * width, width).astype(dtype),
-                        b=np.zeros(width, dtype=dtype))
 
 
 def mix_processes(fields: list[Tensor], kind: str, params: MixParams | None = None) -> Tensor:
@@ -169,7 +155,7 @@ def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
 
     The query comes from the mean latent.  The tokens are stacked on a
     leading axis, [m, b, *grid, w], so keys and values are one map each,
-    the scores softmax(q . k / sqrt(d_k)) are one contraction and one
+    the scores softmax(q . k / sqrt(d_head)) are one contraction and one
     softmax over that axis, and the weighted sum is one contraction.  With
     several heads the channel axis is reshaped to [heads, d_head] and all
     heads go through each step at once.
@@ -196,12 +182,6 @@ def skip_aggregate(mixed: Tensor, z_prev: Tensor, p: SkipParams) -> Tensor:
     return T.add(z_prev, channel_affine(mixed, p.w, p.b))
 
 
-def inject(v: Tensor, z: Tensor, kind: str, params: InjectParams | None = None) -> Tensor:
-    """Fold the shared state back into one process branch."""
-    if kind == "add":
-        return T.add(v, z)
-    if kind == "concat_reduce":
-        if params is None:
-            raise ValueError("concat_reduce injection requires parameters")
-        return channel_affine(T.concat([v, z], -1), params.w, params.b)
-    raise ValueError(f"unknown inject kind {kind!r}")
+def inject(v: Tensor, z: Tensor) -> Tensor:
+    """Fold the shared state back into one process branch by adding it."""
+    return T.add(v, z)

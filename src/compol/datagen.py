@@ -26,7 +26,7 @@ __all__ = [
     "GrfSpec", "SystemSpec", "BlowUpError",
     "sample_grf", "phi_coefficients", "etdrk4_solve",
     "spectral_subsample", "initial_conditions", "generate_dataset",
-    "system_spec", "SYSTEM_NAMES", "env_workers",
+    "system_spec", "SYSTEM_NAMES", "env_workers", "MAX_STEPS",
 ]
 
 
@@ -155,6 +155,9 @@ class SystemSpec:
 
     ``params`` carries every reaction coefficient plus any initial-
     condition shaping constants so overrides land in the manifest.
+    ``horizon / dt`` must be a finite step count of at most
+    :data:`MAX_STEPS`; anything else is a ValueError, and ``gen-data``
+    exits 2 before it starts a solve.
     """
 
     system: str
@@ -175,6 +178,9 @@ class SystemSpec:
         if not math.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon / dt must be a finite step count, "
                              f"got {self.horizon!r} / {self.dt!r}")
+        if round(self.horizon / self.dt) > MAX_STEPS:
+            raise ValueError(f"horizon / dt is {self.horizon / self.dt:.6g} ETDRK4 steps, "
+                             f"more than MAX_STEPS = {MAX_STEPS}")
         if not self.domain_size > 0:
             raise ValueError("domain_size must be positive")
         _check_pow2(self.resolution, "resolution")
@@ -228,6 +234,9 @@ class SystemSpec:
 
 
 SYSTEM_NAMES = ("lv", "bz", "gs", "burgers")
+
+# the most ETDRK4 steps one solve may take: 250x burgers' default of 4,000
+MAX_STEPS = 10 ** 6
 
 INIT_RECIPES = {
     "lv": "per-process GRF, shifted by init_shift and clamped at 0",
@@ -337,18 +346,15 @@ def _linear_symbol(spec: SystemSpec, n: int) -> np.ndarray:
     return diff[:, None, None] * lap
 
 
-def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
-                 dt: float | None = None, zero_nonlinearity: bool = False,
-                 contour_points: int = 32) -> np.ndarray:
-    """Integrate to the horizon; returns the final state or the trajectory.
+def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
+                 zero_nonlinearity: bool = False) -> np.ndarray:
+    """Integrate to the horizon and return the final state, shaped like ``u0``.
 
     ``u0`` is [M, *grid] or [B, M, *grid]; the grid fixes the solve
-    resolution (power of two).  ``record='trajectory'`` returns
-    [steps+1, (B,), M, *grid] including the initial state.
-    ``zero_nonlinearity`` switches the reaction terms off (test hook).
+    resolution (power of two).  ``dt`` overrides the spec's step, which is
+    then shortened to divide the horizon evenly.  ``zero_nonlinearity``
+    switches the reaction terms off (test hook).
     """
-    if record not in ("final", "trajectory"):
-        raise ValueError(f"record must be 'final' or 'trajectory', got {record!r}")
     u0 = np.asarray(u0, dtype=np.float64)
     batched = u0.ndim == spec.dim + 2
     if not batched and u0.ndim != spec.dim + 1:
@@ -368,8 +374,8 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
     # which would blow up at step 1: refuse the spec once, without warnings
     with np.errstate(all="ignore"):
         hL = h * _linear_symbol(spec, n)[None]
-        e_full, p1f, p2f, p3f = phi_coefficients(hL, contour_points)
-        e_half, p1h, _, _ = phi_coefficients(0.5 * hL, contour_points)
+        e_full, p1f, p2f, p3f = phi_coefficients(hL)
+        e_half, p1h, _, _ = phi_coefficients(0.5 * hL)
         q = 0.5 * h * p1h
         f1 = h * (p1f - 3.0 * p2f + 4.0 * p3f)
         f2 = h * (p2f - 2.0 * p3f)
@@ -389,10 +395,6 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
             return np.zeros_like(vh)
         return K.rfft(react(K.irfft(vh, axes)), axes)
 
-    traj = None
-    if record == "trajectory":
-        traj = np.empty((n_steps + 1,) + u.shape, dtype=np.float64)
-        traj[0] = u
     # every step checks its state, so an overflow is reported once, as a BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         v = K.rfft(u, axes)
@@ -411,10 +413,6 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, record: str = "final",
                 raise BlowUpError(
                     f"non-finite state at step {step} of {n_steps} "
                     f"(t={step * h:.6g}) for sample(s) {bad}", step, bad)
-            if traj is not None:
-                traj[step] = K.irfft(v, axes)
-    if record == "trajectory":
-        return traj if batched else traj[:, 0]
     out = K.irfft(v, axes)
     return out if batched else out[0]
 
@@ -476,7 +474,7 @@ def _generate_chunk(spec_dict: dict, seed: int, start: int,
     ics = np.stack([initial_conditions(spec, _sample_rng(seed, i), fine)
                     for i in range(start, stop)])
     try:
-        finals = etdrk4_solve(spec, ics, record="final")
+        finals = etdrk4_solve(spec, ics)
     except BlowUpError as e:
         raise BlowUpError(
             f"sample(s) {[start + j for j in e.samples]}: {e}", e.step,

@@ -146,23 +146,21 @@ _LAYERS = (
 
 
 def _attention(heads: int):
-    return lambda rng: agg.init_attention(rng, _W, _W, heads=heads, dtype=np.float64)
+    return lambda rng: agg.init_attention(rng, _W, heads=heads, dtype=np.float64)
 
 
 _AGGREGATION = (
     ("mix_linear", lambda f0, f1, f2, p: agg.mix_processes([f0, f1, f2], "linear", p),
-     _V, _V, _V, lambda rng: agg.init_mix(rng, 3, _W, _W, dtype=np.float64)),
+     _V, _V, _V, lambda rng: agg.init_mix(rng, 3, _W, dtype=np.float64)),
     ("mix_add", lambda f0, f1, f2: agg.mix_processes([f0, f1, f2], "add"), _V, _V, _V),
-    ("gru_step", agg.gru_step, _V, _V, lambda rng: agg.init_gru(rng, _W, _W, dtype=np.float64)),
+    ("gru_step", agg.gru_step, _V, _V, lambda rng: agg.init_gru(rng, _W, dtype=np.float64)),
     ("attention", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
      _V, _V, _V, _attention(1)),
     ("attention_2head", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
      _V, _V, _V, _attention(2)),
     ("skip", agg.skip_aggregate, _V, _V,
-     lambda rng: agg.init_skip(rng, _W, _W, dtype=np.float64)),
-    ("inject_add", lambda v, z: agg.inject(v, z, "add"), _V, _V),
-    ("inject_concat_reduce", lambda v, z, p: agg.inject(v, z, "concat_reduce", p), _V, _V,
-     lambda rng: agg.init_inject(rng, _W, dtype=np.float64)),
+     lambda rng: agg.init_skip(rng, _W, dtype=np.float64)),
+    ("inject_add", agg.inject, _V, _V),
 )
 
 

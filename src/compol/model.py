@@ -3,7 +3,7 @@
 A model holds one lift/Fourier-stack/projection branch per physical
 process plus per-layer aggregation parameters.  Each forward layer first
 fuses the previous latents into a shared state z (GRU, attention, skip,
-or nothing), injects z into every branch, and applies that branch's
+or nothing), adds z to every branch, and applies that branch's
 Fourier layer.  With aggregation ``none`` the branches never talk, which
 makes an M=1 model exactly the plain FNO used as the channel-concatenated
 baseline.
@@ -34,7 +34,6 @@ from .tensor import Tape, Tensor
 
 __all__ = [
     "CompolConfig", "CompolModel", "init_params", "forward",
-    "make_fno_concat",
     "param_count", "total_params", "PARAM_COUNT_CONVENTION",
     "save_checkpoint", "load_checkpoint", "CheckpointError",
     "MODEL_KINDS", "config_for_kind",
@@ -44,7 +43,6 @@ _DTYPES = {"real32": np.float32, "real64": np.float64}
 
 AGGREGATION_KINDS = ("gru", "attention", "skip", "none")
 MIX_KINDS = ("linear", "add")
-INJECT_KINDS = ("add", "concat_reduce")
 
 PARAM_COUNT_CONVENTION = "complex entries count as two reals; biases included"
 
@@ -54,13 +52,16 @@ KIND_AGGREGATION = {"compol-rnn": "gru", "compol-atn": "attention", "compol-skip
 MODEL_KINDS = tuple(KIND_AGGREGATION)
 
 
-# every field of CompolConfig: (kind, least value or allowed values), see check_fields
+# every field of CompolConfig: (kind, least value or allowed values), see check_fields.
+# Every aggregation map is width to width and the shared state is added, so
+# d_mix, key_width and inject only load as null, null and "add"; they stay so
+# that config hashes and checkpoint headers keep their bytes.
 _FIELDS = {
     "processes": ("int", 1), "channels": (["int"], 1), "layers": ("int", 1),
     "width": ("int", 1), "modes": (("int", ["int"]), 1), "spatial_dims": ("int", 1),
     "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", MIX_KINDS),
-    "d_mix": (("int", None), 1), "inject": ("str", INJECT_KINDS), "activation": ("str", None),
-    "coords": ("bool", None), "key_width": (("int", None), 1), "heads": ("int", 1),
+    "d_mix": (None, None), "inject": ("str", ("add",)), "activation": ("str", None),
+    "coords": ("bool", None), "key_width": (None, None), "heads": ("int", 1),
     "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", 0),
 }
 
@@ -101,20 +102,10 @@ class CompolConfig:
         if self.spatial_dims not in (1, 2):
             raise ValueError("spatial_dims must be 1 or 2")
         L.activation_fn(self.activation)
-        if self.mix == "add" and self.effective_d_mix != self.width:
-            raise ValueError("additive mixing requires d_mix == width")
 
     @property
     def np_dtype(self):
         return _DTYPES[self.dtype]
-
-    @property
-    def effective_d_mix(self) -> int:
-        return self.width if self.d_mix is None else self.d_mix
-
-    @property
-    def effective_key_width(self) -> int:
-        return self.width if self.key_width is None else self.key_width
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -143,7 +134,6 @@ class LayerAggregation:
     gru: agg.GruParams | None = None
     attn: agg.AttentionParams | None = None
     skip: agg.SkipParams | None = None
-    inject: list[agg.InjectParams] | None = None
 
 
 @dataclass
@@ -193,16 +183,13 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
             rng = _aggregation_rng(cfg.seed, l)
             la = LayerAggregation()
             if cfg.aggregation in ("gru", "skip") and cfg.mix == "linear":
-                la.mix = agg.init_mix(rng, cfg.processes, cfg.width, cfg.effective_d_mix, dtype)
+                la.mix = agg.init_mix(rng, cfg.processes, cfg.width, dtype)
             if cfg.aggregation == "gru":
-                la.gru = agg.init_gru(rng, cfg.effective_d_mix, cfg.width, dtype)
+                la.gru = agg.init_gru(rng, cfg.width, dtype)
             elif cfg.aggregation == "attention":
-                la.attn = agg.init_attention(rng, cfg.width, cfg.effective_key_width,
-                                             cfg.heads, dtype)
+                la.attn = agg.init_attention(rng, cfg.width, cfg.heads, dtype)
             elif cfg.aggregation == "skip":
-                la.skip = agg.init_skip(rng, cfg.effective_d_mix, cfg.width, dtype)
-            if cfg.inject == "concat_reduce":
-                la.inject = [agg.init_inject(rng, cfg.width, dtype) for _ in range(cfg.processes)]
+                la.skip = agg.init_skip(rng, cfg.width, dtype)
             layer_aggs.append(la)
 
     return CompolModel(config=cfg, processes=processes, aggregation=layer_aggs)
@@ -217,7 +204,7 @@ def _spectral_elements(cfg: CompolConfig) -> int:
 def _param_elements(cfg: CompolConfig) -> int:
     """Array elements ``init_params(cfg)`` allocates, counted without allocating them."""
     P, n_layers, w = int(cfg.processes), int(cfg.layers), int(cfg.width)
-    d, kw, ph = int(cfg.effective_d_mix), int(cfg.effective_key_width), L.PROJECT_HIDDEN
+    ph = L.PROJECT_HIDDEN
     n_coords = cfg.spatial_dims if cfg.coords else 0
     total = sum((c + n_coords + 1 + ph) * w + ph + (ph + 1) * c for c in cfg.channels)
     total += _spectral_elements(cfg) + P * n_layers * (w * w + w)
@@ -225,15 +212,13 @@ def _param_elements(cfg: CompolConfig) -> int:
         return total
     per_layer = 0
     if cfg.aggregation in ("gru", "skip") and cfg.mix == "linear":
-        per_layer += P * w * d + d
+        per_layer += P * w * w + w
     if cfg.aggregation == "gru":
-        per_layer += 3 * (d * w + w * w + w)
+        per_layer += 3 * (2 * w * w + w)
     elif cfg.aggregation == "attention":
-        per_layer += 2 * w * kw + kw + w * w + w
+        per_layer += 3 * w * w + 2 * w
     elif cfg.aggregation == "skip":
-        per_layer += d * w + w
-    if cfg.inject == "concat_reduce":
-        per_layer += P * (2 * w * w + w)
+        per_layer += w * w + w
     return total + n_layers * per_layer
 
 
@@ -284,10 +269,8 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
             mixed = agg.mix_processes(v, cfg.mix, la.mix)
             z = (agg.gru_step(mixed, z, la.gru) if cfg.aggregation == "gru"
                  else agg.skip_aggregate(mixed, z, la.skip))
-        v = [L.fourier_layer(
-                v[m] if la is None else
-                agg.inject(v[m], z, cfg.inject, la.inject[m] if la.inject else None),
-                procs[m].layers[l], cfg.activation)
+        v = [L.fourier_layer(v[m] if la is None else agg.inject(v[m], z),
+                             procs[m].layers[l], cfg.activation)
              for m in range(cfg.processes)]
         if return_latents:
             latents.append(list(v))
@@ -296,15 +279,6 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     if return_latents:
         return outs, latents
     return outs
-
-
-def make_fno_concat(total_channels: int, layers: int = 4, width: int = 64,
-                    modes=16, spatial_dims: int = 1, **kwargs) -> CompolModel:
-    """Single-branch FNO over all process channels stacked together."""
-    cfg = CompolConfig(processes=1, channels=[total_channels], layers=layers,
-                       width=width, modes=modes, spatial_dims=spatial_dims,
-                       aggregation="none", **kwargs)
-    return init_params(cfg)
 
 
 def config_for_kind(kind: str, base: CompolConfig) -> CompolConfig:

@@ -41,7 +41,7 @@ __all__ = [
     "add", "sub", "mul", "scale", "tanh", "sigmoid", "gelu", "sqrt",
     "affine", "einsum", "reduce_sum", "reduce_mean", "softmax",
     "spectral_conv", "full_axis_mode_indices", "concat", "moveaxis", "reshape",
-    "backward", "finite_diff_check", "finite_diff_report",
+    "backward", "finite_diff_report",
 ]
 
 _SUPPORTED = frozenset(map(np.dtype, ("float32", "float64", "complex64", "complex128")))
@@ -529,15 +529,18 @@ def _conv_matrices(grid: tuple[int, ...], modes: tuple[int, ...], dtype: str):
 def _to_modes(x: np.ndarray, mats: tuple[np.ndarray, ...], modes: tuple[int, ...]) -> np.ndarray:
     """Real [b, *grid, c] to the complex mode-major [(k2,) k1, b, c].
 
-    The one copy is the move to mode-major order, on the retained bins.
+    The one copy is the move to mode-major order, on the retained bins.  It
+    writes the real and the imaginary plane each in one strided assignment.
     """
     b, n, c = x.shape[0], x.shape[-2], x.shape[-1]
     p = np.matmul(mats[0], x.reshape(x.size // (n * c), n, c))    # [b n1.., 2 k1, c]
     if len(mats) == 2:
         p = np.matmul(mats[1], p.reshape(b, mats[1].shape[1], modes[0] * c))  # [b, 2 k2, k1 c]
     p = p.reshape((b, modes[-1], 2) + modes[:-1] + (c,))              # [b, k_outer, 2, .., c]
-    p = np.ascontiguousarray(np.moveaxis(p, (0, 2), (-3, -1)))        # [k.., b, c, 2]
-    return p.view(np.result_type(p.dtype, np.complex64))[..., 0]
+    p = np.moveaxis(p, (0, 2), (-3, -1))                              # [k.., b, c, 2], a view
+    out = np.empty(p.shape[:-1], np.result_type(p.dtype, np.complex64))
+    out.real, out.imag = p[..., 0], p[..., 1]
+    return out
 
 
 def _to_grid(m: np.ndarray, mats: tuple[np.ndarray, ...], grid: tuple[int, ...]) -> np.ndarray:
@@ -763,9 +766,3 @@ def finite_diff_report(f, xs, eps: float = 1e-5):
                     worst = err
                     where = (li, j, part)
     return worst, where
-
-
-def finite_diff_check(f, xs, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences."""
-    err, _ = finite_diff_report(f, xs, eps)
-    return err

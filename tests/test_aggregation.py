@@ -29,11 +29,11 @@ def wrap(*arrays):
     return [T.Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
 
 
-def zeros_gru(d_mix, width):
+def zeros_gru(width):
     z = lambda *s: np.zeros(s)
-    return agg.GruParams(z(d_mix, width), z(width, width), z(width),
-                         z(d_mix, width), z(width, width), z(width),
-                         z(d_mix, width), z(width, width), z(width))
+    return agg.GruParams(z(width, width), z(width, width), z(width),
+                         z(width, width), z(width, width), z(width),
+                         z(width, width), z(width, width), z(width))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_gru_zero_weights_halves_previous_state():
     width = 4
     z_prev = cl(rng.normal(size=(2, width, 8)))
     mixed = cl(rng.normal(size=(2, width, 8)))
-    p = zeros_gru(width, width)
+    p = zeros_gru(width)
     out = agg.gru_step(*wrap(mixed, z_prev), p).data
     assert np.array_equal(out, 0.5 * z_prev)
 
@@ -63,7 +63,7 @@ def scalar_gru_reference(x, z, p):
 
 def test_gru_matches_scalar_reference():
     rng = np.random.default_rng(1)
-    p = agg.init_gru(rng, 1, 1, dtype=np.float64)
+    p = agg.init_gru(rng, 1, dtype=np.float64)
     for x, z in [(0.3, -0.7), (-1.2, 0.4), (2.0, 2.0), (0.0, 0.0)]:
         got = agg.gru_step(*wrap([[[x]]], [[[z]]]), p).data[0, 0, 0]
         want = scalar_gru_reference(x, z, p)
@@ -73,7 +73,7 @@ def test_gru_matches_scalar_reference():
 def test_gru_gate_interpolates_between_states():
     """Extreme gate bias pins the output to one side of the blend."""
     width = 1
-    p = zeros_gru(width, width)
+    p = zeros_gru(width)
     z_prev = np.full((1, 4, 1), 3.0)
     mixed = np.ones((1, 4, 1))
     p.bq[:] = 40.0        # gate ~= 1: keep previous state
@@ -91,7 +91,7 @@ def test_gru_gate_interpolates_between_states():
 def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(2)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
-    p = agg.init_attention(rng, 4, 4, dtype=np.float64)
+    p = agg.init_attention(rng, 4, dtype=np.float64)
     # directly: attention over constant-one values returns exactly 1
     ones = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
                                wa=np.zeros((4, 4)), ba=np.ones(4), heads=1)
@@ -103,7 +103,7 @@ def test_attention_identical_tokens_uniform_weights():
     rng = np.random.default_rng(3)
     f = cl(rng.normal(size=(2, 4, 8)))
     m = 3
-    p = agg.init_attention(rng, 4, 4, dtype=np.float64)
+    p = agg.init_attention(rng, 4, dtype=np.float64)
     out = agg.attention_aggregate(wrap(f, f, f), p).data
     # uniform alpha = 1/m over identical values collapses to one value map
     want = agg.attention_aggregate(wrap(f), p).data
@@ -113,7 +113,7 @@ def test_attention_identical_tokens_uniform_weights():
 def test_attention_scalar_reference():
     """Width-1, two tokens: alpha and output with Python floats."""
     rng = np.random.default_rng(4)
-    p = agg.init_attention(rng, 1, 1, dtype=np.float64)
+    p = agg.init_attention(rng, 1, dtype=np.float64)
     a, b = 0.8, -0.45
     out = agg.attention_aggregate(wrap([[[a]]], [[[b]]]), p).data[0, 0, 0]
 
@@ -139,13 +139,13 @@ def test_attention_key_bias_would_be_dead():
     sm = T.softmax(T.Tensor(s), 1).data
     sm_shift = T.softmax(T.Tensor(s + 3.3), 1).data
     assert np.max(np.abs(sm - sm_shift)) < 1e-12
-    assert not hasattr(agg.init_attention(rng, 4, 4, dtype=np.float64), "bk")
+    assert not hasattr(agg.init_attention(rng, 4, dtype=np.float64), "bk")
 
 
 def test_attention_multihead_splits_channels():
     rng = np.random.default_rng(6)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(2)]
-    p = agg.init_attention(rng, 4, 4, heads=2, dtype=np.float64)
+    p = agg.init_attention(rng, 4, heads=2, dtype=np.float64)
     out = agg.attention_aggregate(wrap(*fields), p)
     assert out.shape == (2, 8, 4)
 
@@ -175,7 +175,7 @@ def test_attention_heads_in_one_pass_match_per_head_reference(heads):
     query, the keys and the values."""
     rng = np.random.default_rng(12)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
-    p = agg.init_attention(rng, 4, 4, heads=heads, dtype=np.float64)
+    p = agg.init_attention(rng, 4, heads=heads, dtype=np.float64)
     out = agg.attention_aggregate(wrap(*fields), p).data
     assert np.max(np.abs(out - numpy_attention(fields, p))) < 1e-12
     tape = T.Tape()
@@ -186,7 +186,7 @@ def test_attention_heads_in_one_pass_match_per_head_reference(heads):
 
 def test_attention_head_count_must_divide():
     with pytest.raises(ValueError):
-        agg.init_attention(np.random.default_rng(0), 4, 6, heads=4)
+        agg.init_attention(np.random.default_rng(0), 6, heads=4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,7 +197,7 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
     of the token entries — softmax weights are a convex combination."""
     rng = np.random.default_rng(seed)
     fields = [cl(rng.normal(size=(1, 2, 4))) for _ in range(m)]
-    p = agg.init_attention(rng, 2, 2, dtype=np.float64)
+    p = agg.init_attention(rng, 2, dtype=np.float64)
     p_id = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
                                wa=np.eye(2), ba=np.zeros(2), heads=1)
     out = agg.attention_aggregate(wrap(*fields), p_id).data
@@ -220,12 +220,12 @@ def test_mix_add_equals_sum():
 def test_mix_linear_is_concat_then_map():
     rng = np.random.default_rng(8)
     fields = [cl(rng.normal(size=(2, 3, 4))) for _ in range(2)]
-    p = agg.init_mix(rng, 2, 3, 5, dtype=np.float64)
+    p = agg.init_mix(rng, 2, 3, dtype=np.float64)
     out = agg.mix_processes(wrap(*fields), "linear", p).data
     stacked = np.concatenate(fields, axis=-1)
     want = np.einsum("bnc,cd->bnd", stacked, p.w) + p.b
     assert np.max(np.abs(out - want)) < 1e-12
-    assert out.shape == (2, 4, 5)
+    assert out.shape == (2, 4, 3)
 
 
 def test_mix_linear_requires_params():
@@ -235,7 +235,7 @@ def test_mix_linear_requires_params():
 
 def test_skip_is_running_sum():
     rng = np.random.default_rng(9)
-    p = agg.init_skip(rng, 3, 3, dtype=np.float64)
+    p = agg.init_skip(rng, 3, dtype=np.float64)
     mixed = cl(rng.normal(size=(1, 3, 4)))
     z0 = np.zeros((1, 4, 3))
     z1 = agg.skip_aggregate(*wrap(mixed, z0), p).data
@@ -243,27 +243,18 @@ def test_skip_is_running_sum():
     assert np.max(np.abs(z2 - 2 * z1)) < 1e-12
 
 
-def test_inject_add_and_concat_reduce():
+def test_inject_adds_the_shared_state():
     rng = np.random.default_rng(10)
     v = cl(rng.normal(size=(1, 3, 4)))
     z = cl(rng.normal(size=(1, 3, 4)))
-    assert np.allclose(agg.inject(*wrap(v, z), "add").data, v + z)
-    p = agg.init_inject(rng, 3, dtype=np.float64)
-    out = agg.inject(*wrap(v, z), "concat_reduce", p).data
-    want = np.einsum("bnc,cd->bnd", np.concatenate([v, z], -1), p.w) + p.b
-    assert np.max(np.abs(out - want)) < 1e-12
-
-
-def test_inject_unknown_kind():
-    with pytest.raises(ValueError):
-        agg.inject(*wrap(np.ones((1, 1, 2)), np.ones((1, 1, 2))), "subtract")
+    assert np.allclose(agg.inject(*wrap(v, z)).data, v + z)
 
 
 def test_aggregations_commute_with_translation():
     """Everything here acts pointwise, so rolling the grid rolls the output."""
     rng = np.random.default_rng(11)
     fields = [cl(rng.normal(size=(1, 4, 8))) for _ in range(2)]
-    p = agg.init_attention(rng, 4, 4, dtype=np.float64)
+    p = agg.init_attention(rng, 4, dtype=np.float64)
     base = agg.attention_aggregate(wrap(*fields), p).data
     rolled = agg.attention_aggregate(
         wrap(*[np.roll(f, 3, 1) for f in fields]), p).data

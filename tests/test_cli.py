@@ -158,6 +158,27 @@ def test_gen_data_step_count_past_float_range_exits_2(tmp_path, capsys, system, 
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_data_step_count_past_max_steps_exits_2(tmp_path, capsys, monkeypatch):
+    """horizon 1e12 at dt 1e-3 is 10^15 ETDRK4 steps, which would run for
+    ages: the spec refuses any count past MAX_STEPS, before a solve or a
+    pool starts."""
+    def never(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(datagen, "etdrk4_solve", never)
+    monkeypatch.setattr(datagen, "ProcessPoolExecutor", never)
+    t0 = time.perf_counter()
+    code = cli.main(["gen-data", "--system", "lv", "--n", "1", "--resolution", "32",
+                     "--param", "horizon=1e12", "--param", "dt=1e-3",
+                     "--seed", "0", "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: horizon / dt is 1e+15 ETDRK4 steps, more than MAX_STEPS"), err
+    assert len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("param", ["du=1e308", "domain_size=1e-320"])
 def test_gen_data_diffusion_past_float_range_is_one_line(tmp_path, param, threads):
@@ -376,8 +397,7 @@ def test_train_config_types_exit_2(tmp_path, lv_data, capsys, section, key, valu
 @pytest.mark.parametrize("model_kw", [
     {"width": 2 ** 56},                                  # lift weights: 1 EiB
     {"width": 8, "modes": 2 ** 50},                      # spectral weights: 512 PiB
-    {"width": 8, "aggregation": "attention", "key_width": 2 ** 55},   # 2 EiB
-], ids=["width", "modes", "key_width"])
+], ids=["width", "modes"])
 def test_train_oversized_model_exits_2(tmp_path, lv_data, capsys, model_kw):
     """A model no machine can hold is one error line and exit 2.  Each size
     is far beyond any address space, so the first allocation fails at once."""
@@ -535,6 +555,28 @@ def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path,
     assert cli.main(["train", "--config", write_config(tmp_path / "exp.json", doc)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "attend_history" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("inject", "concat_reduce"), ("d_mix", 8), ("key_width", 8), ("key_width", 2 ** 55),
+], ids=["inject", "d_mix", "key_width", "key_width-past-memory"])
+def test_removed_model_options_exit_2(run_dir, lv_data, tmp_path, capsys, field, value):
+    """inject, d_mix and key_width load only as "add", null and null.  Any
+    other value, in a checkpoint header or a train config, is one error line
+    that names the field and exit 2, even one no memory could hold."""
+    header, table = D.read_checkpoint(str(run_dir / cli.CHECKPOINT_FILENAME))
+    ckpt = tmp_path / "removed-option.ckpt"
+    D.write_checkpoint(ckpt, {**header, "config": {**header["config"], field: value}},
+                       list(table.items()))
+    doc = experiment_doc(lv_data, tmp_path / "out", aggregation="attention", **{field: value})
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", str(ckpt), "--data", str(lv_data)],
+                 ["train", "--config", write_config(tmp_path / "exp.json", doc)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert f"{field} must be" in err, err
     assert not (tmp_path / "out").exists()
 
 

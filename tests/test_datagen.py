@@ -227,17 +227,6 @@ def test_time_stepping_is_fourth_order(name, overrides, n, dt0):
 SEEDS = {"lv": 1, "bz": 2, "gs": 3, "burgers": 4}
 
 
-def test_trajectory_recording():
-    spec = G.system_spec("lv", resolution=32,
-                         overrides={"fine_factor": 1, "horizon": 0.1, "dt": 0.02})
-    u0 = G.initial_conditions(spec, np.random.default_rng(8), 32)
-    traj = G.etdrk4_solve(spec, u0, record="trajectory")
-    assert traj.shape == (6, 2, 32)
-    assert np.array_equal(traj[0], u0)
-    final = G.etdrk4_solve(spec, u0, record="final")
-    assert np.array_equal(traj[-1], final)
-
-
 def test_batched_solve_matches_per_sample():
     spec = G.system_spec("lv", resolution=32,
                          overrides={"fine_factor": 1, "horizon": 0.2, "dt": 0.02})
@@ -250,8 +239,6 @@ def test_batched_solve_matches_per_sample():
 
 def test_solver_input_validation():
     spec = G.system_spec("lv", resolution=32)
-    with pytest.raises(ValueError):
-        G.etdrk4_solve(spec, np.zeros((2, 32)), record="movie")
     with pytest.raises(ValueError):
         G.etdrk4_solve(spec, np.zeros((32,)))  # missing process axis
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from compol import model as M
+from compol.dataio import config_hash
 from compol import params as P
 from compol import tensor as T
 
@@ -223,8 +224,8 @@ def test_total_params_matches_manual_sum():
 
 def test_fno_concat_default_parameter_budget():
     """Default single-branch baseline: 4 layers, width 64, 16 modes."""
-    model = M.make_fno_concat(total_channels=2)
-    total = M.total_params(model)
+    cfg = M.config_for_kind("fno-c", M.CompolConfig(processes=2, channels=[1, 1]))
+    total = M.total_params(M.init_params(cfg))
     assert abs(total - 583_200) / 583_200 < 0.10, total
 
 
@@ -296,8 +297,6 @@ def test_config_rejects_bad_values():
         small_cfg(aggregation="mean-field")
     with pytest.raises(ValueError):
         small_cfg(spatial_dims=3)
-    with pytest.raises(ValueError):
-        small_cfg(mix="add", d_mix=4)  # additive mixing needs d_mix == width
 
 
 @pytest.mark.parametrize("field,value", [
@@ -327,11 +326,22 @@ def test_config_drops_attend_history_false_and_refuses_true():
 
 
 def test_config_round_trips_through_dict():
-    cfg = small_cfg(modes=(4,), aggregation="attention", heads=2, key_width=8)
+    cfg = small_cfg(modes=(4,), aggregation="attention", heads=2)
     back = M.CompolConfig.from_dict(cfg.to_dict())
     assert back == cfg
     with pytest.raises(ValueError):
         M.CompolConfig.from_dict({**cfg.to_dict(), "dropout": 0.5})
+
+
+def test_pinned_fields_keep_the_config_hash():
+    """d_mix, key_width and inject stay in every config, at null, null and
+    "add", so a config holds the bytes and the hash it had while they could
+    take other values."""
+    cfg = small_cfg(aggregation="attention")
+    d = cfg.to_dict()
+    assert (d["d_mix"], d["key_width"], d["inject"]) == (None, None, "add")
+    assert M.CompolConfig.from_dict(d) == cfg
+    assert config_hash(d) == "821aaa954ba1ebc52cc031fd6fdd6e71e01623c80ff5b9ed46ee0d7b2395aca4"
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +366,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(aggregation="gru", mix="linear", d_mix=3, coords=False),
-    dict(aggregation="attention", key_width=6, heads=2, inject="concat_reduce"),
+    dict(aggregation="gru", mix="linear", coords=False),
+    dict(aggregation="attention", heads=2),
     dict(aggregation="skip", mix="linear", spatial_dims=2, modes=(2, 3)),
     dict(aggregation="none", channels=[1, 3]),
 ], ids=["gru", "attention", "skip-2d", "none"])
