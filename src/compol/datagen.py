@@ -173,14 +173,7 @@ class SystemSpec:
     def __post_init__(self):
         if self.system not in SYSTEM_NAMES:
             raise ValueError(f"unknown system {self.system!r}")
-        if not self.dt > 0 or not self.horizon > 0:
-            raise ValueError("horizon and dt must be positive")
-        if not math.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon / dt must be a finite step count, "
-                             f"got {self.horizon!r} / {self.dt!r}")
-        if round(self.horizon / self.dt) > MAX_STEPS:
-            raise ValueError(f"horizon / dt is {self.horizon / self.dt:.6g} ETDRK4 steps, "
-                             f"more than MAX_STEPS = {MAX_STEPS}")
+        _step_count(self.horizon, self.dt)
         if not self.domain_size > 0:
             raise ValueError("domain_size must be positive")
         _check_pow2(self.resolution, "resolution")
@@ -237,6 +230,23 @@ SYSTEM_NAMES = ("lv", "bz", "gs", "burgers")
 
 # the most ETDRK4 steps one solve may take: 250x burgers' default of 4,000
 MAX_STEPS = 10 ** 6
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    """ETDRK4 steps to ``horizon`` at ``dt``: ``round(horizon / dt)``, at least 1.
+
+    A step that is not positive, or a count that is not finite or exceeds
+    :data:`MAX_STEPS`, is a ValueError.
+    """
+    if not dt > 0 or not horizon > 0:
+        raise ValueError("horizon and dt must be positive")
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"horizon / dt must be a finite step count, got {horizon!r} / {dt!r}")
+    if round(horizon / dt) > MAX_STEPS:
+        raise ValueError(f"horizon / dt is {horizon / dt:.6g} ETDRK4 steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    return max(1, round(horizon / dt))
+
 
 INIT_RECIPES = {
     "lv": "per-process GRF, shifted by init_shift and clamped at 0",
@@ -352,7 +362,8 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
 
     ``u0`` is [M, *grid] or [B, M, *grid]; the grid fixes the solve
     resolution (power of two).  ``dt`` overrides the spec's step, which is
-    then shortened to divide the horizon evenly.  ``zero_nonlinearity``
+    then shortened to divide the horizon evenly; its step count is checked
+    as the spec's is, before any coefficient is built.  ``zero_nonlinearity``
     switches the reaction terms off (test hook).
     """
     u0 = np.asarray(u0, dtype=np.float64)
@@ -365,8 +376,7 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
     n = u.shape[-1]
     _check_pow2(n, "grid resolution")
 
-    h = spec.dt if dt is None else float(dt)
-    n_steps = max(1, int(round(spec.horizon / h)))
+    n_steps = _step_count(spec.horizon, spec.dt if dt is None else float(dt))
     h = spec.horizon / n_steps
 
     axes = tuple(range(-spec.dim, 0))
@@ -385,10 +395,7 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
             f"{spec.system}: ETDRK4 coefficients are not finite at dt {h:.6g} "
             f"(diffusivities {spec.diffusivities()}, domain_size {spec.domain_size:.6g})")
 
-    if zero_nonlinearity:
-        react = None
-    else:
-        react = _nonlinearity(spec, n)
+    react = None if zero_nonlinearity else _nonlinearity(spec, n)
 
     def nl(vh):
         if react is None:

@@ -14,12 +14,13 @@ derives its real matrices for the retained bins from it.
 A longer length takes one four-step split ``n = n1 n2`` (Bailey 1990):
 ``n1``-point DFTs down the columns of the ``[n1, n2]`` view, one twiddle
 multiply, then ``n2``-point DFTs along its rows, recursing while a factor
-exceeds ``BLOCK``.  A longer real transform reads its ``N = 2m`` reals as
-``m`` complex values ``x[2j] + i x[2j+1]`` and separates the spectra ``E``
-and ``O`` of the even and odd samples with the post-twiddle of Sorensen et
-al. (1987).  As ``X[k] = E_k + w^k O_k`` and ``X[m-k] = conj(E_k - w^k O_k)``,
-one half-length pass over the pairs ``k = 1..m/2`` gives both halves, and
-the inverse mirrors it: half a complex transform plus one pass.
+exceeds ``BLOCK``.  A longer real transform splits the same way on real
+matrices (Sorensen et al. 1987): the real ``n1``-point analysis keeps the
+bins ``k1 <= n1/2``, the twiddles follow, the ``n2``-point row DFTs are one
+real matmul on (re, im) pairs, and one gather reads bins ``0..n/2``, with
+``X[k1 + n1 k2] = conj(Z[n1 - k1, n2 - 1 - k2])`` past ``k1 = n1/2``.  The
+inverse mirrors it and ends in the real synthesis matrix, whose Hermitian
+weights drop the imaginary parts of the DC and Nyquist bins.
 
 Every matmul is stacked over the first axis of its operand, with shapes
 that do not depend on that axis's extent: a slice of the first axis
@@ -95,6 +96,18 @@ def dft_matrix(n: int, bins, inverse: bool, real: bool, dtype: str) -> np.ndarra
     return _frozen(w / n, dtype)
 
 
+def _real_block(w: np.ndarray) -> np.ndarray:
+    """Complex [p, q] as the real [2p, 2q] map of ``x @ w`` on (re, im) pairs."""
+    rows = (np.stack([w.real, w.imag], -1), np.stack([-w.imag, w.real], -1))
+    return np.stack(rows, 1).reshape(2 * w.shape[0], 2 * w.shape[1])
+
+
+def _factor(n: int) -> tuple[int, int]:
+    """The four-step split ``n = n1 n2`` of a length past BLOCK, ``n1 <= BLOCK``."""
+    n1 = min(BLOCK, 1 << ((n.bit_length() - 1) // 2))
+    return n1, n // n1
+
+
 @lru_cache(maxsize=64)
 def _twiddle(n1: int, n2: int, inverse: bool, dtype: str) -> np.ndarray:
     """Four-step twiddles ``w^(k1 t2)`` of ``n = n1 n2``, as [n1, n2, 1]."""
@@ -102,27 +115,29 @@ def _twiddle(n1: int, n2: int, inverse: bool, dtype: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _pair_twiddle(m: int, inverse: bool, dtype: str) -> np.ndarray:
-    """Factors ``(1 -+ i w^k) / 2`` for ``0 < k <= m/2``, ``w = exp(-+2 pi i / 2m)``."""
-    w = _phase(2, m // 2 + 1, 2 * m, inverse)[1, 1:]
-    return _frozen((1 + (1j if inverse else -1j) * w) / 2, dtype)
+def _pair_dft(n: int, inverse: bool, dtype: str) -> np.ndarray:
+    """The complex ``n``-point DFT as the real [2n, 2n] map on (re, im) pairs."""
+    return _frozen(_real_block(dft_matrix(n, n, inverse, False, "<c16")), dtype)
 
 
-def _pair_pass(src: np.ndarray, dst: np.ndarray, m: int, inverse: bool) -> None:
-    """Bins ``k`` and ``m-k`` of ``dst`` from the same bins of ``src``, ``0 < k <= m/2``.
+@lru_cache(maxsize=64)
+def _fold(n1: int, n2: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gather of the real split: flat indices, and -1 where the entry is conjugated.
 
-    ``a = src[k]``, ``b = conj(src[m-k])``, ``d = A_k (a - b)`` with ``A_k``
-    from :func:`_pair_twiddle`: ``dst[k] = b + d``, ``dst[m-k] = conj(a - d)``.
-    Forward ``src`` is ``Z`` and ``dst`` is ``X``; inverse, the other way round.
+    Forward, bin ``k = k1 + n1 k2 <= n/2`` reads row ``k1``, column ``k2`` of
+    the [n1/2 + 1, n2] rows, or past ``k1 = n1/2`` row ``n1 - k1``, column
+    ``n2 - 1 - k2``.  Inverse, row ``k1``, column ``k2`` reads bin ``k``, or
+    past ``n/2`` bin ``n - k``.
     """
-    h = m // 2
-    a = src[..., 1:h + 1]
-    b = np.conjugate(src[..., m - 1:h - 1:-1])
-    d = a - b
-    d *= _pair_twiddle(m, inverse, src.dtype.str)
-    np.add(b, d, out=dst[..., 1:h + 1])
-    np.subtract(a, d, out=b)
-    np.conjugate(b, out=dst[..., m - 1:h - 1:-1])
+    n = n1 * n2
+    if inverse:
+        k = (np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)).ravel()
+        flip, idx = k > n // 2, np.minimum(k, n - k)
+    else:
+        k2, k1 = np.divmod(np.arange(n // 2 + 1), n1)
+        flip, idx = k1 > n1 // 2, k1 * n2 + k2
+        idx[flip] = n + n2 - 1 - idx[flip]
+    return _frozen(idx, np.intp), _frozen(np.where(flip, -1, 1), dtype)
 
 
 def apply_dft(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
@@ -155,8 +170,7 @@ def _dft(x: np.ndarray, inverse: bool) -> np.ndarray:
     p, n, q = x.shape
     if n <= BLOCK:
         return apply_dft(x, 1, dft_matrix(n, n, inverse, False, x.dtype.str))
-    n1 = min(BLOCK, 1 << ((n.bit_length() - 1) // 2))
-    n2 = n // n1
+    n1, n2 = _factor(n)
     # x[t1 n2 + t2] -> y[k1, t2], times w^(k1 t2) -> X[k1 + n1 k2]
     y = _dft(x.reshape(p, n1, n2 * q), inverse).reshape(p, n1, n2, q)
     y *= _twiddle(n1, n2, inverse, x.dtype.str)
@@ -165,17 +179,6 @@ def _dft(x: np.ndarray, inverse: bool) -> np.ndarray:
         return _dft(y.reshape(p, n1, n2).transpose(0, 2, 1), inverse).reshape(p, n, 1)
     y = _dft(y.reshape(p * n1, n2, q), inverse).reshape(p, n1, n2, q)
     return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(p, n, q)
-
-
-def _along(x: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
-    """Complex DFT of ``x`` along ``axis``, into a new C-ordered array."""
-    axis %= x.ndim
-    shape, n = x.shape, x.shape[axis]
-    if n <= BLOCK:
-        return apply_dft(x, axis, dft_matrix(n, n, inverse, False, x.dtype.str))
-    # on the last axis, one stacked item per line: the four-step views each as [n1, n2]
-    x3 = x.reshape(math.prod(shape[:axis]), n, math.prod(shape[axis + 1:]))
-    return _dft(x3, inverse).reshape(shape)
 
 
 def _complex_dtype(dtype: np.dtype) -> np.dtype:
@@ -190,43 +193,60 @@ def _as_complex(a) -> np.ndarray:
 
 
 def _apply_along(x: np.ndarray, axes: tuple[int, ...], inverse: bool) -> np.ndarray:
+    """Complex DFT of ``x`` along each of ``axes``, into a new C-ordered array."""
     for ax in axes:
-        _check_pow2(x.shape[ax])
-        x = _along(x, ax, inverse)
+        shape, n = x.shape, x.shape[ax]
+        _check_pow2(n)
+        if n <= BLOCK:
+            x = apply_dft(x, ax, dft_matrix(n, n, inverse, False, x.dtype.str))
+        else:  # on the last axis, one stacked item per line: each four-step views it as [n1, n2]
+            x3 = x.reshape(math.prod(shape[:ax]), n, math.prod(shape[ax + 1:]))
+            x = _dft(x3, inverse).reshape(shape)
     return np.ascontiguousarray(x)
+
+
+def _row_dft(z: np.ndarray, inverse: bool) -> np.ndarray:
+    """Complex DFT along the rows of a C-ordered [p, h, n2] array, into a new array."""
+    p, h, n2 = z.shape
+    if n2 > BLOCK:
+        return _dft(z.reshape(p * h, n2, 1), inverse).reshape(p, h, n2)
+    real = z.real.dtype.str
+    return np.matmul(z.view(real), _pair_dft(n2, inverse, real)).view(z.dtype)
 
 
 def _rfft_last(x: np.ndarray) -> np.ndarray:
     """Bins 0..n/2 of the last axis of a C-ordered real array."""
-    n = x.shape[-1]
-    cdt = _complex_dtype(x.dtype)
+    n, real = x.shape[-1], x.dtype.str
     if n <= BLOCK:
-        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, False, True, x.dtype.str))
-    m = n // 2
-    # Z = E + i O, where E and O are the spectra of the even and odd samples
-    z = _along(x.view(cdt), -1, inverse=False)
-    out = np.empty(z.shape[:-1] + (m + 1,), dtype=cdt)
-    re, im = z[..., 0].real, z[..., 0].imag
-    out[..., 0] = re + im
-    out[..., m] = re - im
-    _pair_pass(z, out, m, inverse=False)
-    return out
+        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, False, True, real))
+    n1, n2 = _factor(n)
+    h, p = n1 // 2 + 1, x.size // n
+    # each row's x[t1 n2 + t2] -> bins k1 <= n1/2 over t1, as (re, im) rows of y
+    y = np.matmul(dft_matrix(n1, h, False, True, real).T, x.reshape(p, n1, n2)).reshape(p, h, 2, n2)
+    z = np.empty((p, h, n2), _complex_dtype(x.dtype))
+    z.real, z.imag = y[:, :, 0], y[:, :, 1]
+    z *= _twiddle(n1, n2, False, z.dtype.str)[:h, :, 0]
+    idx, sign = _fold(n1, n2, False, real)
+    out = np.take(_row_dft(z, inverse=False).reshape(p, h * n2), idx, axis=-1)
+    out.imag *= sign
+    return out.reshape(x.shape[:-1] + (n // 2 + 1,))
 
 
 def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
     """``n`` real points from bins 0..n/2 on the last axis of ``x``."""
-    real = x.real.dtype
+    real = x.real.dtype.str
     if n <= BLOCK:
-        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, True, True, real.str))
-    m = n // 2
-    # only the real parts of X[0] and X[m] count
-    z = np.empty(x.shape[:-1] + (m,), dtype=x.dtype)
-    dc, ny = x[..., 0].real, x[..., m].real
-    z.real[..., 0] = (dc + ny) * 0.5
-    z.imag[..., 0] = (dc - ny) * 0.5
-    _pair_pass(x, z, m, inverse=True)
-    # the inverse of Z interleaves the even and odd samples
-    return _along(z, -1, inverse=True).view(real)
+        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, True, True, real))
+    n1, n2 = _factor(n)
+    h, p = n1 // 2 + 1, x.size // (n // 2 + 1)
+    idx, sign = _fold(n1, n2, True, real)
+    z = np.take(x.reshape(p, n // 2 + 1), idx, axis=-1)
+    z.imag *= sign
+    z = _row_dft(z.reshape(p, h, n2), inverse=True)
+    z *= _twiddle(n1, n2, True, x.dtype.str)[:h, :, 0]
+    # (re, im) rows of k1 into the real synthesis over t1
+    y = np.stack((z.real, z.imag), axis=2).reshape(p, 2 * h, n2)
+    return np.matmul(dft_matrix(n1, h, True, True, real).T, y).reshape(x.shape[:-1] + (n,))
 
 
 def fft(a: np.ndarray, axes=(-1,)) -> np.ndarray:

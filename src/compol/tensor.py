@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
-from .fft import _frozen, dft_matrix
+from .fft import _frozen, _real_block, dft_matrix
 
 __all__ = [
     "Tensor", "Tape", "GradientMap", "ShapeError", "DtypeError", "TapeError",
@@ -492,12 +492,6 @@ def full_axis_mode_indices(k: int, n: int) -> np.ndarray:
         raise ShapeError(f"cannot retain {k} modes on an axis of extent {n}")
     freqs = [0] + [s * f for f in range(1, k) for s in (1, -1)]
     return np.asarray(freqs[:k], dtype=np.intp) % n
-
-
-def _real_block(w: np.ndarray) -> np.ndarray:
-    """Complex [p, q] as the real [2p, 2q] map of ``x @ w`` on (re, im) pairs."""
-    rows = (np.stack([w.real, w.imag], -1), np.stack([-w.imag, w.real], -1))
-    return np.stack(rows, 1).reshape(2 * w.shape[0], 2 * w.shape[1])
 
 
 @lru_cache(maxsize=64)

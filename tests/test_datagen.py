@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -245,6 +246,29 @@ def test_solver_input_validation():
         G.etdrk4_solve(spec, np.zeros((3, 32)))  # lv has 2 processes
 
 
+@pytest.mark.parametrize("dt, message", [
+    (1e-12, "horizon / dt is 2e+13 ETDRK4 steps, more than MAX_STEPS"),
+    (1e-320, "horizon / dt must be a finite step count"),
+], ids=["2e13-steps", "past-float-range"])
+def test_solver_dt_past_max_steps_is_refused(dt, message, monkeypatch):
+    """A ``dt`` argument gets the spec's step-count check: 2x10^13 steps, or
+    a count past float range, is refused at once, before any coefficient is
+    built, with the ValueError the spec gives for the same horizon and dt."""
+    def never(*args, **kwargs):
+        raise AssertionError("coefficients built")
+
+    spec = G.system_spec("lv", resolution=32)
+    monkeypatch.setattr(G, "phi_coefficients", never)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as solve:
+        G.etdrk4_solve(spec, np.zeros((2, 32)), dt=dt)
+    assert time.perf_counter() - t0 < 5
+    assert str(solve.value).startswith(message), solve.value
+    with pytest.raises(ValueError) as from_spec:
+        G.system_spec("lv", resolution=32, overrides={"dt": dt})
+    assert str(from_spec.value) == str(solve.value)
+
+
 def test_unstable_reaction_raises_blow_up():
     # flipping the predation sign makes both populations feed each other,
     # which diverges in finite time
@@ -360,7 +384,7 @@ def test_fine_grid_protocol_stays_finite():
 def test_nonlinear_solve_matches_numpy_fft(name, horizon, monkeypatch):
     """50 ETDRK4 steps of two samples at 1,024 points, the solve length of
     bz and burgers, agree with the same solve on ``numpy.fft``: every
-    nonlinear evaluation goes through the packed real transforms."""
+    nonlinear evaluation goes through the real four-step split."""
     spec = G.system_spec(name, overrides={"horizon": horizon})
     u0 = np.stack([G.initial_conditions(spec, np.random.default_rng(s), 1024) for s in (3, 4)])
     got = G.etdrk4_solve(spec, u0)
@@ -556,8 +580,8 @@ def test_env_workers_is_checked_and_capped(monkeypatch):
     assert G._resolve_workers(None) == cpus
 
 
-# solve grids past compol.fft.BLOCK: lv and bz at 256 points take the packed
-# real transform and a four-step split, gs at 128 x 128 splits a leading axis
+# solve grids past compol.fft.BLOCK: lv and bz at 256 points take the real
+# four-step split, gs at 128 x 128 that split and a complex one on a leading axis
 TINY_SPECS = {
     "lv": ("lv", 64, {"horizon": 0.2, "dt": 0.02}),
     "bz": ("bz", 64, {"horizon": 0.02, "dt": 1e-3}),

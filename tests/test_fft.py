@@ -140,11 +140,11 @@ def test_irfft_roundtrip_and_hermitian_consistency():
 @pytest.mark.parametrize("n", [2, 4, 64, 128, 256, 512, 1024, 2048, 8192])
 def test_rfft_irfft_match_naive_dft(n, dtype):
     """Both real transforms against the direct DFT, in the input's precision:
-    up to BLOCK points one real matmul, beyond it the packed half-length
-    transform with its pair pass.  Up to 2,048 points the oracle takes every
-    bin and sample; at 8,192, whose full oracle matrices would take gigabytes,
-    the ends, bin n/4 (where the pairs k and m-k of the pass meet) with its
-    neighbours, and random ones."""
+    up to BLOCK points one real matmul, beyond it the real four-step split
+    n = n1 n2.  Up to 2,048 points the oracle takes every bin and sample; at
+    8,192, whose full oracle matrices would take gigabytes, the ends, the
+    split's fold bins k = n1/2 and n1/2 +- 1 (mod n1), where the gather
+    turns from the rows to their conjugates, and random ones."""
     tol = 2e-6 if dtype == np.float32 else 1e-10   # the oracle's own error in float64
     rng = np.random.default_rng(n)
     x = rng.normal(size=(3, n)).astype(dtype)
@@ -160,46 +160,57 @@ def test_rfft_irfft_match_naive_dft(n, dtype):
     if n <= 2048:
         assert np.max(np.abs(back - naive_irfft(h, n))) < tol
         return
-    q = n // 4
-    pick = np.unique(np.r_[0, 1, q - 1, q, q + 1, 2 * q - 1, 2 * q, rng.integers(0, 2 * q, 64)])
+    n1 = F._factor(n)[0]
+    fold = np.arange(n1 // 2 - 1, n // 2, n1)[:, None] + np.arange(3)
+    pick = np.unique(np.r_[0, 1, fold.ravel(), n // 2 - 1, n // 2, rng.integers(0, n // 2, 64)])
     want = naive_dft_bins(x.astype(np.float64), pick)
     assert np.max(np.abs(got[:, pick] - want)) < tol * n
     assert np.max(np.abs(back[:, pick] - naive_irfft_at(h, n, pick))) < tol
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("n", [4, 64, 256, 1024, 8192])
 def test_irfft_ignores_dc_and_nyquist_imaginary_parts(n, dtype):
     """A truncated spectrum's new Nyquist bin is complex; only its real part
-    belongs to a real signal, as numpy.fft.irfft has it."""
+    belongs to a real signal, as numpy.fft.irfft has it.  At 8,192 points
+    the oracle takes the ends and random samples."""
     rng = np.random.default_rng(n + 3)
     h = (rng.normal(size=(2, 3, n // 2 + 1))
          + 1j * rng.normal(size=(2, 3, n // 2 + 1))).astype(dtype)
     real_ends = h.copy()
     real_ends[..., [0, -1]] = real_ends[..., [0, -1]].real
-    assert np.array_equal(F.irfft(h, axes=(-1,)), F.irfft(real_ends, axes=(-1,)))
-    want = naive_irfft(real_ends, n)
-    assert np.max(np.abs(F.irfft(h, axes=(-1,)) - want)) < (2e-6 if dtype == np.complex64 else 1e-10)
+    got = F.irfft(h, axes=(-1,))
+    assert np.array_equal(got, F.irfft(real_ends, axes=(-1,)))
+    if n <= 2048:
+        want = naive_irfft(real_ends, n)
+    else:
+        t = np.unique(np.r_[0, 1, n // 2, n - 1, rng.integers(0, n, 64)])
+        got, want = got[..., t], naive_irfft_at(real_ends, n, t)
+    assert np.max(np.abs(got - want)) < (2e-6 if dtype == np.complex64 else 1e-10)
 
 
-@pytest.mark.parametrize("n", [16, 1024])
-def test_first_axis_slices_transform_alike(n):
+@pytest.mark.parametrize("n, dtype", [
+    pytest.param(n, dtype, id=f"{n}" if dtype is np.float64 else f"{n}-float32")
+    for dtype in (np.float64, np.float32) for n in (16, 128, 1024, 8192)])
+def test_first_axis_slices_transform_alike(n, dtype):
     """A slice of the first axis gets the same bits alone as in its array,
-    so a sample's data do not depend on how many samples share a chunk."""
+    so a sample's data do not depend on how many samples share a chunk:
+    one matmul, the real split's smallest case (128), its usual one (1,024)
+    and its stage 2 past BLOCK (8,192)."""
     rng = np.random.default_rng(n)
-    rows = rng.normal(size=(5, n))              # a lone row is a different BLAS call
+    rows = rng.normal(size=(5, n)).astype(dtype)    # a lone row is a different BLAS call
     for i in (0, 4):
         assert np.array_equal(F.rfft(rows, axes=(-1,))[i], F.rfft(rows[i:i + 1], axes=(-1,))[0])
         assert np.array_equal(F.fft(rows + 1j, axes=(-1,))[i],
                               F.fft(rows[i:i + 1] + 1j, axes=(-1,))[0])
-    x = rng.normal(size=(5, 3, n))
+    x = rng.normal(size=(5, 3, n)).astype(dtype)
     for i in (0, 4):
         assert np.array_equal(F.rfft(x, axes=(-1,))[i], F.rfft(x[i:i + 1], axes=(-1,))[0])
         h = F.rfft(x, axes=(-1,))
         assert np.array_equal(F.irfft(h, axes=(-1,))[i], F.irfft(h[i:i + 1], axes=(-1,))[0])
         c = x + 1j
         assert np.array_equal(F.fft(c, axes=(-1,))[i], F.fft(c[i:i + 1], axes=(-1,))[0])
-    y = rng.normal(size=(5, 2, n, 32)) if n <= 64 else rng.normal(size=(5, 2, 128, 128))
+    y = rng.normal(size=(5, 2, n, 32) if n <= 64 else (5, 2, 128, 128)).astype(dtype)
     whole = F.rfft(y, axes=(-2, -1))
     assert np.array_equal(whole[3], F.rfft(y[3:4], axes=(-2, -1))[0])
     assert np.array_equal(F.irfft(whole, axes=(-2, -1))[3],

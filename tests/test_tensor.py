@@ -544,7 +544,7 @@ def _direct_conv(v, r):
 def test_dft_ops_match_fft_and_direct_definition(n):
     """1-D, every real-axis bin kept: against ``compol.fft`` and the direct
     O(N^2) sums.  Up to 64 points the op and ``K.rfft`` share one dense
-    matrix; at 128 it meets fft's four-step and packed-real path."""
+    matrix; at 128 it meets fft's real four-step split."""
     rng = np.random.default_rng(3)
     k = n // 2 + 1
     v, r = rng.normal(size=(3, n, 2)), _cplx(rng, 2, 3, k)
