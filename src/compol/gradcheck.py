@@ -76,12 +76,14 @@ def _check(suite: str, name: str, op, *inputs) -> CheckResult:
     trees = [rng.normal(size=spec) if isinstance(spec, tuple) else spec(rng) for spec in inputs]
     named = [P.named_arrays(tree) for tree in trees]
     probes = []
+    args = {}   # the op's arguments by their leaves: every raw evaluation passes the same tensors
 
     def loss(*leaves):
-        it = iter(leaves)
-        args = [P.with_leaves(tree, {k: next(it) for k, _ in arrs}) if arrs else tree
-                for tree, arrs in zip(trees, named)]
-        out = op(*args)
+        if leaves not in args:
+            it = iter(leaves)
+            args[leaves] = [P.with_leaves(tree, {k: next(it) for k, _ in arrs}) if arrs else tree
+                            for tree, arrs in zip(trees, named)]
+        out = op(*args[leaves])
         outs = out if isinstance(out, list) else [out]
         if not probes:
             probes.extend(T.Tensor(rng.normal(size=o.shape)) for o in outs)

@@ -1,7 +1,7 @@
 """Fourier-operator building blocks.
 
 Latents are channels-last: a layer maps a field ``v`` of shape
-[batch, *grid, width] to ``act(v W + b + spectral_conv(v, R))``, where the
+[batch, *grid, width] to ``gelu(v W + b + spectral_conv(v, R))``, where the
 spectral convolution multiplies retained low-frequency modes by learned
 complex matrices and zeroes the rest.  Every channel map is then one
 matmul over the last axis, and the spectral convolution contracts the
@@ -28,21 +28,10 @@ __all__ = [
     "FourierLayerParams", "LiftProjectParams",
     "spectral_conv", "fourier_layer", "channel_affine", "lift", "project",
     "init_fourier_layer", "init_lift_project", "glorot_uniform",
-    "full_axis_mode_indices", "coordinate_channels", "activation_fn",
-    "PROJECT_HIDDEN",
+    "full_axis_mode_indices", "coordinate_channels", "PROJECT_HIDDEN",
 ]
 
 PROJECT_HIDDEN = 128  # fixed hidden width of the projection head
-
-_ACTIVATIONS = {"gelu": T.gelu, "tanh": T.tanh, "sigmoid": T.sigmoid}
-
-
-def activation_fn(name: str):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
-
 
 @dataclass
 class FourierLayerParams:
@@ -123,10 +112,9 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
     return T.spectral_conv(v, r)
 
 
-def fourier_layer(v: Tensor, p: FourierLayerParams, activation: str = "gelu") -> Tensor:
-    act = activation_fn(activation)
+def fourier_layer(v: Tensor, p: FourierLayerParams) -> Tensor:
     local = channel_affine(v, p.w, p.b)
-    return act(T.add(local, spectral_conv(v, p.r)))
+    return T.gelu(T.add(local, spectral_conv(v, p.r)))
 
 
 def coordinate_channels(batch: int, grid: tuple[int, ...], dtype=np.float32) -> np.ndarray:

@@ -53,14 +53,15 @@ MODEL_KINDS = tuple(KIND_AGGREGATION)
 
 
 # every field of CompolConfig: (kind, least value or allowed values), see check_fields.
-# Every aggregation map is width to width and the shared state is added, so
-# d_mix, key_width and inject only load as null, null and "add"; they stay so
-# that config hashes and checkpoint headers keep their bytes.
+# Every aggregation map is width to width, the shared state is added and every
+# layer ends in a GELU, so d_mix, key_width, inject and activation only load as
+# null, null, "add" and "gelu"; they stay so that config hashes and checkpoint
+# headers keep their bytes.
 _FIELDS = {
     "processes": ("int", 1), "channels": (["int"], 1), "layers": ("int", 1),
     "width": ("int", 1), "modes": (("int", ["int"]), 1), "spatial_dims": ("int", 1),
     "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", MIX_KINDS),
-    "d_mix": (None, None), "inject": ("str", ("add",)), "activation": ("str", None),
+    "d_mix": (None, None), "inject": ("str", ("add",)), "activation": ("str", ("gelu",)),
     "coords": ("bool", None), "key_width": (None, None), "heads": ("int", 1),
     "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", 0),
 }
@@ -101,7 +102,6 @@ class CompolConfig:
             raise ValueError("need one channel count per process")
         if self.spatial_dims not in (1, 2):
             raise ValueError("spatial_dims must be 1 or 2")
-        L.activation_fn(self.activation)
 
     @property
     def np_dtype(self):
@@ -269,8 +269,7 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
             mixed = agg.mix_processes(v, cfg.mix, la.mix)
             z = (agg.gru_step(mixed, z, la.gru) if cfg.aggregation == "gru"
                  else agg.skip_aggregate(mixed, z, la.skip))
-        v = [L.fourier_layer(v[m] if la is None else agg.inject(v[m], z),
-                             procs[m].layers[l], cfg.activation)
+        v = [L.fourier_layer(v[m] if la is None else agg.inject(v[m], z), procs[m].layers[l])
              for m in range(cfg.processes)]
         if return_latents:
             latents.append(list(v))

@@ -21,8 +21,11 @@ derivatives by the real and imaginary parts of ``r``.  Inside the op the
 truncated DFTs are real matrices on (re, im) pairs, and the mix is a complex
 matmul, so its backward is the transposes (conjugate transposes for the mix).
 
-Tensors are treated as immutable once created, and a tape must only be
-used from the thread that recorded it.
+A shape or axis that does not fit raises :class:`ShapeError`, and a complex
+operand to a real-only op :class:`DtypeError`, both before any node is
+recorded.  Tensors are treated as immutable once created, save the private
+raw tensors that :func:`finite_diff_report` bumps in place; a tape must only
+be used from the thread that recorded it.
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    @property
-    def is_complex(self) -> bool:
-        return self.data.dtype.kind == "c"
 
     def item(self) -> float:
         return self.data.item()
@@ -170,7 +169,8 @@ class Tape:
         return len(self._nodes) - 1
 
 
-def _result_tape(inputs: Sequence[Tensor]) -> Tape | None:
+def _record(name: str, out_data: np.ndarray, inputs: Sequence[Tensor],
+            backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     tape = None
     for t in inputs:
         if t.tape is None:
@@ -179,19 +179,10 @@ def _result_tape(inputs: Sequence[Tensor]) -> Tape | None:
             tape = t.tape
         elif tape is not t.tape:
             raise TapeError("operands recorded on different tapes")
-    return tape
-
-
-def _record(name: str, out_data: np.ndarray, inputs: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    tape = _result_tape(inputs)
-    out = Tensor(out_data)
     if tape is None:
-        return out
-    parent_ids = tuple(t.node_id if t.tape is not None else None for t in inputs)
-    out.tape = tape
-    out.node_id = tape._add(_Node(name, parent_ids, backward_fn))
-    return out
+        return Tensor(out_data)
+    parents = tuple([t.node_id for t in inputs])
+    return Tensor(out_data, tape, tape._add(_Node(name, parents, backward_fn)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -205,19 +196,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _real_operands(op: str, *xs) -> tuple[Tensor, ...]:
+def _real_operands(op: str, *xs) -> list[Tensor]:
     """The operands as tensors; a complex one raises :class:`DtypeError`."""
-    ts = tuple(map(_wrap, xs))
-    if any(t.is_complex for t in ts):
+    ts, real = [], True
+    for x in xs:
+        t = x if isinstance(x, Tensor) else Tensor(x)
+        real = real and t.data.dtype.kind != "c"
+        ts.append(t)
+    if not real:
         raise DtypeError(f"{op}: complex input not supported")
     return ts
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
+def _shaped(op: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with numpy's shape or axis fault raised as a
+    :class:`ShapeError` that names ``op``."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as e:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
+        return fn(*args, **kwargs)
+    except ValueError as e:     # numpy's AxisError is a ValueError too
+        raise ShapeError(f"{op}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +223,33 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _real_operands("add", a, b)
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    out = _shaped("add", np.add, a.data, b.data)
+    sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record("add", out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _real_operands("sub", a, b)
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    out = _shaped("sub", np.subtract, a.data, b.data)
+    sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record("sub", out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _real_operands("mul", a, b)
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
     ad, bd = a.data, b.data
+    out = _shaped("mul", np.multiply, ad, bd)
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _record("mul", out, (a, b), bwd)
 
@@ -373,7 +369,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"affine: {x.shape} @ {w.shape} over the last axis")
     if b is not None and ins[2].shape != (w.shape[1],):
         raise ShapeError(f"affine: bias {ins[2].shape} for {w.shape[1]} outputs")
-    _real_operands("affine", *ins)     # after the shape checks: a bad shape is a ShapeError
+    for t in ins:       # after the shape checks: a bad shape is a ShapeError
+        if t.data.dtype.kind == "c":
+            raise DtypeError("affine: complex input not supported")
     rows = x.data.reshape(-1, w.shape[0])
     wd = w.data
     out = rows @ wd
@@ -403,6 +401,21 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record("affine", out.reshape(shape[:-1] + (wd.shape[1],)), ins, bwd)
 
 
+@lru_cache(maxsize=64)
+def _einsum_plan(spec: str):
+    """The forward, ``out,b->a`` and ``a,out->b`` einsums of ``spec``, and each
+    ``...`` as (input, index, term length); None if the backward cannot invert it."""
+    terms = spec.replace(" ", "").replace("->", ",").split(",")
+    keys = [t.replace("...", ".") for t in terms]
+    if (spec.count("->") != 1 or len(terms) != 3
+            or any(k.count(c) > 1 or sum(c in t for t in keys) < 2
+                   or not (c == "." or c.isalpha()) for k in keys for c in k)):
+        return None
+    sa, sb, so = terms
+    dots = tuple((i, k.find("."), len(k)) for i, k in enumerate(keys[:2]) if "." in k)
+    return f"{sa},{sb}->{so}", f"{so},{sb}->{sa}", f"{sa},{so}->{sb}", dots
+
+
 def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand real ``np.einsum`` with an explicit ``->``, as one node.
 
@@ -411,25 +424,18 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     term only or twice in a term, or ``...`` over different extents in the inputs.
     """
     a, b = _real_operands("einsum", a, b)
-    terms = spec.replace(" ", "").replace("->", ",").split(",")
-    keys = [t.replace("...", ".") for t in terms]
-    dots = {x.shape[k.find("."):x.ndim + k.find(".") + 1 - len(k)]
-            for k, x in zip(keys, (a, b)) if "." in k}
-    if (spec.count("->") != 1 or len(terms) != 3 or len(dots) > 1
-            or any(k.count(c) > 1 or sum(c in t for t in keys) < 2
-                   or not (c == "." or c.isalpha()) for k in keys for c in k)):
+    plan = _einsum_plan(spec)
+    shapes = (a.data.shape, b.data.shape)
+    if plan is None or len({shapes[i][p:len(shapes[i]) + p + 1 - n] for i, p, n in plan[3]}) > 1:
         raise ShapeError(f"einsum: the backward cannot invert {spec!r} on {a.shape}, {b.shape}")
-    sa, sb, so = terms
-    try:
-        out = np.einsum(f"{sa},{sb}->{so}", a.data, b.data)
-    except ValueError as e:
-        raise ShapeError(f"einsum: {spec!r} on {a.shape}, {b.shape}: {e}") from e
+    fwd, to_a, to_b, _ = plan
+    out = _shaped("einsum", np.einsum, fwd, a.data, b.data)
     # the closure holds arrays, not tensors: holding tensors raised train-lv64's peak RSS
     ad, bd, a_on, b_on = a.data, b.data, a.tape is not None, b.tape is not None
 
     def bwd(g):
-        ga = np.einsum(f"{so},{sb}->{sa}", g, bd) if a_on else None
-        gb = np.einsum(f"{sa},{so}->{sb}", ad, g) if b_on else None
+        ga = np.einsum(to_a, g, bd) if a_on else None
+        gb = np.einsum(to_b, ad, g) if b_on else None
         return ga, gb
 
     return _record("einsum", out, (a, b), bwd)
@@ -531,7 +537,7 @@ def _to_modes(x: np.ndarray, mats: tuple[np.ndarray, ...], modes: tuple[int, ...
     if len(mats) == 2:
         p = np.matmul(mats[1], p.reshape(b, mats[1].shape[1], modes[0] * c))  # [b, 2 k2, k1 c]
     p = p.reshape((b, modes[-1], 2) + modes[:-1] + (c,))              # [b, k_outer, 2, .., c]
-    p = np.moveaxis(p, (0, 2), (-3, -1))                              # [k.., b, c, 2], a view
+    p = p.transpose((1, *range(3, p.ndim - 1), 0, p.ndim - 1, 2))     # [k.., b, c, 2], a view
     out = np.empty(p.shape[:-1], np.result_type(p.dtype, np.complex64))
     out.real, out.imag = p[..., 0], p[..., 1]
     return out
@@ -539,9 +545,9 @@ def _to_modes(x: np.ndarray, mats: tuple[np.ndarray, ...], modes: tuple[int, ...
 
 def _to_grid(m: np.ndarray, mats: tuple[np.ndarray, ...], grid: tuple[int, ...]) -> np.ndarray:
     """Complex mode-major [(k2,) k1, b, c] back to real [b, *grid, c]."""
-    b, c, k1 = m.shape[-2], m.shape[-1], m.shape[-3]
-    p = m.view(m.real.dtype).reshape(m.shape + (2,))
-    p = np.ascontiguousarray(np.moveaxis(p, (-3, -1), (0, 2)))        # [b, k_outer, 2, .., c]
+    b, c, k1, d = m.shape[-2], m.shape[-1], m.shape[-3], m.ndim
+    p = m.view(m.real.dtype).reshape(m.shape + (2,))      # [k.., b, c, 2] to [b, k_outer, 2, .., c]
+    p = np.ascontiguousarray(p.transpose((d - 2, 0, d, *range(1, d - 2), d - 1)))
     if len(mats) == 2:
         p = np.matmul(mats[0], p.reshape(b, mats[0].shape[1], k1 * c))  # [b, 2 n1, k1 c]
     p = np.matmul(mats[-1], p.reshape(p.size // (2 * k1 * c), 2 * k1, c))
@@ -561,7 +567,7 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
     per mode mixes the channels, and real matrices take the modes back.
     """
     v, r = _wrap(v), _wrap(r)
-    if v.is_complex or not r.is_complex:
+    if v.data.dtype.kind == "c" or r.data.dtype.kind != "c":
         raise DtypeError("spectral_conv: v must be real and r complex")
     grid, modes = v.shape[1:-1], r.shape[2:]
     if len(grid) not in (1, 2) or r.ndim != v.ndim or r.shape[0] != v.shape[-1]:
@@ -600,9 +606,7 @@ def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     ts = _real_operands("concat", *tensors)
-    if not ts:
-        raise ShapeError("concat of an empty list")
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    out = _shaped("concat", np.concatenate, [t.data for t in ts], axis=axis)
     ends = np.cumsum([t.shape[axis] for t in ts])[:-1]
 
     def bwd(g):
@@ -613,7 +617,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
     a, = _real_operands("moveaxis", a)
-    out = np.moveaxis(a.data, src, dst)
+    out = _shaped("moveaxis", np.moveaxis, a.data, src, dst)
 
     def bwd(g):
         return (np.moveaxis(g, dst, src),)
@@ -623,8 +627,8 @@ def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     a, = _real_operands("reshape", a)
-    out = a.data.reshape(shape)
-    old = a.shape
+    out = _shaped("reshape", a.data.reshape, shape)
+    old = a.data.shape
 
     def bwd(g):
         return (np.reshape(g, old),)
@@ -634,7 +638,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def softmax(a: Tensor, axis: int) -> Tensor:
     a, = _real_operands("softmax", a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _shaped("softmax", a.data.max, axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
@@ -686,7 +690,7 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
         raise TapeError("tape already swept by backward")
     if loss.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-    if loss.is_complex:
+    if loss.data.dtype.kind == "c":
         raise DtypeError("loss must be real")
     tape._swept = True
     nodes = tape._nodes
@@ -714,45 +718,39 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     return GradientMap(tape, leaves)
 
 
-def _eval_raw(f, arrays: list[np.ndarray]) -> float:
-    out = f(*[Tensor(a) for a in arrays])
-    val = out.data if isinstance(out, Tensor) else np.asarray(out)
-    if val.size != 1:
-        raise ShapeError("finite-difference target must return a scalar")
-    return float(val.real.reshape(()))
-
-
 def finite_diff_report(f, xs, eps: float = 1e-5):
     """Compare tape gradients of ``f`` against central differences.
 
     ``f`` maps one or more tensors to a real scalar tensor and must be
     deterministic.  Returns ``(max_rel_err, (leaf, flat_index, part))``
     where part is 're' or 'im'.  Relative error uses
-    ``max(|analytic|, |numeric|, 1e-12)`` as denominator.
+    ``max(|analytic|, |numeric|, 1e-12)`` as denominator.  Every evaluation
+    without a tape gets the same raw tensors on private copies of the
+    inputs, each element bumped in place and then restored.
     """
     single = isinstance(xs, (Tensor, np.ndarray))
-    xs_list = [xs] if single else list(xs)
-    arrays = [np.asarray(x.data if isinstance(x, Tensor) else x, dtype=None) for x in xs_list]
+    raws = [Tensor(np.array(x.data if isinstance(x, Tensor) else x, order="C"))
+            for x in ([xs] if single else xs)]
     tape = Tape()
-    leaves = [tape.leaf(a) for a in arrays]
-    loss = f(*leaves)
-    grads = backward(tape, loss)
+    leaves = [tape.leaf(t.data) for t in raws]
+    grads = backward(tape, f(*leaves))
     analytic = [grads[leaf] for leaf in leaves]
 
     worst = 0.0
     where = (0, 0, "re")
-    for li, base in enumerate(arrays):
-        flat = base.reshape(-1)
+    for li, t in enumerate(raws):
+        flat = t.data.reshape(-1)
         a_flat = analytic[li].reshape(-1)
-        parts = ("re", "im") if np.iscomplexobj(base) else ("re",)
+        parts = ("re", "im") if flat.dtype.kind == "c" else ("re",)
         for j in range(flat.size):
+            x0 = flat[j]
             for part in parts:
                 delta = eps if part == "re" else 1j * eps
-                bumped = [a.copy() for a in arrays]
-                bumped[li].reshape(-1)[j] = flat[j] + delta
-                hi = _eval_raw(f, bumped)
-                bumped[li].reshape(-1)[j] = flat[j] - delta
-                lo = _eval_raw(f, bumped)
+                flat[j] = x0 + delta
+                hi = f(*raws).item()     # backward has checked that f gives a real scalar
+                flat[j] = x0 - delta
+                lo = f(*raws).item()
+                flat[j] = x0
                 numeric = (hi - lo) / (2.0 * eps)
                 a_val = a_flat[j].real if part == "re" else a_flat[j].imag
                 err = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1e-12)

@@ -235,11 +235,6 @@ def test_fourier_layer_zero_weights_gives_activation_of_zero():
     assert np.max(np.abs(out)) < 1e-15
 
 
-def test_activation_fn_rejects_unknown():
-    with pytest.raises(ValueError):
-        L.activation_fn("swish^3")
-
-
 def test_init_respects_dtype():
     p32 = L.init_fourier_layer(np.random.default_rng(0), 4, 3, 1, dtype=np.float32)
     assert p32.r.dtype == np.complex64 and p32.w.dtype == np.float32

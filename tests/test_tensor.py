@@ -425,6 +425,32 @@ def test_complex_refusal_covers_every_tape_op():
     assert set(T.__all__) - not_ops == set(_COMPLEX_OPERAND)
 
 
+# each op given a (2, 3) operand and a shape or axis that does not fit it
+_SHAPE_FAULT = {
+    "add": lambda x: T.add(x, np.ones((3, 2))),
+    "sub": lambda x: T.sub(np.ones((3, 2)), x),
+    "mul": lambda x: T.mul(x, np.ones((3, 2))),
+    "concat": lambda x: T.concat([x, np.ones((3, 3))], 1),
+    "reshape": lambda x: T.reshape(x, (4,)),
+    "moveaxis": lambda x: T.moveaxis(x, 0, 5),
+    "softmax": lambda x: T.softmax(x, 4),
+}
+
+
+@pytest.mark.parametrize("on_tape", [False, True], ids=["off-tape", "on-tape"])
+@pytest.mark.parametrize("op", sorted(_SHAPE_FAULT))
+def test_shape_faults_are_shape_errors_that_name_the_op(op, on_tape):
+    """numpy's own shape or axis fault comes out as a ShapeError whose message
+    starts with the op's name, before anything is recorded."""
+    tape = T.Tape()
+    x = tape.leaf(np.ones((2, 3))) if on_tape else T.Tensor(np.ones((2, 3)))
+    recorded = len(tape)
+    with pytest.raises(T.ShapeError) as fault:
+        _SHAPE_FAULT[op](x)
+    assert str(fault.value).startswith(op), fault.value
+    assert len(tape) == recorded
+
+
 def test_scale_refuses_a_complex_factor():
     with pytest.raises(T.DtypeError):
         T.scale(_X, 1j)
@@ -803,6 +829,36 @@ def test_finite_diff_through_nonlinear_chain():
 
     err, _ = T.finite_diff_report(f, [x])
     assert err < 1e-6
+
+
+def _bumped_target(rng):
+    """A nonlinear chain of a real and a complex input, and a constant probe."""
+    probe = T.Tensor(rng.normal(size=(2, 8, 2)))
+
+    def f(a, r, c):
+        h = T.tanh(T.affine(T.gelu(a), c))
+        return T.reduce_sum(T.spectral_conv(h, r) * probe)
+
+    return f, rng.normal(size=(2, 8, 3)), _cplx(rng, 2, 2, 3), rng.normal(size=(3, 2))
+
+
+def test_finite_diff_report_leaves_its_inputs_bit_identical():
+    """Elements are bumped in place on private copies: the caller's float64,
+    complex128 and read-only arrays keep their bits, and none raises."""
+    f, x, r, c = _bumped_target(np.random.default_rng(23))
+    c.flags.writeable = False
+    before = [a.tobytes() for a in (x, r, c)]
+    T.finite_diff_report(f, [x, r, c])
+    assert [a.tobytes() for a in (x, r, c)] == before
+    assert not c.flags.writeable
+
+
+def test_finite_diff_report_keeps_its_result():
+    """Bumping in place and restoring each element's exact value gives the
+    bits of copying every input for each bump: the value is pinned from the
+    version that did."""
+    f, x, r, c = _bumped_target(np.random.default_rng(23))
+    assert T.finite_diff_report(f, [x, r, c]) == (4.049122248146391e-08, (0, 38, "re"))
 
 
 def test_a_gradcheck_check_gives_the_same_bits_alone_and_in_any_order():
