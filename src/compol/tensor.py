@@ -733,7 +733,8 @@ def finite_diff_report(f, xs, eps: float = 1e-5):
             for x in ([xs] if single else xs)]
     tape = Tape()
     leaves = [tape.leaf(t.data) for t in raws]
-    grads = backward(tape, f(*leaves))
+    loss = f(*leaves)
+    grads = backward(tape, loss)
     analytic = [grads[leaf] for leaf in leaves]
 
     worst = 0.0

@@ -451,6 +451,11 @@ def test_shape_faults_are_shape_errors_that_name_the_op(op, on_tape):
     assert len(tape) == recorded
 
 
+def test_concat_of_no_tensors_is_a_shape_error():
+    with pytest.raises(T.ShapeError, match="^concat"):
+        T.concat([], 0)
+
+
 def test_scale_refuses_a_complex_factor():
     with pytest.raises(T.DtypeError):
         T.scale(_X, 1j)
@@ -851,6 +856,15 @@ def test_finite_diff_report_leaves_its_inputs_bit_identical():
     T.finite_diff_report(f, [x, r, c])
     assert [a.tobytes() for a in (x, r, c)] == before
     assert not c.flags.writeable
+
+
+def test_finite_diff_report_bumps_integer_inputs_as_floats():
+    """An integer input is swept as the float64 tensor the tape sees, so a
+    bump of eps is not truncated away."""
+    x = np.arange(1, 4)
+    err, _ = T.finite_diff_report(lambda a: T.reduce_sum(T.mul(a, a)), [x])
+    assert err < 1e-6
+    assert x.dtype.kind == "i" and x.tolist() == [1, 2, 3]
 
 
 def test_finite_diff_report_keeps_its_result():
