@@ -333,25 +333,25 @@ def _nonlinearity(spec: SystemSpec, n: int):
             xyy = x * y * y
             return np.stack([-xyy + fr * (1.0 - x), xyy - (fr + kr) * y], axis=1)
     else:  # burgers: -u u_x with the derivative taken spectrally
-        ik = (2j * np.pi / spec.domain_size) * np.arange(n // 2 + 1, dtype=np.float64)
+        ik = (2j * np.pi / spec.domain_size) * K.split_freqs(n).astype(np.float64)
 
         def f(u):
             x = u[:, 0]
-            ux = K.irfft(K.rfft(x, (-1,)) * ik, (-1,))
+            ux = K.irfft_split(K.rfft_split(x, (-1,)) * ik, n, (-1,))
             return (-x * ux)[:, None]
     return f
 
 
 def _linear_symbol(spec: SystemSpec, n: int) -> np.ndarray:
-    """Diffusion eigenvalues -D_m |2 pi k / L|^2 on the rfft grid, [M, *kshape]."""
+    """Diffusion eigenvalues -D_m |2 pi k / L|^2 on the rfft_split grid, [M, *kshape]."""
     diff = np.asarray(list(spec.diffusivities().values()), dtype=np.float64)
     w = 2.0 * np.pi / spec.domain_size
     if spec.dim == 1:
-        k = np.arange(n // 2 + 1, dtype=np.float64)
+        k = K.split_freqs(n).astype(np.float64)
         lap = -((w * k) ** 2)
         return diff[:, None] * lap
     k1 = np.fft.fftfreq(n, d=1.0 / n)
-    k2 = np.arange(n // 2 + 1, dtype=np.float64)
+    k2 = K.split_freqs(n).astype(np.float64)
     lap = -((w * k1[:, None]) ** 2 + (w * k2[None, :]) ** 2)
     return diff[:, None, None] * lap
 
@@ -397,30 +397,46 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
 
     react = None if zero_nonlinearity else _nonlinearity(spec, n)
 
+    # the spectra stay in rfft_split's slot order, which the coefficients share
     def nl(vh):
         if react is None:
             return np.zeros_like(vh)
-        return K.rfft(react(K.irfft(vh, axes)), axes)
+        return K.rfft_split(react(K.irfft_split(vh, n, axes)), axes)
 
-    # every step checks its state, so an overflow is reported once, as a BlowUpError
+    # A step is a = e_half v + q nv, b = e_half v + q na, c = e_half a + q (2 nb - nv)
+    # and v = e_full v + f1 nv + 2 f2 (na + nb) + f3 nc, summed left to right; in
+    # place, each sum adds the same two terms and each product keeps its operand
+    # order, so the bits are those of the expressions.  Every step checks its
+    # state, so an overflow is reported once, as a BlowUpError.
+    f2x2 = 2.0 * f2
     with np.errstate(over="ignore", invalid="ignore"):
-        v = K.rfft(u, axes)
+        v = K.rfft_split(u, axes)
         for step in range(1, n_steps + 1):
             nv = nl(v)
-            a = e_half * v + q * nv
+            ev = e_half * v
+            a = q * nv
+            a += ev
             na = nl(a)
-            b = e_half * v + q * na
+            b = q * na
+            b += ev
             nb = nl(b)
-            c = e_half * a + q * (2.0 * nb - nv)
+            c = 2.0 * nb
+            c -= nv
+            np.multiply(q, c, out=c)
+            c += np.multiply(e_half, a, out=ev)
             nc = nl(c)
-            v = e_full * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+            np.multiply(e_full, v, out=v)
+            v += np.multiply(f1, nv, out=nv)
+            na += nb
+            v += np.multiply(f2x2, na, out=na)
+            v += np.multiply(f3, nc, out=nc)
             ok = np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)
             if not ok.all():
                 bad = [int(i) for i in np.flatnonzero(~ok)]
                 raise BlowUpError(
                     f"non-finite state at step {step} of {n_steps} "
                     f"(t={step * h:.6g}) for sample(s) {bad}", step, bad)
-    out = K.irfft(v, axes)
+    out = K.irfft_split(v, n, axes)
     return out if batched else out[0]
 
 
@@ -538,11 +554,12 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 # Elements of one solve's state [samples, M, *grid] at the solve resolution.
-# Each ETDRK4 step makes ~100 numpy calls whatever the batch, so a solve of
-# several chunks shares that cost: lv at 256 points takes about 17 ms per
-# sample solved 8 at a time and 11 ms at 48 (1 BLAS thread), with the same
-# bits.  A bz chunk of 8 at 1,024 points already holds 24,576 elements, where
-# the calls are a small share, so 2**15 leaves bz and gs at one chunk a call.
+# Each ETDRK4 step makes about 170 calls into C whatever the batch, so a solve
+# of several chunks shares that cost: a chunk call of lv at c07's recipe (256
+# points, 200 steps) takes about 12 ms per sample solved 8 at a time and 8 ms
+# at 48 (1 BLAS thread), with the same bits.  A bz chunk of 8 at 1,024 points
+# (about 125 ms per sample) already holds 24,576 elements, where the calls are
+# a small share, so 2**15 leaves bz and gs at one chunk a call.
 SOLVE_BUDGET = 2 ** 15
 
 

@@ -16,11 +16,17 @@ A longer length takes one four-step split ``n = n1 n2`` (Bailey 1990):
 multiply, then ``n2``-point DFTs along its rows, recursing while a factor
 exceeds ``BLOCK``.  A longer real transform splits the same way on real
 matrices (Sorensen et al. 1987): the real ``n1``-point analysis keeps the
-bins ``k1 <= n1/2``, the twiddles follow, the ``n2``-point row DFTs are one
-real matmul on (re, im) pairs, and one gather reads bins ``0..n/2``, with
+bins ``k1 <= n1/2``, the twiddles follow, and the ``n2``-point row DFTs are
+one real matmul on (re, im) pairs.  Their ``[n1/2 + 1, n2]`` rows are the
+split's slot order: :func:`rfft_split` returns them as they are, and
+:func:`split_freqs` gives each slot's signed frequency.  :func:`rfft` is one
+gather from them into bins ``0..n/2``, with
 ``X[k1 + n1 k2] = conj(Z[n1 - k1, n2 - 1 - k2])`` past ``k1 = n1/2``.  The
-inverse mirrors it and ends in the real synthesis matrix, whose Hermitian
-weights drop the imaginary parts of the DC and Nyquist bins.
+inverses mirror it, :func:`irfft` as one scatter into the rows before
+:func:`irfft_split`, which ends in the real synthesis matrix, whose Hermitian
+weights drop the imaginary parts of the DC and Nyquist bins.  Up to BLOCK
+points the slot order is the bin order.  ``compol.datagen`` keeps its ETDRK4
+spectra in slot order, so its time loop never reorders them.
 
 Every matmul is stacked over the first axis of its operand, with shapes
 that do not depend on that axis's extent: a slice of the first axis
@@ -35,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
-__all__ = ["fft", "ifft", "rfft", "irfft", "dft_matrix", "apply_dft", "UnsupportedLengthError"]
+__all__ = ["fft", "ifft", "rfft", "irfft", "rfft_split", "irfft_split", "split_freqs",
+           "dft_matrix", "apply_dft", "UnsupportedLengthError"]
 
 BLOCK = 64
 
@@ -121,23 +128,38 @@ def _pair_dft(n: int, inverse: bool, dtype: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _fold(n1: int, n2: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gather of the real split: flat indices, and -1 where the entry is conjugated.
+def split_freqs(n: int) -> np.ndarray:
+    """Signed frequency of each slot of the last axis of :func:`rfft_split`.
 
-    Forward, bin ``k = k1 + n1 k2 <= n/2`` reads row ``k1``, column ``k2`` of
-    the [n1/2 + 1, n2] rows, or past ``k1 = n1/2`` row ``n1 - k1``, column
-    ``n2 - 1 - k2``.  Inverse, row ``k1``, column ``k2`` reads bin ``k``, or
-    past ``n/2`` bin ``n - k``.
+    Up to BLOCK points the slots are bins ``0..n/2``.  Past it they are the
+    ``[n1/2 + 1, n2]`` rows of the real four-step split, flattened: row
+    ``k1``, column ``k2`` holds bin ``k = k1 + n1 k2``, read as ``k - n``
+    past ``n/2``.  Rows 0 and n1/2 hold each of their frequencies with its
+    negative, so every bin ``0..n/2`` has a slot and no slot lies past
+    ``+-n/2``.  Read-only int array.
     """
-    n = n1 * n2
+    _check_pow2(n)
+    if n <= BLOCK:
+        return _frozen(np.arange(n // 2 + 1), np.intp)
+    n1, n2 = _factor(n)
+    k = (np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)).ravel()
+    return _frozen(np.where(k > n // 2, k - n, k), np.intp)
+
+
+@lru_cache(maxsize=64)
+def _fold(n: int, inverse: bool, dtype: str) -> tuple[np.ndarray, np.ndarray]:
+    """Between split slots and bins 0..n/2: flat indices, and -1 where conjugated.
+
+    Forward, bin ``k`` reads the slot of frequency ``k``, or of ``-k`` where
+    no slot holds ``k``.  Inverse, slot ``s`` reads bin ``|f_s|``.
+    """
+    f = split_freqs(n)
     if inverse:
-        k = (np.arange(n1 // 2 + 1)[:, None] + n1 * np.arange(n2)).ravel()
-        flip, idx = k > n // 2, np.minimum(k, n - k)
-    else:
-        k2, k1 = np.divmod(np.arange(n // 2 + 1), n1)
-        flip, idx = k1 > n1 // 2, k1 * n2 + k2
-        idx[flip] = n + n2 - 1 - idx[flip]
-    return _frozen(idx, np.intp), _frozen(np.where(flip, -1, 1), dtype)
+        return _frozen(np.abs(f), np.intp), _frozen(np.where(f < 0, -1, 1), dtype)
+    idx = np.empty(n // 2 + 1, np.intp)
+    idx[-f[f < 0]] = np.flatnonzero(f < 0)
+    idx[f[f >= 0]] = np.flatnonzero(f >= 0)
+    return _frozen(idx, np.intp), _frozen(np.where(f[idx] < 0, -1, 1), dtype)
 
 
 def apply_dft(x: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
@@ -214,8 +236,8 @@ def _row_dft(z: np.ndarray, inverse: bool) -> np.ndarray:
     return np.matmul(z.view(real), _pair_dft(n2, inverse, real)).view(z.dtype)
 
 
-def _rfft_last(x: np.ndarray) -> np.ndarray:
-    """Bins 0..n/2 of the last axis of a C-ordered real array."""
+def _rfft_split_last(x: np.ndarray) -> np.ndarray:
+    """The split slots of the last axis of a C-ordered real array."""
     n, real = x.shape[-1], x.dtype.str
     if n <= BLOCK:
         return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, False, True, real))
@@ -226,27 +248,66 @@ def _rfft_last(x: np.ndarray) -> np.ndarray:
     z = np.empty((p, h, n2), _complex_dtype(x.dtype))
     z.real, z.imag = y[:, :, 0], y[:, :, 1]
     z *= _twiddle(n1, n2, False, z.dtype.str)[:h, :, 0]
-    idx, sign = _fold(n1, n2, False, real)
-    out = np.take(_row_dft(z, inverse=False).reshape(p, h * n2), idx, axis=-1)
-    out.imag *= sign
-    return out.reshape(x.shape[:-1] + (n // 2 + 1,))
+    return _row_dft(z, inverse=False).reshape(x.shape[:-1] + (h * n2,))
 
 
-def _irfft_last(x: np.ndarray, n: int) -> np.ndarray:
-    """``n`` real points from bins 0..n/2 on the last axis of ``x``."""
-    real = x.real.dtype.str
+def _irfft_split_last(z: np.ndarray, n: int) -> np.ndarray:
+    """``n`` real points from the split slots on the last axis of ``z``."""
+    real = z.real.dtype.str
     if n <= BLOCK:
-        return apply_dft(x, -1, dft_matrix(n, n // 2 + 1, True, True, real))
+        return apply_dft(z, -1, dft_matrix(n, n // 2 + 1, True, True, real))
     n1, n2 = _factor(n)
-    h, p = n1 // 2 + 1, x.size // (n // 2 + 1)
-    idx, sign = _fold(n1, n2, True, real)
-    z = np.take(x.reshape(p, n // 2 + 1), idx, axis=-1)
-    z.imag *= sign
-    z = _row_dft(z.reshape(p, h, n2), inverse=True)
-    z *= _twiddle(n1, n2, True, x.dtype.str)[:h, :, 0]
+    h = n1 // 2 + 1
+    y = _row_dft(np.ascontiguousarray(z).reshape(-1, h, n2), inverse=True)
+    y *= _twiddle(n1, n2, True, z.dtype.str)[:h, :, 0]
     # (re, im) rows of k1 into the real synthesis over t1
-    y = np.stack((z.real, z.imag), axis=2).reshape(p, 2 * h, n2)
-    return np.matmul(dft_matrix(n1, h, True, True, real).T, y).reshape(x.shape[:-1] + (n,))
+    y = np.stack((y.real, y.imag), axis=2).reshape(-1, 2 * h, n2)
+    return np.matmul(dft_matrix(n1, h, True, True, real).T, y).reshape(z.shape[:-1] + (n,))
+
+
+def _fold_last(x: np.ndarray, n: int, inverse: bool) -> np.ndarray:
+    """The gather between split slots and bins 0..n/2 on the last axis of ``x``."""
+    if n <= BLOCK:
+        return x
+    idx, sign = _fold(n, inverse, x.real.dtype.str)
+    out = np.take(x.reshape(-1, x.shape[-1]), idx, axis=-1)
+    out.imag *= sign
+    return out.reshape(x.shape[:-1] + (-1,))
+
+
+def _forward_real(a, axes, fold: bool) -> np.ndarray:
+    """:func:`rfft` (``fold``: bins 0..n/2) or :func:`rfft_split` (split slots)."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError("rfft expects a real array")
+    axes = normalize_axis_tuple(axes, a.ndim)
+    last, n = axes[-1], a.shape[axes[-1]]
+    _check_pow2(n)
+    real = _complex_dtype(a.dtype).char.lower()
+    moved = last != a.ndim - 1
+    x = _rfft_split_last(np.ascontiguousarray(np.moveaxis(a, last, -1) if moved else a, dtype=real))
+    if fold:
+        x = _fold_last(x, n, inverse=False)
+    return _apply_along(np.moveaxis(x, -1, last) if moved else x, axes[:-1], inverse=False)
+
+
+def _inverse_real(a, axes, n: int | None, fold: bool) -> np.ndarray:
+    """:func:`irfft` (``fold``: from bins 0..n/2) or :func:`irfft_split`."""
+    x = _as_complex(a)
+    axes = normalize_axis_tuple(axes, x.ndim)
+    last = axes[-1]
+    if n is None:
+        n = 2 * (x.shape[last] - 1)
+    _check_pow2(n)
+    want, what = (n // 2 + 1, "half-spectrum bins") if fold else (split_freqs(n).size, "split slots")
+    if x.shape[last] != want:
+        raise ValueError(f"expected {want} {what}, got {x.shape[last]}")
+    if axes[:-1]:
+        x = _apply_along(x, axes[:-1], inverse=True)
+    moved = last != x.ndim - 1
+    x = np.moveaxis(x, last, -1) if moved else x
+    out = _irfft_split_last(_fold_last(x, n, inverse=True) if fold else x, n)
+    return np.ascontiguousarray(np.moveaxis(out, -1, last)) if moved else out
 
 
 def fft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
@@ -266,16 +327,7 @@ def rfft(a: np.ndarray, axes=(-1,)) -> np.ndarray:
 
     The remaining axes, if any, get the full complex transform.
     """
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise ValueError("rfft expects a real array")
-    axes = normalize_axis_tuple(axes, a.ndim)
-    last = axes[-1]
-    _check_pow2(a.shape[last])
-    real = _complex_dtype(a.dtype).char.lower()
-    moved = last != a.ndim - 1
-    x = _rfft_last(np.ascontiguousarray(np.moveaxis(a, last, -1) if moved else a, dtype=real))
-    return _apply_along(np.moveaxis(x, -1, last) if moved else x, axes[:-1], inverse=False)
+    return _forward_real(a, axes, fold=True)
 
 
 def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
@@ -284,16 +336,19 @@ def irfft(a: np.ndarray, axes=(-1,), n: int | None = None) -> np.ndarray:
     The imaginary parts of the DC and Nyquist bins are ignored, as
     ``numpy.fft.irfft`` ignores them.
     """
-    x = _as_complex(a)
-    axes = normalize_axis_tuple(axes, x.ndim)
-    last = axes[-1]
-    if n is None:
-        n = 2 * (x.shape[last] - 1)
-    _check_pow2(n)
-    if x.shape[last] != n // 2 + 1:
-        raise ValueError(f"expected {n // 2 + 1} half-spectrum bins, got {x.shape[last]}")
-    if axes[:-1]:
-        x = _apply_along(x, axes[:-1], inverse=True)
-    moved = last != x.ndim - 1
-    out = _irfft_last(np.moveaxis(x, last, -1) if moved else x, n)
-    return np.ascontiguousarray(np.moveaxis(out, -1, last)) if moved else out
+    return _inverse_real(a, axes, n, fold=True)
+
+
+def rfft_split(a: np.ndarray, axes=(-1,)) -> np.ndarray:
+    """:func:`rfft` with the last of ``axes`` in the split's slot order.
+
+    Slot ``s`` holds the frequency ``split_freqs(n)[s]``: bins 0..N/2 up to
+    BLOCK points, the real four-step split's rows past it.  A pointwise
+    product with per-frequency coefficients needs no reordering in between.
+    """
+    return _forward_real(a, axes, fold=False)
+
+
+def irfft_split(z: np.ndarray, n: int, axes=(-1,)) -> np.ndarray:
+    """Inverse of :func:`rfft_split`; ``n`` is the last-axis output extent."""
+    return _inverse_real(z, axes, n, fold=False)

@@ -29,7 +29,7 @@ from . import layers as L
 from . import tensor as T
 from .dataio import (CheckpointError, check_fields, read_checkpoint, require_memory,
                      write_checkpoint)
-from .params import bind, load_named, named_arrays
+from .params import bind, is_bound, load_named, named_arrays
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -252,8 +252,9 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     """
     cfg = model.config
     xs = _as_input_tensors(model, inputs)
-    procs = bind(model.processes, tape)
-    aggs = bind(model.aggregation, tape)
+    # a tree bound by the caller is used as it is, without a second walk
+    procs = model.processes if is_bound(model.processes) else bind(model.processes, tape)
+    aggs = model.aggregation if is_bound(model.aggregation) else bind(model.aggregation, tape)
 
     v = [L.lift(xs[m], procs[m].head, cfg.coords) for m in range(cfg.processes)]
     latents = [list(v)] if return_latents else None

@@ -5,7 +5,8 @@ walker visits every array (or, in a bound tree, every tensor) under its
 dotted name.  The helpers below use it to flatten a tree (for the
 optimizer, checkpoints and parameter counting), to clone it with every
 array registered as a leaf on a tape (for one forward/backward pass), to
-swap in given leaves, and to overwrite its arrays in place.
+swap in given leaves, and to overwrite its arrays in place.  :func:`is_bound`
+tells a bound tree from an array tree by its first leaf, without a walk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .tensor import Tape, Tensor
 
-__all__ = ["named_arrays", "named_tensors", "bind", "with_leaves", "load_named"]
+__all__ = ["named_arrays", "named_tensors", "is_bound", "bind", "with_leaves", "load_named"]
 
 
 @functools.cache
@@ -74,6 +75,21 @@ def named_arrays(obj, prefix: str = "") -> list[tuple[str, np.ndarray]]:
 def named_tensors(obj, prefix: str = "") -> list[tuple[str, Tensor]]:
     """Flatten every Tensor in a bound tree; names mirror named_arrays."""
     return _collect(obj, prefix, Tensor)
+
+
+def _first_leaf(obj):
+    """The first ndarray or Tensor of a tree in the walker's order, or None."""
+    if isinstance(obj, (np.ndarray, Tensor)):
+        return obj
+    children = obj if isinstance(obj, (list, tuple)) else \
+        [getattr(obj, name) for name in _field_names(type(obj)) or ()]
+    return next((leaf for c in children if (leaf := _first_leaf(c)) is not None), None)
+
+
+def is_bound(obj) -> bool:
+    """Whether a tree's leaves are Tensors: :func:`bind` and :func:`with_leaves`
+    leave every leaf of one kind, so its first leaf tells."""
+    return isinstance(_first_leaf(obj), Tensor)
 
 
 def bind(obj, tape: Tape | None):

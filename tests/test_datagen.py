@@ -380,16 +380,39 @@ def test_fine_grid_protocol_stays_finite():
     assert np.all(np.isfinite(down))
 
 
-@pytest.mark.parametrize("name, horizon", [("bz", 0.05), ("burgers", 0.0125)])
+def numpy_rfft_split(a, axes):
+    """``rfft_split`` on ``numpy.fft``: the full FFT at each slot's frequency."""
+    n = a.shape[axes[-1]]
+    return np.take(np.fft.fftn(a, axes=axes), G.K.split_freqs(n) % n, axis=axes[-1])
+
+
+def numpy_irfft_split(z, n, axes):
+    """``irfft_split`` on ``numpy.fft``: bins 0..n/2 from the non-negative slots
+    and the conjugates of the negative ones, then ``numpy.fft.irfft``."""
+    if len(axes) > 1:
+        z = np.fft.ifftn(z, axes=axes[:-1])
+    f = G.K.split_freqs(n)
+    z = np.moveaxis(z, axes[-1], -1)
+    half = np.empty(z.shape[:-1] + (n // 2 + 1,), complex)
+    half[..., -f[f < 0]] = np.conj(z[..., f < 0])
+    half[..., f[f >= 0]] = z[..., f >= 0]
+    return np.moveaxis(np.fft.irfft(half, n=n, axis=-1), -1, axes[-1])
+
+
+@pytest.mark.parametrize("name, horizon", [("bz", 0.05), ("burgers", 0.0125), ("lv", 0.5),
+                                           ("gs", 1.0)])
 def test_nonlinear_solve_matches_numpy_fft(name, horizon, monkeypatch):
-    """50 ETDRK4 steps of two samples at 1,024 points, the solve length of
-    bz and burgers, agree with the same solve on ``numpy.fft``: every
-    nonlinear evaluation goes through the real four-step split."""
-    spec = G.system_spec(name, overrides={"horizon": horizon})
-    u0 = np.stack([G.initial_conditions(spec, np.random.default_rng(s), 1024) for s in (3, 4)])
+    """50 ETDRK4 steps of two samples agree with the same solve on
+    ``numpy.fft``: every transform of the solve, in the split's slot order.
+    bz and burgers solve at 1,024 points (32 x 32), lv at 256 (16 x 16),
+    and gs at 128 x 128 splits its last axis and takes a full DFT on axis -2."""
+    n = {"lv": 256, "gs": 128}.get(name, 1024)
+    rates = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0} if name == "lv" else {}
+    spec = G.system_spec(name, overrides={"horizon": horizon, **rates})
+    u0 = np.stack([G.initial_conditions(spec, np.random.default_rng(s), n) for s in (3, 4)])
     got = G.etdrk4_solve(spec, u0)
-    monkeypatch.setattr(G.K, "rfft", lambda a, axes: np.fft.rfft(a, axis=axes[-1]))
-    monkeypatch.setattr(G.K, "irfft", lambda a, axes, n=None: np.fft.irfft(a, n=n, axis=axes[-1]))
+    monkeypatch.setattr(G.K, "rfft_split", numpy_rfft_split)
+    monkeypatch.setattr(G.K, "irfft_split", numpy_irfft_split)
     want = G.etdrk4_solve(spec, u0)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(want - u0)) > 0.1 * scale     # the reaction moved the state

@@ -48,6 +48,23 @@ def naive_irfft_at(h: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
     return (full.astype(np.complex128) @ np.exp(2j * np.pi * phase / n)).real / n
 
 
+def gather_bins(z: np.ndarray, n: int) -> np.ndarray:
+    """Bins 0..n/2 from split slots: the slot of ``k``, else the conjugate of ``-k``'s."""
+    f = F.split_freqs(n)
+    out = np.empty(z.shape[:-1] + (n // 2 + 1,), z.dtype)
+    out[..., -f[f < 0]] = np.conj(z[..., f < 0])
+    out[..., f[f >= 0]] = z[..., f >= 0]
+    return out
+
+
+def scatter_slots(h: np.ndarray, n: int) -> np.ndarray:
+    """Split slots from bins 0..n/2: bin ``|f|``, conjugated where ``f < 0``."""
+    f = F.split_freqs(n)
+    z = h[..., np.abs(f)]
+    z[..., f < 0] = np.conj(z[..., f < 0])
+    return z
+
+
 # ---------------------------------------------------------------------------
 # forward/inverse against the oracle
 
@@ -168,6 +185,71 @@ def test_rfft_irfft_match_naive_dft(n, dtype):
     assert np.max(np.abs(back[:, pick] - naive_irfft_at(h, n, pick))) < tol
 
 
+@pytest.mark.parametrize("n", [2, 64, 128, 1024, 8192])
+def test_split_pair_matches_naive_dft_at_its_frequencies(n):
+    """Slot ``s`` of ``rfft_split`` is the direct DFT at ``split_freqs(n)[s]``,
+    and ``irfft_split`` of a real signal's slots is the direct inverse of its
+    half spectrum.  At 8,192 points the oracle takes the ends, the slots of
+    rows 0 and 1 and of the last row, and random ones."""
+    rng = np.random.default_rng(n + 11)
+    x = rng.normal(size=(3, n))
+    f = F.split_freqs(n)
+    got = F.rfft_split(x, axes=(-1,))
+    assert got.shape == (3, f.size)
+    n2 = n // F._factor(n)[0] if n > F.BLOCK else f.size
+    pick = np.arange(f.size) if n <= 2048 else np.unique(
+        np.r_[np.arange(2 * n2), np.arange(f.size - n2, f.size), rng.integers(0, f.size, 64)])
+    want = naive_dft_bins(x, f[pick] % n)
+    assert np.max(np.abs(got[:, pick] - want)) < 1e-10 * n
+    h = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
+    h[:, [0, -1]] = h[:, [0, -1]].real
+    back = F.irfft_split(scatter_slots(h, n), n, axes=(-1,))
+    t = np.arange(n) if n <= 2048 else np.unique(np.r_[0, 1, n // 2, n - 1, rng.integers(0, n, 64)])
+    assert np.max(np.abs(back[:, t] - naive_irfft_at(h, n, t))) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 64, 128, 1024, 8192])
+def test_rfft_and_irfft_are_the_gather_and_scatter_of_the_split_pair(n, dtype):
+    """One implementation: the bin-order transforms give the bits of the
+    split pair reordered, on a C-ordered last axis and on a moved one."""
+    rng = np.random.default_rng(n + 12)
+    x = rng.normal(size=(4, 3, n)).astype(dtype)
+    assert np.array_equal(F.rfft(x, axes=(-1,)), gather_bins(F.rfft_split(x, axes=(-1,)), n))
+    xt = np.moveaxis(x, -1, 1)
+    assert np.array_equal(F.rfft(xt, axes=(1,)),
+                          np.moveaxis(gather_bins(F.rfft_split(x, axes=(-1,)), n), -1, 1))
+    h = F.rfft(x, axes=(-1,)) + 1j      # complex DC and Nyquist, which both ignore
+    assert np.array_equal(F.irfft(h, axes=(-1,)),
+                          F.irfft_split(scatter_slots(h, n), n, axes=(-1,)))
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024])
+def test_split_pair_round_trip(n):
+    rng = np.random.default_rng(n + 13)
+    x = rng.normal(size=(2, 3, n))
+    back = F.irfft_split(F.rfft_split(x, axes=(-1,)), n, axes=(-1,))
+    assert np.max(np.abs(back - x)) < 1e-12
+    y = rng.normal(size=(2, n, 32))
+    back = F.irfft_split(F.rfft_split(y, axes=(1,)), n, axes=(1,))
+    assert np.max(np.abs(back - y)) < 1e-12
+    z = rng.normal(size=(2, 16, n))
+    back = F.irfft_split(F.rfft_split(z, axes=(-2, -1)), n, axes=(-2, -1))
+    assert np.max(np.abs(back - z)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 128, 256, 1024, 8192, 2 ** 16])
+def test_split_freqs_cover_every_bin_and_nothing_past_nyquist(n):
+    f = F.split_freqs(n)
+    assert f.dtype.kind == "i" and not f.flags.writeable
+    assert np.array_equal(np.unique(np.abs(f)), np.arange(n // 2 + 1))
+    assert np.all(np.abs(f) <= n // 2) and n // 2 in f
+    if n <= F.BLOCK:
+        assert np.array_equal(f, np.arange(n // 2 + 1))
+    else:       # every frequency at most twice, as itself and its negative
+        assert np.unique(f).size == f.size
+
+
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 @pytest.mark.parametrize("n", [4, 64, 256, 1024, 8192])
 def test_irfft_ignores_dc_and_nyquist_imaginary_parts(n, dtype):
@@ -217,6 +299,26 @@ def test_first_axis_slices_transform_alike(n, dtype):
                           F.irfft(whole[3:4], axes=(-2, -1))[0])
 
 
+@pytest.mark.parametrize("n, dtype", [
+    pytest.param(n, dtype, id=f"{n}" if dtype is np.float64 else f"{n}-float32")
+    for n, dtype in ((128, np.float64), (1024, np.float64), (1024, np.float32),
+                     (8192, np.float64))])
+def test_first_axis_slices_split_alike(n, dtype):
+    """The split pair keeps the bits of a first-axis slice, 1-D and 2-D."""
+    rng = np.random.default_rng(n + 14)
+    x = rng.normal(size=(5, 3, n)).astype(dtype)
+    z = F.rfft_split(x, axes=(-1,))
+    for i in (0, 4):
+        assert np.array_equal(z[i], F.rfft_split(x[i:i + 1], axes=(-1,))[0])
+        assert np.array_equal(F.irfft_split(z, n, axes=(-1,))[i],
+                              F.irfft_split(z[i:i + 1], n, axes=(-1,))[0])
+    y = rng.normal(size=(5, 2, 16, n)).astype(dtype)
+    whole = F.rfft_split(y, axes=(-2, -1))
+    assert np.array_equal(whole[3], F.rfft_split(y[3:4], axes=(-2, -1))[0])
+    assert np.array_equal(F.irfft_split(whole, n, axes=(-2, -1))[3],
+                          F.irfft_split(whole[3:4], n, axes=(-2, -1))[0])
+
+
 @pytest.mark.parametrize("n", [16, 1024])
 def test_last_axis_in_place_and_moved_give_the_same_bits(n):
     """On a C-ordered last axis rfft and irfft skip the axis moves and the
@@ -255,6 +357,14 @@ def test_non_power_of_two_rejected():
         F.fft(x, axes=(-1,))
     with pytest.raises(F.UnsupportedLengthError):
         F.rfft(np.zeros(10), axes=(-1,))
+    with pytest.raises(F.UnsupportedLengthError):
+        F.rfft_split(np.zeros(10), axes=(-1,))
+    with pytest.raises(F.UnsupportedLengthError):
+        F.irfft_split(np.zeros(6, dtype=complex), 10, axes=(-1,))
+    with pytest.raises(F.UnsupportedLengthError):
+        F.split_freqs(96)
+    with pytest.raises(ValueError, match="expected 80 split slots, got 65"):
+        F.irfft_split(np.zeros(65, dtype=complex), 128, axes=(-1,))
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,23 @@ def test_bind_passes_tensors_through_and_registers_arrays():
     assert P.named_tensors(again, "p")[0][1] is pairs[0][1]
 
 
+@pytest.mark.parametrize("aggregation", ["gru", "attention", "none"])
+def test_forward_binds_array_trees_and_uses_bound_ones_as_they_are(aggregation, monkeypatch):
+    model = M.init_params(small_cfg(aggregation=aggregation))
+    xs = rand_inputs(model.config)
+    want = [o.data for o in M.forward(model, xs)]
+    tape = T.Tape()
+    bound = P.bind(model, tape)
+    assert not P.is_bound(model.processes) and P.is_bound(bound.processes)
+    assert P.is_bound(bound.aggregation) == (aggregation != "none")
+    calls = []
+    monkeypatch.setattr(M, "bind", lambda tree, t: calls.append(tree) or P.bind(tree, t))
+    assert all(np.array_equal(o.data, w) for o, w in zip(M.forward(bound, xs, tape), want))
+    assert calls == ([] if aggregation != "none" else [bound.aggregation])
+    M.forward(model, xs)
+    assert calls[-2:] == [model.processes, model.aggregation]
+
+
 def test_with_leaves_replaces_every_array():
     model = M.init_params(small_cfg(aggregation="attention"))
     named = model.named_parameters()

@@ -10,7 +10,6 @@ import gc
 import math
 import sys
 import threading
-import time
 import types
 import weakref
 
@@ -472,12 +471,22 @@ def test_evaluate_workers_give_identical_bits(tmp_path):
 
 
 def test_evaluate_batch_error_reaches_caller_and_cancels_the_rest(tmp_path, monkeypatch):
+    """Later batches wait until the pool has cancelled its queue, so each of
+    the two workers holds at most one batch then, however late the caller
+    is scheduled."""
     ds = lowpass_dataset(tmp_path, n=40)
     model = M.init_params(small_config())
     boom = RuntimeError("batch failed")
     calls = []
     lock = threading.Lock()
     forward = M.forward
+    cancelled = threading.Event()
+
+    class SignallingPool(TR.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            cancelled.set()
+            super().shutdown(wait=wait)
 
     def failing_first(m, xs, tape):
         with lock:
@@ -485,9 +494,10 @@ def test_evaluate_batch_error_reaches_caller_and_cancels_the_rest(tmp_path, monk
             first = len(calls) == 1
         if first:
             raise boom
-        time.sleep(0.05)
+        cancelled.wait(timeout=30)
         return forward(m, xs, tape)
 
+    monkeypatch.setattr(TR, "ThreadPoolExecutor", SignallingPool)
     monkeypatch.setattr(M, "forward", failing_first)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
