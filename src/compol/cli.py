@@ -39,8 +39,8 @@ from . import datagen as D
 from . import gradcheck as GC
 from . import model as M
 from . import training as TR
-from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, check_fields, config_hash,
-                     load_dataset, write_fields, write_file, write_json)
+from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, _keep_freed_blocks, check_fields,
+                     config_hash, load_dataset, write_fields, write_file, write_json)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -309,7 +309,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    TR._keep_freed_blocks()     # the tape's freed blocks stay for the next check, as in train
+    _keep_freed_blocks()    # the tape's freed blocks stay for the next check, as in train
     _, ok = GC.run(args.module)     # the parser takes its choices from GC.SUITES
     return 0 if ok else 1
 

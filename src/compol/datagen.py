@@ -7,6 +7,11 @@ reaction terms evaluated pseudo-spectrally in physical space, all in
 float64.  1-D systems are solved on a 4x finer grid and spectrally
 subsampled to the stored resolution; the 2-D system is solved directly
 at the stored resolution.
+
+The solver holds its state field-major, [M, B, *grid], so each reaction
+works on contiguous fields, and hands it to ``compol.fft`` as [M B, *grid]:
+one (field, sample) plane per first-axis slice, whose bits do not depend
+on the batch.
 """
 
 from __future__ import annotations
@@ -312,33 +317,64 @@ def system_spec(name: str, resolution: int | None = None,
 
 
 def _nonlinearity(spec: SystemSpec, n: int):
-    """Reaction terms (everything except diffusion) on [B, M, *grid]."""
+    """Reaction terms (everything except diffusion) on the field-major [M, B, *grid].
+
+    Each call writes its fields into one new array through contiguous
+    per-field views.  Every product and sum keeps the operand order of the
+    expression beside it, so the bits are those of the expressions.
+    """
     p = spec.params
     if spec.system == "lv":
         a, b, c, d = p["a"], p["b"], p["c"], p["d"]
 
-        def f(u):
-            x, y = u[:, 0], u[:, 1]
-            return np.stack([a * x - b * x * y, c * x * y - d * y], axis=1)
+        def f(u):       # a x - b x y,  c x y - d y
+            x, y = u
+            out = np.empty_like(u)
+            bxy = b * x
+            bxy *= y
+            np.multiply(a, x, out=out[0])
+            out[0] -= bxy
+            np.multiply(c, x, out=out[1])
+            out[1] *= y
+            out[1] -= np.multiply(d, y, out=bxy)
+            return out
     elif spec.system == "bz":
 
-        def f(u):
-            x, y, w = u[:, 0], u[:, 1], u[:, 2]
-            return np.stack([x + y - x * y - x * x, w - y - x * y, x - w], axis=1)
+        def f(u):       # x + y - x y - x x,  w - y - x y,  x - w
+            x, y, w = u
+            out = np.empty_like(u)
+            xy = x * y
+            np.multiply(x, x, out=out[2])
+            np.add(x, y, out=out[0])
+            out[0] -= xy
+            out[0] -= out[2]
+            np.subtract(w, y, out=out[1])
+            out[1] -= xy
+            np.subtract(x, w, out=out[2])
+            return out
     elif spec.system == "gs":
         fr, kr = p["f"], p["k"]
 
-        def f(u):
-            x, y = u[:, 0], u[:, 1]
-            xyy = x * y * y
-            return np.stack([-xyy + fr * (1.0 - x), xyy - (fr + kr) * y], axis=1)
+        def f(u):       # -x y y + f (1 - x),  x y y - (f + k) y
+            x, y = u
+            out = np.empty_like(u)
+            xyy = x * y
+            xyy *= y
+            np.subtract(1.0, x, out=out[0])
+            out[0] *= fr
+            np.add(np.negative(xyy, out=out[1]), out[0], out=out[0])
+            np.multiply(fr + kr, y, out=out[1])
+            np.subtract(xyy, out[1], out=out[1])
+            return out
     else:  # burgers: -u u_x with the derivative taken spectrally
         ik = (2j * np.pi / spec.domain_size) * K.split_freqs(n).astype(np.float64)
 
         def f(u):
-            x = u[:, 0]
+            x = u[0]
             ux = K.irfft_split(K.rfft_split(x, (-1,)) * ik, n, (-1,))
-            return (-x * ux)[:, None]
+            out = np.empty_like(u)
+            np.multiply(np.negative(x, out=out[0]), ux, out=out[0])
+            return out
     return f
 
 
@@ -365,6 +401,12 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
     then shortened to divide the horizon evenly; its step count is checked
     as the spec's is, before any coefficient is built.  ``zero_nonlinearity``
     switches the reaction terms off (test hook).
+
+    The solve is field-major: one copy makes the state [M, B, *grid], its
+    spectra are [M, B, *kshape], and one copy turns the result back.  Every
+    transform sees the state as [M B, *grid], one (field, sample) plane per
+    first-axis slice, so by ``compol.fft``'s first-axis contract a sample's
+    bits do not depend on the batch it is solved in.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     batched = u0.ndim == spec.dim + 2
@@ -383,7 +425,7 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
     # a diffusion symbol too large for float64 gives non-finite coefficients,
     # which would blow up at step 1: refuse the spec once, without warnings
     with np.errstate(all="ignore"):
-        hL = h * _linear_symbol(spec, n)[None]
+        hL = h * _linear_symbol(spec, n)[:, None]
         e_full, p1f, p2f, p3f = phi_coefficients(hL)
         e_half, p1h, _, _ = phi_coefficients(0.5 * hL)
         q = 0.5 * h * p1h
@@ -396,12 +438,23 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
             f"(diffusivities {spec.diffusivities()}, domain_size {spec.domain_size:.6g})")
 
     react = None if zero_nonlinearity else _nonlinearity(spec, n)
+    fields = (spec.processes, u.shape[0])
 
-    # the spectra stay in rfft_split's slot order, which the coefficients share
+    # The transforms take [M, B, ...] as the free view [M B, ...]: one plane
+    # per first-axis slice.  The spectra stay in rfft_split's slot order,
+    # which the coefficients share.
+    def spectrum(x):
+        vh = K.rfft_split(x.reshape(-1, *x.shape[2:]), axes)
+        return vh.reshape(*fields, *vh.shape[1:])
+
+    def state(vh):
+        x = K.irfft_split(vh.reshape(-1, *vh.shape[2:]), n, axes)
+        return x.reshape(*fields, *x.shape[1:])
+
     def nl(vh):
         if react is None:
             return np.zeros_like(vh)
-        return K.rfft_split(react(K.irfft_split(vh, n, axes)), axes)
+        return spectrum(react(state(vh)))
 
     # A step is a = e_half v + q nv, b = e_half v + q na, c = e_half a + q (2 nb - nv)
     # and v = e_full v + f1 nv + 2 f2 (na + nb) + f3 nc, summed left to right; in
@@ -410,7 +463,7 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
     # state, so an overflow is reported once, as a BlowUpError.
     f2x2 = 2.0 * f2
     with np.errstate(over="ignore", invalid="ignore"):
-        v = K.rfft_split(u, axes)
+        v = spectrum(np.ascontiguousarray(u.swapaxes(0, 1)))
         for step in range(1, n_steps + 1):
             nv = nl(v)
             ev = e_half * v
@@ -430,13 +483,13 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
             na += nb
             v += np.multiply(f2x2, na, out=na)
             v += np.multiply(f3, nc, out=nc)
-            ok = np.isfinite(v).reshape(v.shape[0], -1).all(axis=1)
+            ok = np.isfinite(v).all(axis=(0, *range(2, v.ndim)))
             if not ok.all():
                 bad = [int(i) for i in np.flatnonzero(~ok)]
                 raise BlowUpError(
                     f"non-finite state at step {step} of {n_steps} "
                     f"(t={step * h:.6g}) for sample(s) {bad}", step, bad)
-    out = K.irfft_split(v, n, axes)
+    out = np.ascontiguousarray(state(v).swapaxes(0, 1))
     return out if batched else out[0]
 
 
@@ -512,13 +565,15 @@ _POOL_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 def _leave_signals_to_parent() -> None:
-    """Pool worker set-up: ignore Ctrl-C and take SIGTERM's default action.
+    """Pool worker set-up: glibc's thresholds, then Ctrl-C ignored and SIGTERM's default.
 
     The parent handles the interrupt and shuts the pool down; a forked
     worker would otherwise inherit the parent's SIGTERM handler.  The
     worker starts with both signals blocked (see :func:`generate_dataset`)
-    and unblocks them only once its own handlers are in place.
+    and unblocks them only once its own handlers are in place.  Its solves
+    reuse the blocks each step frees (:func:`compol.dataio._keep_freed_blocks`).
     """
+    dataio._keep_freed_blocks()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _POOL_SIGNALS)
@@ -553,13 +608,14 @@ def _resolve_workers(workers: int | None) -> int:
     return env_workers() or _usable_cpus()
 
 
-# Elements of one solve's state [samples, M, *grid] at the solve resolution.
-# Each ETDRK4 step makes about 170 calls into C whatever the batch, so a solve
-# of several chunks shares that cost: a chunk call of lv at c07's recipe (256
-# points, 200 steps) takes about 12 ms per sample solved 8 at a time and 8 ms
-# at 48 (1 BLAS thread), with the same bits.  A bz chunk of 8 at 1,024 points
-# (about 125 ms per sample) already holds 24,576 elements, where the calls are
-# a small share, so 2**15 leaves bz and gs at one chunk a call.
+# Elements of one solve's state, samples x M x grid points at the solve
+# resolution.  Each ETDRK4 step makes about 170 calls into C whatever the
+# batch, so a solve of several chunks shares that cost: a chunk call of lv at
+# c07's recipe (256 points, 200 steps) takes about 10 ms per sample solved 8
+# at a time and 7 ms at 48 (1 BLAS thread, 2-CPU VM), with the same bits.  A
+# bz chunk of 8 at 1,024 points (about 110 ms per sample) already holds 24,576
+# elements, where the calls are a small share, so 2**15 leaves bz and gs at
+# one chunk a call.
 SOLVE_BUDGET = 2 ** 15
 
 
@@ -596,7 +652,9 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
     alone would report it.  A count whose stored arrays would not fit in
     physical memory raises ``MemoryError`` before any work.  On an error or
     interrupt the solves not yet started are cancelled and the pool's
-    workers are joined before the exception leaves.
+    workers are joined before the exception leaves.  Each pool worker, or
+    this process on the serial path, first sets glibc's malloc thresholds
+    (:func:`compol.dataio._keep_freed_blocks`), which stay set after it returns.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -630,6 +688,7 @@ def generate_dataset(spec: SystemSpec, n_samples: int, seed: int, out_dir: str,
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
         else:
+            dataio._keep_freed_blocks()
             for a, b in bounds:
                 parts.append(_generate_chunk(spec_dict, seed, a, b))
     except BlowUpError:

@@ -23,6 +23,8 @@ to back, each at the offset its header entry records.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -76,6 +78,43 @@ def require_memory(need: int, what: str) -> None:
     if 0 < have < need:
         raise MemoryError(f"{what} need {need} bytes, more than the {have} bytes "
                           "of physical memory")
+
+
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _set_thresholds(loader):
+    """Call ``mallopt`` once per C library loader; returns it, or None.
+
+    The returned function pointer keeps its ``CDLL`` alive: a ``CDLL`` holds
+    its function-pointer class in a reference cycle, so one built and
+    dropped on every call would leave garbage for the cyclic collector.
+    """
+    try:
+        mallopt = loader(None).mallopt
+    except (OSError, AttributeError, TypeError):   # TypeError: Windows loads no None name
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    return mallopt
+
+
+def _keep_freed_blocks() -> None:
+    """Have glibc keep the blocks one step frees for the next step.
+
+    With glibc's defaults the memory a tape, an evaluation batch or an
+    ETDRK4 step frees goes back to the OS and is faulted in again by the
+    next one, thousands of faults each time.  Keeping up to 256 MiB free on the heap, and
+    taking blocks under 32 MiB from it, removes them; the trim threshold
+    alone would pin the mmap threshold at 128 KiB.  The thresholds are set
+    once per process.  A C library without ``mallopt`` is left as is.
+    """
+    _set_thresholds(ctypes.CDLL)
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,10 @@ def _irfft_split_last(z: np.ndarray, n: int) -> np.ndarray:
     y = _row_dft(np.ascontiguousarray(z).reshape(-1, h, n2), inverse=True)
     y *= _twiddle(n1, n2, True, z.dtype.str)[:h, :, 0]
     # (re, im) rows of k1 into the real synthesis over t1
-    y = np.stack((y.real, y.imag), axis=2).reshape(-1, 2 * h, n2)
-    return np.matmul(dft_matrix(n1, h, True, True, real).T, y).reshape(z.shape[:-1] + (n,))
+    pairs = np.empty((y.shape[0], h, 2, n2), real)
+    pairs[:, :, 0], pairs[:, :, 1] = y.real, y.imag
+    out = np.matmul(dft_matrix(n1, h, True, True, real).T, pairs.reshape(-1, 2 * h, n2))
+    return out.reshape(z.shape[:-1] + (n,))
 
 
 def _fold_last(x: np.ndarray, n: int, inverse: bool) -> np.ndarray:

@@ -9,9 +9,7 @@ using the statistics recorded in the dataset manifest.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import json
 import math
 import time
@@ -23,7 +21,7 @@ import numpy as np
 from . import model as M
 from . import params as P
 from . import tensor as T
-from .dataio import FieldDataset, check_fields, config_hash, write_file
+from .dataio import FieldDataset, _keep_freed_blocks, check_fields, config_hash, write_file
 
 __all__ = [
     "TrainingError", "AdamState", "EpochRecord", "TrainResult", "EvalResult",
@@ -312,43 +310,6 @@ def _model_inputs(dataset: FieldDataset, stats: dict, idx, dtype, mode: str):
     return xs, ys
 
 
-# glibc mallopt parameters, from <malloc.h>
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _set_thresholds(loader):
-    """Call ``mallopt`` once per C library loader; returns it, or None.
-
-    The returned function pointer keeps its ``CDLL`` alive: a ``CDLL`` holds
-    its function-pointer class in a reference cycle, so one built and
-    dropped on every call would leave garbage for the cyclic collector.
-    """
-    try:
-        mallopt = loader(None).mallopt
-    except (OSError, AttributeError, TypeError):   # TypeError: Windows loads no None name
-        return None
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    return mallopt
-
-
-def _keep_freed_blocks() -> None:
-    """Have glibc keep the blocks one step frees for the next step.
-
-    With glibc's defaults the memory a tape or an evaluation batch frees
-    goes back to the OS and is faulted in again by the next one, thousands
-    of faults each time.  Keeping up to 256 MiB free on the heap, and
-    taking blocks under 32 MiB from it, removes them; the trim threshold
-    alone would pin the mmap threshold at 128 KiB.  The thresholds are set
-    once per process.  A C library without ``mallopt`` is left as is.
-    """
-    _set_thresholds(ctypes.CDLL)
-
-
 def train(config: "M.CompolConfig", train_data: FieldDataset,
           test_data: "FieldDataset | None" = None, *, epochs: int,
           batch_size: int = 32, lr: float = 1e-3, schedule: str = "cosine",
@@ -359,7 +320,7 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
     ``epochs=0`` returns the untouched initialization and no records.
 
     Before the first epoch it sets glibc's trim and mmap thresholds through
-    ``mallopt`` (see :func:`_keep_freed_blocks`).  The setting is
+    ``mallopt`` (see :func:`compol.dataio._keep_freed_blocks`).  The setting is
     process-wide and stays after ``train`` returns.
     """
     if schedule not in ("cosine", "constant"):
@@ -446,7 +407,7 @@ def evaluate(model: "M.CompolModel", dataset: FieldDataset, *,
     results are taken in order, so every worker count gives the same bits.
     An exception in one batch cancels the batches not yet started and
     reaches the caller.  Like :func:`train`, it sets glibc's thresholds
-    first (see :func:`_keep_freed_blocks`).
+    first (see :func:`compol.dataio._keep_freed_blocks`).
     """
     if batch_size is None:
         grid = math.prod(dataset.inputs[0].shape[2:])

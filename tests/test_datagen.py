@@ -7,11 +7,13 @@ RK4 integrator written here; and with everything on, Richardson
 extrapolation over halved steps must show fourth-order convergence.
 """
 
+import ctypes
 import multiprocessing
 import os
 import pickle
 import signal
 import time
+import types
 import warnings
 
 import numpy as np
@@ -228,14 +230,71 @@ def test_time_stepping_is_fourth_order(name, overrides, n, dt0):
 SEEDS = {"lv": 1, "bz": 2, "gs": 3, "burgers": 4}
 
 
-def test_batched_solve_matches_per_sample():
-    spec = G.system_spec("lv", resolution=32,
-                         overrides={"fine_factor": 1, "horizon": 0.2, "dt": 0.02})
-    ics = np.stack([G.initial_conditions(spec, np.random.default_rng(i), 32)
+# one per system, at the solve grid: gs at 64 x 64; lv at 32 points, where every
+# transform is one matmul by a DFT matrix (compol.fft.BLOCK); bz and burgers at
+# 1,024, the real four-step split
+BATCH_SPECS = {
+    "gs": ("gs", 64, {"horizon": 0.2, "dt": 0.02}),
+    "lv": ("lv", 32, {"fine_factor": 1, "horizon": 0.2, "dt": 0.02}),
+    "bz": ("bz", 256, {"horizon": 0.01, "dt": 1e-3}),
+    "burgers": ("burgers", 256, {"horizon": 0.005}),
+}
+
+
+@pytest.mark.parametrize("system", sorted(BATCH_SPECS))
+def test_batched_solve_matches_per_sample(system):
+    """A sample's final state has the same bits solved alone, in a batch of
+    three and in a slice of two."""
+    name, resolution, overrides = BATCH_SPECS[system]
+    spec = G.system_spec(name, resolution=resolution, overrides=overrides)
+    n = spec.solve_resolution
+    ics = np.stack([G.initial_conditions(spec, np.random.default_rng(i), n)
                     for i in range(3)])
     batch = G.etdrk4_solve(spec, ics)
+    assert batch.shape == ics.shape and batch.flags.c_contiguous
     for i in range(3):
         assert np.array_equal(batch[i], G.etdrk4_solve(spec, ics[i]))
+    assert np.array_equal(batch[1:], G.etdrk4_solve(spec, ics[1:]))
+
+
+def _plain_reaction(spec, u):
+    """The reaction terms as plain expressions on the sample-major [B, M, *grid]."""
+    p = spec.params
+    if spec.system == "lv":
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        x, y = u[:, 0], u[:, 1]
+        return np.stack([a * x - b * x * y, c * x * y - d * y], axis=1)
+    if spec.system == "bz":
+        x, y, w = u[:, 0], u[:, 1], u[:, 2]
+        return np.stack([x + y - x * y - x * x, w - y - x * y, x - w], axis=1)
+    if spec.system == "gs":
+        fr, kr = p["f"], p["k"]
+        x, y = u[:, 0], u[:, 1]
+        xyy = x * y * y
+        return np.stack([-xyy + fr * (1.0 - x), xyy - (fr + kr) * y], axis=1)
+    n = u.shape[-1]
+    ik = (2j * np.pi / spec.domain_size) * G.K.split_freqs(n).astype(np.float64)
+    x = u[:, 0]
+    ux = G.K.irfft_split(G.K.rfft_split(x, (-1,)) * ik, n, (-1,))
+    return (-x * ux)[:, None]
+
+
+@pytest.mark.parametrize("name", G.SYSTEM_NAMES)
+def test_reactions_match_their_plain_expressions(name):
+    """Each reaction, on a field-major state [M, B, *grid] with negative
+    entries, has the bits of its plain expressions, in a new array, and
+    leaves its input's bytes as they were.  lv's rates are not 1, so a
+    change of operand order would show; gs is 2-D."""
+    overrides = {"a": 0.7, "b": 1.3, "c": 0.9, "d": 1.1} if name == "lv" else {}
+    spec = G.system_spec(name, overrides=overrides)
+    grid = (16, 16) if spec.dim == 2 else (256,)
+    u = np.random.default_rng(5).normal(size=(spec.processes, 3) + grid)
+    before = u.tobytes()
+    got = G._nonlinearity(spec, grid[-1])(u)
+    want = np.moveaxis(_plain_reaction(spec, np.moveaxis(u, 0, 1)), 0, 1)
+    assert got.shape == u.shape and not np.shares_memory(got, u)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert u.tobytes() == before
 
 
 def test_solver_input_validation():
@@ -289,6 +348,16 @@ def blow_up_spec():
     diverges first, but in chunk order sample 2, at step 180, is named."""
     return G.system_spec("lv", resolution=16, overrides={"b": -1.0, "horizon": 2.0,
                                                          "dt": 0.01, "fine_factor": 1})
+
+
+def test_blow_up_names_the_first_sample_to_diverge():
+    """Solved as one batch, blow_up_spec's six samples stop at sample 4's
+    step: the check reduces each sample over its fields and grid."""
+    spec = blow_up_spec()
+    ics = np.stack([G.initial_conditions(spec, G._sample_rng(0, i), 16) for i in range(6)])
+    with pytest.raises(G.BlowUpError) as info:
+        G.etdrk4_solve(spec, ics)
+    assert (info.value.step, info.value.samples) == (155, [4])
 
 
 def test_blow_up_error_pickles():
@@ -580,6 +649,41 @@ def test_pool_starts_with_sigint_and_sigterm_blocked(tmp_path, monkeypatch):
     for blocked in masks:
         assert {str(int(signal.SIGINT)), str(int(signal.SIGTERM))} <= set(blocked), blocked
     assert left == set()
+
+
+def test_solves_run_with_glibc_thresholds_set(tmp_path, monkeypatch):
+    """A pool worker's initializer sets glibc's malloc thresholds before it
+    unblocks SIGINT and SIGTERM, and the serial path sets them once before
+    its first solve.  No signal disposition of this process changes."""
+    events = []
+
+    def loader(name):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return 1
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    fake = types.SimpleNamespace(
+        **{k: getattr(signal, k) for k in ("SIGINT", "SIGTERM", "SIG_IGN", "SIG_DFL",
+                                           "SIG_UNBLOCK")},
+        signal=lambda signum, handler: events.append(("signal", signum, handler)),
+        pthread_sigmask=lambda how, mask: events.append(("mask", how, set(mask))))
+    thresholds = [("mallopt", -1, 256 << 20), ("mallopt", -3, 32 << 20)]
+    monkeypatch.setattr(G, "signal", fake)
+    monkeypatch.setattr(ctypes, "CDLL", loader)
+    G._leave_signals_to_parent()
+    assert events == thresholds + [
+        ("signal", signal.SIGINT, signal.SIG_IGN), ("signal", signal.SIGTERM, signal.SIG_DFL),
+        ("mask", signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})]
+
+    events.clear()
+    solve = G._generate_chunk
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: loader(name))   # a new loader: not cached
+    monkeypatch.setattr(G, "_generate_chunk",
+                        lambda *args: events.append(("solve", *args[2:])) or solve(*args))
+    G.generate_dataset(quick_lv(), 4, seed=3, out_dir=tmp_path / "out", chunk_size=2,
+                       workers=1)
+    assert events == thresholds + [("solve", 0, 4)]
 
 
 def test_env_workers_is_checked_and_capped(monkeypatch):

@@ -1,9 +1,12 @@
 """Binary field container, manifests, hashing, and dataset round trips."""
 
 import builtins
+import ctypes
+import gc
 import json
 import os
 import stat
+import types
 
 import numpy as np
 import pytest
@@ -293,3 +296,43 @@ def test_write_file_gives_the_mode_of_a_plain_open(tmp_path):
         os.umask(old)
     modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("plain", "written")}
     assert len(modes) == 1 and modes != {0o600}
+
+
+# ---------------------------------------------------------------------------
+# glibc malloc thresholds
+
+
+def test_glibc_thresholds_are_set_once_per_loader_and_skipped_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    D._keep_freed_blocks()
+    D._keep_freed_blocks()
+    assert calls == [(-1, 256 << 20), (-3, 32 << 20)]    # M_TRIM_, M_MMAP_THRESHOLD
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert mallopt.restype is ctypes.c_int
+
+    def refuse(name):
+        raise OSError("no C library")
+
+    # a C library without mallopt (as on macOS), or none that loads
+    for cdll in (lambda name: types.SimpleNamespace(), refuse):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        D._keep_freed_blocks()
+
+
+def test_glibc_thresholds_leave_no_garbage():
+    """mallopt is looked up once per process: later calls build no CDLL,
+    whose function-pointer class would be a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        D._keep_freed_blocks()
+        D._keep_freed_blocks()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

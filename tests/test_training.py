@@ -281,19 +281,6 @@ def test_train_sets_glibc_thresholds_and_runs_without_them(tmp_path, monkeypatch
             assert np.array_equal(got.best_params[name], arr), name
 
 
-def test_glibc_thresholds_leave_no_garbage():
-    """mallopt is looked up once per process: later calls build no CDLL,
-    whose function-pointer class would be a reference cycle."""
-    gc.collect()
-    gc.disable()
-    try:
-        TR._keep_freed_blocks()
-        TR._keep_freed_blocks()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 def test_training_is_deterministic(tmp_path):
     ds = lowpass_dataset(tmp_path, n=12)
     runs = [TR.train(small_config(), ds, epochs=3, batch_size=4, lr=1e-3, seed=5)
