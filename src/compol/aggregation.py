@@ -13,7 +13,7 @@ layer.  Every map returns the latent width.  Four mechanisms are provided:
 
 Latents are channels-last, [batch, *grid, width], as in
 :mod:`compol.layers`: every map is one matmul over the last axis, and
-concatenation and head splits use that axis.  Attention stacks its
+concatenation uses that axis.  Attention stacks its
 tokens on a new leading axis and contracts them with ``T.einsum``.  All
 maps act pointwise on channels, so every mechanism commutes with spatial
 translations.
@@ -74,7 +74,6 @@ class AttentionParams:
     wk: np.ndarray  # [width, width]
     wa: np.ndarray  # [width, width]
     ba: np.ndarray  # [width]
-    heads: int = 1
 
 
 @dataclass
@@ -102,16 +101,13 @@ def init_gru(rng, width: int, dtype=np.float32) -> GruParams:
     return GruParams(wq, uq, bq, wr, ur, br, wz, uz, bz)
 
 
-def init_attention(rng, width: int, heads: int = 1, dtype=np.float32) -> AttentionParams:
-    if heads < 1 or width % heads:
-        raise ValueError(f"head count {heads} must be positive and divide width={width}")
+def init_attention(rng, width: int, dtype=np.float32) -> AttentionParams:
     return AttentionParams(
         wq=glorot_uniform(rng, width, width).astype(dtype),
         bq=np.zeros(width, dtype=dtype),
         wk=glorot_uniform(rng, width, width).astype(dtype),
         wa=glorot_uniform(rng, width, width).astype(dtype),
         ba=np.zeros(width, dtype=dtype),
-        heads=heads,
     )
 
 
@@ -155,26 +151,17 @@ def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
 
     The query comes from the mean latent.  The tokens are stacked on a
     leading axis, [m, b, *grid, w], so keys and values are one map each,
-    the scores softmax(q . k / sqrt(d_head)) are one contraction and one
-    softmax over that axis, and the weighted sum is one contraction.  With
-    several heads the channel axis is reshaped to [heads, d_head] and all
-    heads go through each step at once.
+    the scores softmax(q . k / sqrt(width)) are one contraction and one
+    softmax over that axis, and the weighted sum is one contraction.
     """
     mean = T.scale(mix_processes(fields, "add"), 1.0 / len(fields))
     tokens = T.concat([T.reshape(f, (1,) + f.shape) for f in fields], 0)
-
-    heads, d_head = p.heads, p.wq.shape[1] // p.heads
-
-    def split(t: Tensor) -> Tensor:                               # [..., (heads,) c]
-        return t if heads == 1 else T.reshape(t, t.shape[:-1] + (heads, t.shape[-1] // heads))
-
-    query = split(channel_affine(mean, p.wq, p.bq))               # [b, *grid, (heads,) d]
-    keys = split(channel_affine(tokens, p.wk))                    # [m, b, *grid, (heads,) d]
-    values = split(channel_affine(tokens, p.wa, p.ba))
-    scores = T.scale(T.einsum("...c,m...c->m...", query, keys), 1.0 / math.sqrt(d_head))
-    alpha = T.softmax(scores, 0)                                  # [m, b, *grid, (heads)]
-    z = T.einsum("m...,m...c->...c", alpha, values)
-    return z if heads == 1 else T.reshape(z, z.shape[:-2] + (-1,))
+    query = channel_affine(mean, p.wq, p.bq)                      # [b, *grid, w]
+    keys = channel_affine(tokens, p.wk)                           # [m, b, *grid, w]
+    values = channel_affine(tokens, p.wa, p.ba)
+    scores = T.scale(T.einsum("...c,m...c->m...", query, keys), 1.0 / math.sqrt(p.wq.shape[1]))
+    alpha = T.softmax(scores, 0)                                  # [m, b, *grid]
+    return T.einsum("m...,m...c->...c", alpha, values)
 
 
 def skip_aggregate(mixed: Tensor, z_prev: Tensor, p: SkipParams) -> Tensor:
@@ -182,6 +169,5 @@ def skip_aggregate(mixed: Tensor, z_prev: Tensor, p: SkipParams) -> Tensor:
     return T.add(z_prev, channel_affine(mixed, p.w, p.b))
 
 
-def inject(v: Tensor, z: Tensor) -> Tensor:
-    """Fold the shared state back into one process branch by adding it."""
-    return T.add(v, z)
+# folds the shared state back into one process branch by adding it
+inject = T.add

@@ -51,11 +51,6 @@ class BlowUpError(RuntimeError):
         return type(self), (str(self), self.step, self.samples)
 
 
-def _check_pow2(n: int, what: str) -> None:
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"{what} must be a power of two >= 2, got {n}")
-
-
 # ---------------------------------------------------------------------------
 # Gaussian random fields
 
@@ -72,7 +67,7 @@ class GrfSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        _check_pow2(self.resolution, "resolution")
+        K._check_pow2(self.resolution, "resolution")
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
         if self.amplitude < 0:
@@ -181,7 +176,7 @@ class SystemSpec:
         _step_count(self.horizon, self.dt)
         if not self.domain_size > 0:
             raise ValueError("domain_size must be positive")
-        _check_pow2(self.resolution, "resolution")
+        K._check_pow2(self.resolution, "resolution")
         for name, value in self.diffusivities().items():
             if value < 0:
                 raise ValueError(f"diffusivity {name} must be >= 0, got {value}")
@@ -416,7 +411,7 @@ def etdrk4_solve(spec: SystemSpec, u0: np.ndarray, dt: float | None = None,
     if u.shape[1] != spec.processes:
         raise ValueError(f"expected {spec.processes} processes, got {u.shape[1]}")
     n = u.shape[-1]
-    _check_pow2(n, "grid resolution")
+    K._check_pow2(n, "grid resolution")
 
     n_steps = _step_count(spec.horizon, spec.dt if dt is None else float(dt))
     h = spec.horizon / n_steps
@@ -500,7 +495,7 @@ def spectral_subsample(u: np.ndarray, target: int) -> np.ndarray:
     target Nyquist frequency.
     """
     n = u.shape[-1]
-    _check_pow2(target, "target resolution")
+    K._check_pow2(target, "target resolution")
     if target > n or n % target:
         raise ValueError(f"target {target} must divide the source extent {n}")
     if target == n:

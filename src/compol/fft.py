@@ -48,13 +48,13 @@ BLOCK = 64
 
 
 class UnsupportedLengthError(ValueError):
-    """Raised when a transform extent is not a power of two (>= 2)."""
+    """Raised when a transform extent or a grid size is not a power of two (>= 2)."""
 
 
-def _check_pow2(n: int) -> None:
+def _check_pow2(n: int, what: str = "transform extent") -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise UnsupportedLengthError(
-            f"transform extent must be a power of two >= 2, got {n}"
+            f"{what} must be a power of two >= 2, got {n}"
         )
 
 

@@ -87,7 +87,7 @@ def _check(suite: str, name: str, op, *inputs) -> CheckResult:
         outs = out if isinstance(out, list) else [out]
         if not probes:
             probes.extend(T.Tensor(rng.normal(size=o.shape)) for o in outs)
-        return functools.reduce(T.add, [T.reduce_sum(o * p) for o, p in zip(outs, probes)])
+        return functools.reduce(T.add, [T.reduce_sum(T.mul(o, p)) for o, p in zip(outs, probes)])
 
     err, where = T.finite_diff_report(loss, [a for arrs in named for _, a in arrs], _EPS)
     return CheckResult(suite, name, err, where, time.perf_counter() - t0)
@@ -147,19 +147,13 @@ _LAYERS = (
 # aggregation
 
 
-def _attention(heads: int):
-    return lambda rng: agg.init_attention(rng, _W, heads=heads, dtype=np.float64)
-
-
 _AGGREGATION = (
     ("mix_linear", lambda f0, f1, f2, p: agg.mix_processes([f0, f1, f2], "linear", p),
      _V, _V, _V, lambda rng: agg.init_mix(rng, 3, _W, dtype=np.float64)),
     ("mix_add", lambda f0, f1, f2: agg.mix_processes([f0, f1, f2], "add"), _V, _V, _V),
     ("gru_step", agg.gru_step, _V, _V, lambda rng: agg.init_gru(rng, _W, dtype=np.float64)),
     ("attention", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
-     _V, _V, _V, _attention(1)),
-    ("attention_2head", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
-     _V, _V, _V, _attention(2)),
+     _V, _V, _V, lambda rng: agg.init_attention(rng, _W, dtype=np.float64)),
     ("skip", agg.skip_aggregate, _V, _V,
      lambda rng: agg.init_skip(rng, _W, dtype=np.float64)),
     ("inject_add", agg.inject, _V, _V),

@@ -96,20 +96,9 @@ def _mode_counts(modes, spatial_dims: int) -> tuple[int, ...]:
     return modes
 
 
-def channel_affine(v: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Pointwise channel map on the last axis of [batch, *grid, channels]."""
-    return T.affine(v, w, b)
-
-
-def spectral_conv(v: Tensor, r: Tensor) -> Tensor:
-    """Multiply retained Fourier modes of ``v`` by ``r``, zero the rest.
-
-    ``v`` is [batch, n, width] or [batch, n1, n2, width]; ``r`` is stored
-    [width, width, k1] or [width, width, k1, k2].  One tape node,
-    :func:`compol.tensor.spectral_conv`, which computes only the retained
-    bins and refuses more modes than the grid holds.
-    """
-    return T.spectral_conv(v, r)
+# the tape ops a layer is built from, under the names the layers use
+channel_affine = T.affine       # pointwise channel map on the last axis
+spectral_conv = T.spectral_conv  # one node; keeps only the retained modes
 
 
 def fourier_layer(v: Tensor, p: FourierLayerParams) -> Tensor:

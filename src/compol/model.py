@@ -52,19 +52,21 @@ KIND_AGGREGATION = {"compol-rnn": "gru", "compol-atn": "attention", "compol-skip
 MODEL_KINDS = tuple(KIND_AGGREGATION)
 
 
-# every field of CompolConfig: (kind, least value or allowed values), see check_fields.
-# Every aggregation map is width to width, the shared state is added and every
-# layer ends in a GELU, so d_mix, key_width, inject and activation only load as
-# null, null, "add" and "gelu"; they stay so that config hashes and checkpoint
-# headers keep their bytes.
+# every field of a config dict: (kind, least value or allowed values), see check_fields.
+# Every aggregation map is width to width, the shared state is added, every
+# layer ends in a GELU and attention has one head, so d_mix, key_width, inject,
+# activation and heads only load as null, null, "add", "gelu" and 1.  They are
+# not CompolConfig fields: to_dict writes them from _PINNED, so that config
+# hashes and checkpoint headers keep their bytes.
 _FIELDS = {
     "processes": ("int", 1), "channels": (["int"], 1), "layers": ("int", 1),
     "width": ("int", 1), "modes": (("int", ["int"]), 1), "spatial_dims": ("int", 1),
     "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", MIX_KINDS),
     "d_mix": (None, None), "inject": ("str", ("add",)), "activation": ("str", ("gelu",)),
-    "coords": ("bool", None), "key_width": (None, None), "heads": ("int", 1),
+    "coords": ("bool", None), "key_width": (None, None), "heads": ("int", (1,)),
     "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", 0),
 }
+_PINNED = {"d_mix": None, "inject": "add", "activation": "gelu", "key_width": None, "heads": 1}
 
 
 @dataclass
@@ -79,12 +81,7 @@ class CompolConfig:
     spatial_dims: int = 1
     aggregation: str = "attention"
     mix: str = "linear"
-    d_mix: int | None = None
-    inject: str = "add"
-    activation: str = "gelu"
     coords: bool = True
-    key_width: int | None = None
-    heads: int = 1
     dtype: str = "real32"
     seed: int = 0
     process_seed_offset: int = 0
@@ -108,7 +105,7 @@ class CompolConfig:
         return _DTYPES[self.dtype]
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = {**dataclasses.asdict(self), **_PINNED}
         if isinstance(d["modes"], tuple):
             d["modes"] = list(d["modes"])
         return d
@@ -119,7 +116,7 @@ class CompolConfig:
         if d.pop("attend_history", False) is not False:
             raise ValueError("attend_history is no longer supported; only false loads")
         check_fields(d, _FIELDS, closed=True)     # before the constructor sees an unknown key
-        return cls(**d)
+        return cls(**{k: v for k, v in d.items() if k not in _PINNED})
 
 
 @dataclass
@@ -187,7 +184,7 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
             if cfg.aggregation == "gru":
                 la.gru = agg.init_gru(rng, cfg.width, dtype)
             elif cfg.aggregation == "attention":
-                la.attn = agg.init_attention(rng, cfg.width, cfg.heads, dtype)
+                la.attn = agg.init_attention(rng, cfg.width, dtype)
             elif cfg.aggregation == "skip":
                 la.skip = agg.init_skip(rng, cfg.width, dtype)
             layer_aggs.append(la)
@@ -238,17 +235,13 @@ def _as_input_tensors(model: CompolModel, inputs) -> list[Tensor]:
     return ts
 
 
-def forward(model: CompolModel, inputs, tape: Tape | None = None,
-            return_latents: bool = False):
+def forward(model: CompolModel, inputs, tape: Tape | None = None):
     """Run the coupled forward pass.
 
     ``inputs`` is one [batch, channels_m, *grid] array or tensor per
-    process, and each output is [batch, channels_m, *grid] too.  With
-    ``return_latents`` it also returns the per-layer latents (list indexed
-    [layer][process], layer 0 = post-lift) in the layout the model holds
-    them, channels-last: [batch, *grid, width].  Without it the list is not
-    built, so a forward with no tape lets go of each layer's latents once
-    the next layer has used them.
+    process, and each output is [batch, channels_m, *grid] too.  A forward
+    with no tape lets go of each layer's latents once the next layer has
+    used them.
     """
     cfg = model.config
     xs = _as_input_tensors(model, inputs)
@@ -257,7 +250,6 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
     aggs = model.aggregation if is_bound(model.aggregation) else bind(model.aggregation, tape)
 
     v = [L.lift(xs[m], procs[m].head, cfg.coords) for m in range(cfg.processes)]
-    latents = [list(v)] if return_latents else None
     z: Tensor | None = None
 
     for l in range(cfg.layers):
@@ -272,13 +264,8 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None,
                  else agg.skip_aggregate(mixed, z, la.skip))
         v = [L.fourier_layer(v[m] if la is None else agg.inject(v[m], z), procs[m].layers[l])
              for m in range(cfg.processes)]
-        if return_latents:
-            latents.append(list(v))
 
-    outs = [L.project(v[m], procs[m].head) for m in range(cfg.processes)]
-    if return_latents:
-        return outs, latents
-    return outs
+    return [L.project(v[m], procs[m].head) for m in range(cfg.processes)]
 
 
 def config_for_kind(kind: str, base: CompolConfig) -> CompolConfig:

@@ -99,29 +99,6 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
-            return scale(self, other)
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         tag = f" node={self.node_id}" if self.node_id is not None else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"

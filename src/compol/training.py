@@ -141,7 +141,7 @@ def destandardize(y: np.ndarray, stats_entry: dict) -> np.ndarray:
 
 def _destandardize_t(y: T.Tensor, stats_entry: dict, dtype) -> T.Tensor:
     mean, std = _stat_arrays(stats_entry, y.ndim, dtype)
-    return y * T.Tensor(std) + T.Tensor(mean)
+    return T.add(T.mul(y, T.Tensor(std)), T.Tensor(mean))
 
 
 def _batch_loss(preds_std, targets_raw, out_stats, dtype) -> T.Tensor:
@@ -149,16 +149,16 @@ def _batch_loss(preds_std, targets_raw, out_stats, dtype) -> T.Tensor:
     per_process = []
     for m, (p_std, y) in enumerate(zip(preds_std, targets_raw)):
         pred = _destandardize_t(p_std, out_stats[m], dtype)
-        err = pred - T.Tensor(np.asarray(y, dtype=dtype))
+        err = T.sub(pred, T.Tensor(np.asarray(y, dtype=dtype)))
         axes = tuple(range(1, pred.ndim))
-        num = T.sqrt(T.reduce_sum(err * err, axes))
+        num = T.sqrt(T.reduce_sum(T.mul(err, err), axes))
         den = np.sqrt((np.asarray(y, dtype=np.float64) ** 2)
                       .sum(axis=tuple(range(1, y.ndim))))
         inv = np.where(den > 0, 1.0 / np.where(den > 0, den, 1.0), 1.0)
-        per_process.append(T.reduce_mean(num * T.Tensor(inv.astype(dtype))))
+        per_process.append(T.reduce_mean(T.mul(num, T.Tensor(inv.astype(dtype)))))
     total = per_process[0]
     for extra in per_process[1:]:
-        total = total + extra
+        total = T.add(total, extra)
     return T.scale(total, 1.0 / len(per_process))
 
 

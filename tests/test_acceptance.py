@@ -50,7 +50,7 @@ def test_c01_gradient_checks_every_operation_and_a_full_model():
         "softmax", "concat", "moveaxis", "reshape",
         "channel_affine", "spectral_conv", "fourier_layer", "spectral_conv_2d",
         "lift", "project",
-        "mix_linear", "mix_add", "gru_step", "attention", "attention_2head", "skip",
+        "mix_linear", "mix_add", "gru_step", "attention", "skip",
         "inject_add",
         "compol_gru", "compol_attention"]
     assert elapsed < 120.0, f"gradcheck took {elapsed:.0f}s"
@@ -191,7 +191,7 @@ def test_c05_aggregation_matches_scalar_references():
     ap = A.init_attention(np.random.default_rng(0), width, dtype=np.float64)
     ones = A.AttentionParams(wq=ap.wq, bq=ap.bq, wk=ap.wk,
                              wa=np.zeros((width, width)),
-                             ba=np.ones(width), heads=1)
+                             ba=np.ones(width))
     fields = [T.Tensor(np.moveaxis(rng.normal(size=(2, width, 8)), 1, -1)) for _ in range(m)]
     summed = A.attention_aggregate(fields, ones).data
     assert np.abs(summed - 1.0).max() < 1e-6
@@ -199,7 +199,7 @@ def test_c05_aggregation_matches_scalar_references():
     # identical latents: exchangeable tokens, so the weights are exactly
     # uniform and an identity value map returns the latent itself
     ident = A.AttentionParams(wq=ap.wq, bq=ap.bq, wk=ap.wk,
-                              wa=np.eye(width), ba=np.zeros(width), heads=1)
+                              wa=np.eye(width), ba=np.zeros(width))
     same = T.Tensor(np.moveaxis(rng.normal(size=(2, width, 8)), 1, -1))
     out = A.attention_aggregate([same, same, same], ident).data
     assert np.abs(out - same.data).max() < 1e-12
@@ -207,7 +207,7 @@ def test_c05_aggregation_matches_scalar_references():
     # scalar attention reference: width 1, two tokens, pure floats
     sp = A.AttentionParams(wq=np.array([[0.8]]), bq=np.array([0.1]),
                            wk=np.array([[-0.6]]), wa=np.array([[1.3]]),
-                           ba=np.array([0.2]), heads=1)
+                           ba=np.array([0.2]))
     for a, b in [(0.5, -0.4), (1.2, 1.1), (-2.0, 0.3)]:
         got = A.attention_aggregate(
             [T.Tensor(np.full((1, 1, 1), a)), T.Tensor(np.full((1, 1, 1), b))],

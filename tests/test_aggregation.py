@@ -94,7 +94,7 @@ def test_attention_weights_sum_to_one():
     p = agg.init_attention(rng, 4, dtype=np.float64)
     # directly: attention over constant-one values returns exactly 1
     ones = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
-                               wa=np.zeros((4, 4)), ba=np.ones(4), heads=1)
+                               wa=np.zeros((4, 4)), ba=np.ones(4))
     out = agg.attention_aggregate(wrap(*fields), ones).data
     assert np.max(np.abs(out - 1.0)) < 1e-6
 
@@ -120,7 +120,7 @@ def test_attention_scalar_reference():
     wq, bq, wk = p.wq[0, 0], p.bq[0], p.wk[0, 0]
     wa, ba = p.wa[0, 0], p.ba[0]
     q = wq * (a + b) / 2.0 + bq
-    s1, s2 = q * wk * a, q * wk * b            # d_head = 1 so inv scale = 1
+    s1, s2 = q * wk * a, q * wk * b            # width 1 so inv scale = 1
     e1, e2 = math.exp(s1), math.exp(s2)
     alpha1, alpha2 = e1 / (e1 + e2), e2 / (e1 + e2)
     want = alpha1 * (wa * a + ba) + alpha2 * (wa * b + ba)
@@ -142,51 +142,28 @@ def test_attention_key_bias_would_be_dead():
     assert not hasattr(agg.init_attention(rng, 4, dtype=np.float64), "bk")
 
 
-def test_attention_multihead_splits_channels():
-    rng = np.random.default_rng(6)
-    fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(2)]
-    p = agg.init_attention(rng, 4, heads=2, dtype=np.float64)
-    out = agg.attention_aggregate(wrap(*fields), p)
-    assert out.shape == (2, 8, 4)
-
-
 def numpy_attention(fields, p):
-    """Per-head attention with one head's channel slice at a time, all numpy."""
-    m, h = len(fields), p.heads
+    """Attention over one token at a time, all numpy."""
+    m = len(fields)
     q = sum(fields) / m @ p.wq + p.bq
-    keys = [f @ p.wk for f in fields]
-    values = [f @ p.wa + p.ba for f in fields]
-    dk, dv = q.shape[-1] // h, values[0].shape[-1] // h
-    out = np.empty_like(values[0])
-    for i in range(h):
-        qi = q[..., i * dk:(i + 1) * dk]
-        s = np.stack([(qi * k[..., i * dk:(i + 1) * dk]).sum(-1) / math.sqrt(dk) for k in keys])
-        a = np.exp(s - s.max(0))
-        a /= a.sum(0)
-        out[..., i * dv:(i + 1) * dv] = sum(a[j][..., None] * values[j][..., i * dv:(i + 1) * dv]
-                                            for j in range(m))
-    return out
+    s = np.stack([(q * (f @ p.wk)).sum(-1) / math.sqrt(q.shape[-1]) for f in fields])
+    a = np.exp(s - s.max(0))
+    a /= a.sum(0)
+    return sum(a[j][..., None] * (fields[j] @ p.wa + p.ba) for j in range(m))
 
 
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_attention_heads_in_one_pass_match_per_head_reference(heads):
-    """Heads come from one reshape of the channel axis, and the tokens from
-    one stacked axis: no take on the tape, and one affine each for the
-    query, the keys and the values."""
+def test_attention_in_one_pass_matches_per_token_reference():
+    """The tokens come from one stacked axis: no take on the tape, and one
+    affine each for the query, the keys and the values."""
     rng = np.random.default_rng(12)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
-    p = agg.init_attention(rng, 4, heads=heads, dtype=np.float64)
+    p = agg.init_attention(rng, 4, dtype=np.float64)
     out = agg.attention_aggregate(wrap(*fields), p).data
     assert np.max(np.abs(out - numpy_attention(fields, p))) < 1e-12
     tape = T.Tape()
     agg.attention_aggregate([tape.leaf(f) for f in fields], p)
     names = [node.name for node in tape._nodes]
     assert "take" not in names and names.count("affine") == 3
-
-
-def test_attention_head_count_must_divide():
-    with pytest.raises(ValueError):
-        agg.init_attention(np.random.default_rng(0), 6, heads=4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,7 +176,7 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
     fields = [cl(rng.normal(size=(1, 2, 4))) for _ in range(m)]
     p = agg.init_attention(rng, 2, dtype=np.float64)
     p_id = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
-                               wa=np.eye(2), ba=np.zeros(2), heads=1)
+                               wa=np.eye(2), ba=np.zeros(2))
     out = agg.attention_aggregate(wrap(*fields), p_id).data
     stack = np.stack(fields)
     lo, hi = stack.min(axis=0), stack.max(axis=0)

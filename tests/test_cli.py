@@ -560,13 +560,13 @@ def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path,
 
 @pytest.mark.parametrize("field,value", [
     ("inject", "concat_reduce"), ("d_mix", 8), ("key_width", 8), ("key_width", 2 ** 55),
-    ("activation", "tanh"),
-], ids=["inject", "d_mix", "key_width", "key_width-past-memory", "activation"])
+    ("activation", "tanh"), ("heads", 2),
+], ids=["inject", "d_mix", "key_width", "key_width-past-memory", "activation", "heads"])
 def test_removed_model_options_exit_2(run_dir, lv_data, tmp_path, capsys, field, value):
-    """inject, d_mix, key_width and activation load only as "add", null, null
-    and "gelu".  Any other value, in a checkpoint header or a train config, is
-    one error line that names the field and exit 2, even one no memory could
-    hold."""
+    """inject, d_mix, key_width, activation and heads load only as "add",
+    null, null, "gelu" and 1.  Any other value, in a checkpoint header or a
+    train config, is one error line that names the field and exit 2, even one
+    no memory could hold."""
     header, table = D.read_checkpoint(str(run_dir / cli.CHECKPOINT_FILENAME))
     ckpt = tmp_path / "removed-option.ckpt"
     D.write_checkpoint(ckpt, {**header, "config": {**header["config"], field: value}},

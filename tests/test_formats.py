@@ -114,8 +114,9 @@ def test_formats_are_pinned(tmp_path):
               np.arange(24, dtype=np.float32).reshape(3, 1, 8) / 7]
     outputs = [x * 2 - 1 for x in inputs]
     D.write_dataset(tmp_path, inputs, outputs, {"system": {"system": "demo"}, "seed": 1})
-    cfg = M.CompolConfig(**TINY)
-    M.save_checkpoint(tmp_path / "pin.ckpt", M.init_params(cfg), extra={"note": "pin"})
+    for name, aggregation in (("pin.ckpt", "gru"), ("pin-atn.ckpt", "attention")):
+        cfg = M.CompolConfig(**{**TINY, "aggregation": aggregation})
+        M.save_checkpoint(tmp_path / name, M.init_params(cfg), extra={"note": "pin"})
 
     def digest(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -128,6 +129,9 @@ def test_formats_are_pinned(tmp_path):
     # header key differs, and the payload bytes are the same
     assert digest("pin.ckpt") == (
         "c6843526ced553acabbad14ea7d7ef4f8c8f215e4b6d525263bd29bc84ea6cde")
+    # the attention layout: taken before attention lost its head count
+    assert digest("pin-atn.ckpt") == (
+        "2485cfc533d5830c82eb5522ef84dcac9559d96cb166cc353932c982d5274c24")
     ds = D.load_dataset(tmp_path)
     assert all(np.array_equal(a, b) for a, b in zip(ds.inputs + ds.outputs, inputs + outputs))
 

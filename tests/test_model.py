@@ -67,20 +67,11 @@ def test_forward_rejects_wrong_channel_count():
         M.forward(model, bad)
 
 
-def test_forward_latents_one_slot_per_layer():
-    cfg = small_cfg(layers=3)
-    model = M.init_params(cfg)
-    _, latents = M.forward(model, rand_inputs(cfg), return_latents=True)
-    assert len(latents) == 4                       # post-lift + 3 layers
-    assert all(len(step) == 2 for step in latents)
-    assert latents[0][0].shape == (2, 16, 8)        # channels-last: [batch, grid, width]
-
-
 @pytest.mark.parametrize("aggregation", ["gru", "attention", "skip", "none"])
 def test_forward_without_tape_lets_go_of_the_lift_output(monkeypatch, aggregation):
-    """Without ``return_latents`` and a tape, nothing keeps a layer's latents
-    once the next layer has used them: by the time the head runs, the lift
-    output is freed by reference count alone."""
+    """Without a tape, nothing keeps a layer's latents once the next layer
+    has used them: by the time the head runs, the lift output is freed by
+    reference count alone."""
     cfg = small_cfg(aggregation=aggregation)
     model = M.init_params(cfg)
     lifted, dead_at_project = [], []
@@ -306,10 +297,14 @@ def test_config_rejects_bad_values():
     ("mix", 1), ("aggregation", ["gru"]), ("activation", None), ("dtype", 32),
 ])
 def test_config_rejects_wrong_types(field, value):
-    """Every field is type-checked; bools are not integers, and nothing is
-    truncated to fit."""
-    with pytest.raises(TypeError):
-        small_cfg(**{field: value})
+    """Every field is type-checked, in a config dict and, unless it is pinned,
+    in the constructor; bools are not integers, and nothing is truncated to
+    fit."""
+    with pytest.raises(TypeError, match=field):
+        M.CompolConfig.from_dict({**small_cfg().to_dict(), field: value})
+    if field not in M._PINNED:
+        with pytest.raises(TypeError, match=field):
+            small_cfg(**{field: value})
 
 
 def test_config_drops_attend_history_false_and_refuses_true():
@@ -326,7 +321,7 @@ def test_config_drops_attend_history_false_and_refuses_true():
 
 
 def test_config_round_trips_through_dict():
-    cfg = small_cfg(modes=(4,), aggregation="attention", heads=2)
+    cfg = small_cfg(modes=(4,), aggregation="attention")
     back = M.CompolConfig.from_dict(cfg.to_dict())
     assert back == cfg
     with pytest.raises(ValueError):
@@ -334,12 +329,15 @@ def test_config_round_trips_through_dict():
 
 
 def test_pinned_fields_keep_the_config_hash():
-    """d_mix, key_width and inject stay in every config, at null, null and
-    "add", so a config holds the bytes and the hash it had while they could
-    take other values."""
+    """d_mix, key_width, inject, activation and heads stay in every config
+    dict, at null, null, "add", "gelu" and 1, so a config holds the bytes and
+    the hash it had while they could take other values.  Every checked field
+    reaches the dict, so none can drop out of the hash."""
     cfg = small_cfg(aggregation="attention")
     d = cfg.to_dict()
-    assert (d["d_mix"], d["key_width"], d["inject"]) == (None, None, "add")
+    assert set(d) == set(M._FIELDS)
+    assert ((d["d_mix"], d["key_width"], d["inject"], d["activation"], d["heads"])
+            == (None, None, "add", "gelu", 1))
     assert M.CompolConfig.from_dict(d) == cfg
     assert config_hash(d) == "821aaa954ba1ebc52cc031fd6fdd6e71e01623c80ff5b9ed46ee0d7b2395aca4"
 
@@ -367,7 +365,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("kw", [
     dict(aggregation="gru", mix="linear", coords=False),
-    dict(aggregation="attention", heads=2),
+    dict(aggregation="attention"),
     dict(aggregation="skip", mix="linear", spatial_dims=2, modes=(2, 3)),
     dict(aggregation="none", channels=[1, 3]),
 ], ids=["gru", "attention", "skip-2d", "none"])

@@ -30,7 +30,7 @@ def leafs(tape, *arrays):
 def test_backward_returns_gradients_for_all_leaves():
     tape = T.Tape()
     a, b = leafs(tape, np.ones(3), 2.0 * np.ones(3))
-    loss = T.reduce_sum(a * b)
+    loss = T.reduce_sum(T.mul(a, b))
     grads = T.backward(tape, loss)
     assert np.allclose(grads[a], 2.0)
     assert np.allclose(grads[b], 1.0)
@@ -46,7 +46,7 @@ def test_unused_leaf_gets_zero_gradient():
 def test_second_backward_on_a_tape_raises():
     tape = T.Tape()
     (a,) = leafs(tape, np.ones(3))
-    loss = T.reduce_sum(a * a)
+    loss = T.reduce_sum(T.mul(a, a))
     T.backward(tape, loss)
     with pytest.raises(T.TapeError):
         T.backward(tape, loss)
@@ -57,7 +57,7 @@ def test_recording_on_a_swept_tape_raises():
     (a,) = leafs(tape, np.ones(3))
     T.backward(tape, T.reduce_sum(a))
     with pytest.raises(T.TapeError):
-        a * a
+        T.mul(a, a)
     with pytest.raises(T.TapeError):
         tape.leaf(np.ones(3))
 
@@ -97,8 +97,8 @@ def test_sweep_frees_forward_values_as_it_goes():
 def test_gradient_map_refuses_intermediates():
     tape = T.Tape()
     a, b = leafs(tape, np.ones(3), np.ones(3))
-    h = a * b
-    unused = a + b
+    h = T.mul(a, b)
+    unused = T.add(a, b)
     grads = T.backward(tape, T.reduce_sum(h))
     for t in (h, unused):
         with pytest.raises(T.TapeError):
@@ -114,29 +114,29 @@ def test_mixing_tapes_rejected():
     a = t1.leaf(np.ones(2))
     b = t2.leaf(np.ones(2))
     with pytest.raises(T.TapeError):
-        a + b
+        T.add(a, b)
 
 
 def test_backward_requires_scalar():
     tape = T.Tape()
     (a,) = leafs(tape, np.ones(3))
     with pytest.raises(T.ShapeError):
-        T.backward(tape, a + a)
+        T.backward(tape, T.add(a, a))
 
 
 def test_constants_join_tape_computations():
     tape = T.Tape()
     (a,) = leafs(tape, np.arange(3.0))
     c = T.Tensor(np.array([1.0, 10.0, 100.0]))
-    grads = T.backward(tape, T.reduce_sum(a * c))
+    grads = T.backward(tape, T.reduce_sum(T.mul(a, c)))
     assert np.allclose(grads[a], [1.0, 10.0, 100.0])
 
 
 def test_reused_subexpression_accumulates():
     tape = T.Tape()
     (a,) = leafs(tape, np.array([3.0]))
-    y = a * a
-    loss = T.reduce_sum(y + y)
+    y = T.mul(a, a)
+    loss = T.reduce_sum(T.add(y, y))
     grads = T.backward(tape, loss)
     assert np.allclose(grads[a], 12.0)  # d/da 2a^2 = 4a
 
@@ -149,9 +149,9 @@ def test_arithmetic_matches_numpy():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     tx, ty = T.Tensor(x), T.Tensor(y)
-    assert np.allclose((tx + ty).data, x + y)
-    assert np.allclose((tx - ty).data, x - y)
-    assert np.allclose((tx * ty).data, x * y)
+    assert np.allclose(T.add(tx, ty).data, x + y)
+    assert np.allclose(T.sub(tx, ty).data, x - y)
+    assert np.allclose(T.mul(tx, ty).data, x * y)
     assert np.allclose(T.scale(tx, -2.5).data, -2.5 * x)
 
 
@@ -159,7 +159,7 @@ def test_broadcasting_add_and_unbroadcast_gradient():
     tape = T.Tape()
     a = tape.leaf(np.ones((3, 4)))
     b = tape.leaf(np.ones((1, 4)))
-    grads = T.backward(tape, T.reduce_sum(a + b))
+    grads = T.backward(tape, T.reduce_sum(T.add(a, b)))
     assert grads[a].shape == (3, 4)
     assert grads[b].shape == (1, 4)
     assert np.allclose(grads[b], 3.0)
@@ -195,7 +195,7 @@ def test_gelu_keeps_the_textbook_bits_and_derivative(dtype):
         tape = T.Tape()
         lx = tape.leaf(x)
         g = rng.normal(size=x.shape).astype(g_dtype)
-        got = T.backward(tape, T.reduce_sum(T.gelu(lx) * T.Tensor(g)))[lx]
+        got = T.backward(tape, T.reduce_sum(T.mul(T.gelu(lx), T.Tensor(g))))[lx]
         assert got.dtype == g_dtype
         assert np.array_equal(got, dg * g)
         assert np.max(np.abs(got - g * deriv)) < 10 * np.finfo(dtype).eps * np.abs(g).max()
@@ -256,7 +256,7 @@ def test_affine_rank_one_backward_has_the_matmul_bits(dtype):
     g = rng.normal(size=(4, 64, 1)).astype(dtype)
     tape = T.Tape()
     lx, lw, lb = leafs(tape, x, w, b)
-    grads = T.backward(tape, T.reduce_sum(T.affine(lx, lw, lb) * T.Tensor(g)))
+    grads = T.backward(tape, T.reduce_sum(T.mul(T.affine(lx, lw, lb), T.Tensor(g))))
     want = (g.reshape(-1, 1) @ w.T).reshape(x.shape)
     assert grads[lx].dtype == dtype and np.array_equal(grads[lx], want)
 
@@ -269,7 +269,7 @@ def test_affine_adjoint_closed_form():
     g = rng.normal(size=(2, 3, 5))
     tape = T.Tape()
     lx, lw, lb = leafs(tape, x, w, b)
-    grads = T.backward(tape, T.reduce_sum(T.affine(lx, lw, lb) * T.Tensor(g)))
+    grads = T.backward(tape, T.reduce_sum(T.mul(T.affine(lx, lw, lb), T.Tensor(g))))
     assert np.max(np.abs(grads[lx] - g @ w.T)) < 1e-12
     assert np.max(np.abs(grads[lw] - np.einsum("bnc,bnd->cd", x, g))) < 1e-12
     assert np.max(np.abs(grads[lb] - g.sum(axis=(0, 1)))) < 1e-12
@@ -306,7 +306,7 @@ def test_einsum_adjoint_closed_form(spec, sa, sb):
     g = rng.normal(size=np.einsum(spec, a, b).shape)
     tape = T.Tape()
     la, lb = leafs(tape, a, b)
-    loss = T.reduce_sum(T.einsum(spec, la, lb) * T.Tensor(g))
+    loss = T.reduce_sum(T.mul(T.einsum(spec, la, lb), T.Tensor(g)))
     grads = T.backward(tape, loss)
     lhs, out = spec.split("->")
     ta, tb = lhs.split(",")
@@ -460,7 +460,7 @@ def test_scale_refuses_a_complex_factor():
     with pytest.raises(T.DtypeError):
         T.scale(_X, 1j)
     with pytest.raises(T.DtypeError):
-        T.Tensor(_X) * (1 + 0j)
+        T.mul(T.Tensor(_X), 1 + 0j)
 
 
 def test_dft_ops_dtype_and_bin_errors():
@@ -652,7 +652,7 @@ def test_spectral_conv_adjoint(rank):
     g = rng.normal(size=vs[:-1] + (4,))
     tape = T.Tape()
     lv, lr = tape.leaf(v), tape.leaf(r)
-    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    grads = T.backward(tape, T.reduce_sum(T.mul(T.spectral_conv(lv, lr), T.Tensor(g))))
     dv, dr = rng.normal(size=vs), _cplx(rng, *rs)
     for got, want in [(np.sum(grads[lv] * dv), np.sum(g * _conv(dv, r))),
                       (np.real(np.vdot(grads[lr], dr)), np.sum(g * _conv(v, dr)))]:
@@ -663,7 +663,7 @@ def _conv_grads(v, r, g):
     """The v and r gradients of sum(g * spectral_conv(v, r))."""
     tape = T.Tape()
     lv, lr = tape.leaf(v), tape.leaf(r)
-    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    grads = T.backward(tape, T.reduce_sum(T.mul(T.spectral_conv(lv, lr), T.Tensor(g))))
     return grads[lv], grads[lr]
 
 
@@ -772,7 +772,7 @@ def test_dft_round_trip_gradient_is_identity():
         lx = tape.leaf(x)
         y = T.spectral_conv(lx, T.Tensor(r))
         assert np.max(np.abs(y.data - x)) < 1e-12
-        grads = T.backward(tape, T.reduce_sum(y * T.Tensor(probe)))
+        grads = T.backward(tape, T.reduce_sum(T.mul(y, T.Tensor(probe))))
         assert np.max(np.abs(grads[lx] - probe)) < 1e-12
 
 
@@ -805,7 +805,7 @@ def test_mode_mix_gradients_match_einsum_adjoints():
     v, r, g = rng.normal(size=(2, n, 3)), _cplx(rng, 3, 4, k), rng.normal(size=(2, n, 4))
     tape = T.Tape()
     lv, lr = tape.leaf(v), tape.leaf(r)
-    grads = T.backward(tape, T.reduce_sum(T.spectral_conv(lv, lr) * T.Tensor(g)))
+    grads = T.backward(tape, T.reduce_sum(T.mul(T.spectral_conv(lv, lr), T.Tensor(g))))
     w = np.where((np.arange(k) == 0) | (np.arange(k) == n // 2), 1.0, 2.0)[:, None]
     h = w * np.conj(np.fft.rfft(g, axis=1)) / n
     x = np.fft.rfft(v, axis=1)
@@ -829,8 +829,8 @@ def test_finite_diff_through_nonlinear_chain():
     r = T.Tensor(_cplx(rng, 2, 2, 3))
 
     def f(a):
-        h = T.gelu(a) * T.sigmoid(a)
-        return T.reduce_sum(T.spectral_conv(h, r) * probe)
+        h = T.mul(T.gelu(a), T.sigmoid(a))
+        return T.reduce_sum(T.mul(T.spectral_conv(h, r), probe))
 
     err, _ = T.finite_diff_report(f, [x])
     assert err < 1e-6
@@ -842,7 +842,7 @@ def _bumped_target(rng):
 
     def f(a, r, c):
         h = T.tanh(T.affine(T.gelu(a), c))
-        return T.reduce_sum(T.spectral_conv(h, r) * probe)
+        return T.reduce_sum(T.mul(T.spectral_conv(h, r), probe))
 
     return f, rng.normal(size=(2, 8, 3)), _cplx(rng, 2, 2, 3), rng.normal(size=(3, 2))
 
@@ -897,6 +897,6 @@ def test_mul_gradient_product_rule(rows, cols):
     y = rng.normal(size=(rows, cols))
     tape = T.Tape()
     lx, ly = tape.leaf(x), tape.leaf(y)
-    grads = T.backward(tape, T.reduce_sum(lx * ly))
+    grads = T.backward(tape, T.reduce_sum(T.mul(lx, ly)))
     assert np.allclose(grads[lx], y)
     assert np.allclose(grads[ly], x)
