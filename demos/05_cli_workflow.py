@@ -46,7 +46,7 @@ config = {
     "system": {"system": "lv", "fine_factor": 2, "horizon": 1.0, "dt": 0.02},
     "data": {"n_train": 24, "n_test": 8, "resolution": 32, "seed": 5},
     "model": {"processes": 2, "channels": [1, 1], "layers": 3, "width": 16,
-              "modes": 8, "aggregation": "gru", "mix": "add", "seed": 0},
+              "modes": 8, "aggregation": "gru", "seed": 0},
     "train": {"epochs": 12, "batch": 8, "lr": 2e-3, "schedule": "cosine"},
 }
 cfg_path = work / "experiment.json"

@@ -13,7 +13,7 @@ Subpackages
     Coupled reaction–diffusion and advection benchmarks solved with a
     fourth-order exponential integrator, plus the binary dataset format.
 ``training``
-    Relative-L2 objective, Adam, schedules, evaluation, cross-validation.
+    Relative-L2 objective, Adam, the cosine schedule, evaluation, cross-validation.
 ``gradcheck``
     Finite-difference verification suites for every differentiable op.
 ``cli``

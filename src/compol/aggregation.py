@@ -2,7 +2,9 @@
 
 After every operator layer the per-process latent fields are fused into
 one shared state z which is added back into each branch before the next
-layer.  Every map returns the latent width.  Four mechanisms are provided:
+layer.  Every map returns the latent width.  ``gru`` and ``skip`` first mix
+the processes: one learned pointwise map of their concatenated latents.
+Four mechanisms are provided:
 
 * ``gru``       -- a convex gated update driven by the mixed latents,
                    carrying state across layers,
@@ -21,6 +23,7 @@ translations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,24 +119,10 @@ def init_skip(rng, width: int, dtype=np.float32) -> SkipParams:
                       b=np.zeros(width, dtype=dtype))
 
 
-def mix_processes(fields: list[Tensor], kind: str, params: MixParams | None = None) -> Tensor:
-    """Fuse per-process latents into one field.
-
-    ``linear`` concatenates channels and applies a learned pointwise map;
-    ``add`` sums the fields (widths must match).
-    """
-    if not fields:
-        raise ValueError("mix_processes needs at least one field")
-    if kind == "add":
-        out = fields[0]
-        for f in fields[1:]:
-            out = T.add(out, f)
-        return out
-    if kind == "linear":
-        if params is None:
-            raise ValueError("linear mixing requires parameters")
-        return channel_affine(T.concat(fields, -1), params.w, params.b)
-    raise ValueError(f"unknown mix kind {kind!r}")
+def mix_processes(fields: list[Tensor], params: MixParams) -> Tensor:
+    """Fuse per-process latents into one field: concatenate their channels,
+    then apply the learned pointwise map."""
+    return channel_affine(T.concat(fields, -1), params.w, params.b)
 
 
 def gru_step(mixed: Tensor, z_prev: Tensor, p: GruParams) -> Tensor:
@@ -154,7 +143,7 @@ def attention_aggregate(fields: list[Tensor], p: AttentionParams) -> Tensor:
     the scores softmax(q . k / sqrt(width)) are one contraction and one
     softmax over that axis, and the weighted sum is one contraction.
     """
-    mean = T.scale(mix_processes(fields, "add"), 1.0 / len(fields))
+    mean = T.scale(functools.reduce(T.add, fields), 1.0 / len(fields))
     tokens = T.concat([T.reshape(f, (1,) + f.shape) for f in fields], 0)
     query = channel_affine(mean, p.wq, p.bq)                      # [b, *grid, w]
     keys = channel_affine(tokens, p.wk)                           # [m, b, *grid, w]

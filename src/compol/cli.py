@@ -56,7 +56,7 @@ _SECTIONS = {
     "data": ({"n_train": ("int", 0), "n_test": ("int", 0), "resolution": ("int", 1),
               "seed": ("int", 0)}, ("n_train", "n_test")),
     "train": ({"epochs": ("int", 0), "batch": ("int", 1), "lr": ("positive", None),
-               "schedule": ("str", ("cosine", "constant"))}, ("epochs",)),
+               "schedule": ("str", ("cosine",))}, ("epochs",)),
     "paths": ({"data": ("str", None), "out": ("str", None)}, ()),
 }
 _GEN_DATA_FLAGS = {"n": ("int", 0), "seed": ("int", 0)}
@@ -213,10 +213,9 @@ def cmd_train(args) -> int:
     train_sec = doc["train"]
     train_args = {"epochs": train_sec["epochs"], "batch": train_sec.get("batch", 32),
                   "lr": float(train_sec.get("lr", 1e-3)),
-                  "schedule": train_sec.get("schedule", "cosine")}
+                  "schedule": "cosine"}     # the one schedule; the resolved config keeps it
     result = TR.train(cfg, train_ds, test_ds, epochs=train_args["epochs"],
-                      batch_size=train_args["batch"], lr=train_args["lr"],
-                      schedule=train_args["schedule"])
+                      batch_size=train_args["batch"], lr=train_args["lr"])
 
     resolved = {"data": data_sec, "model": result.config.to_dict(), "train": train_args}
     if "system" in doc:

@@ -90,15 +90,13 @@ def _covariance_eigenvalues(spec: GrfSpec) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def sample_grf(spec: GrfSpec, seed, count: int) -> np.ndarray:
+def sample_grf(spec: GrfSpec, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` independent fields [count, N(, N)], mean 0, variance sigma^2.
 
     Each Fourier mode gets an independent complex Gaussian scaled by the
     square root of the kernel's spectral density; the real part of the
     inverse transform is kept, with a sqrt(2) factor restoring variance.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        np.random.default_rng(seed)
     lam = _covariance_eigenvalues(spec)
     n_tot = lam.size
     shape = (count,) + lam.shape
@@ -115,20 +113,18 @@ def sample_grf(spec: GrfSpec, seed, count: int) -> np.ndarray:
 _PHI_CHUNK = 1024       # entries of z per pass: 32 contour points make 512 KiB temporaries
 
 
-def phi_coefficients(z, contour_points: int = 32):
+def phi_coefficients(z):
     """phi_0..phi_3 evaluated per entry of ``z`` by contour averaging.
 
     phi_0 = e^z directly; phi_1..phi_3 are means of the analytic
-    expressions over a radius-1 circle around each z, which sidesteps
-    the removable singularity at 0.  Real input yields real output.
+    expressions over 32 points of a radius-1 circle around each z, which
+    sidesteps the removable singularity at 0.  Real input yields real output.
     The ring is applied to ``_PHI_CHUNK`` entries of ``z`` at a time, so
-    the ``[..., contour_points]`` temporaries stay bounded.
+    the ``[..., 32]`` temporaries stay bounded.
     """
-    if contour_points < 16:
-        raise ValueError("contour_points must be >= 16")
     z = np.asarray(z)
     was_real = not np.iscomplexobj(z)
-    theta = 2.0 * np.pi * (np.arange(contour_points) + 0.5) / contour_points
+    theta = 2.0 * np.pi * (np.arange(32) + 0.5) / 32
     ring = np.exp(1j * theta)
     flat = z.reshape(-1)
     means = np.empty((3, flat.size), np.complex128)
@@ -187,26 +183,18 @@ class SystemSpec:
 
     @property
     def processes(self) -> int:
-        return {"lv": 2, "bz": 3, "gs": 2, "burgers": 1}[self.system]
+        return len(_SYSTEMS[self.system][0])
 
     @property
     def channel_names(self) -> "list[str]":
-        return {"lv": ["u", "v"], "bz": ["u", "v", "w"],
-                "gs": ["u", "v"], "burgers": ["u"]}[self.system]
+        return list(_SYSTEMS[self.system][0])
 
     @property
     def solve_resolution(self) -> int:
         return self.resolution * (self.fine_factor if self.dim == 1 else 1)
 
     def diffusivities(self) -> "dict[str, float]":
-        p = self.params
-        if self.system == "lv":
-            return {"du": p["du"], "dv": p["dv"]}
-        if self.system == "bz":
-            return {"eps1": p["eps1"], "eps2": p["eps2"], "eps3": p["eps3"]}
-        if self.system == "gs":
-            return {"du": p["du"], "dv": p["dv"]}
-        return {"nu": p["nu"]}
+        return {k: self.params[k] for k in _SYSTEMS[self.system][1]}
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +205,7 @@ class SystemSpec:
             "dim": self.dim,
             "processes": self.processes,
             "channel_names": self.channel_names,
-            "init_recipe": INIT_RECIPES[self.system],
+            "init_recipe": _SYSTEMS[self.system][2],
         }
 
     @classmethod
@@ -226,7 +214,15 @@ class SystemSpec:
         return cls(**{k: d[k] for k in keys if k in d})
 
 
-SYSTEM_NAMES = ("lv", "bz", "gs", "burgers")
+# each system's channel names (one per process), diffusivity keys and initial-condition recipe
+_SYSTEMS = {
+    "lv": (("u", "v"), ("du", "dv"), "per-process GRF, shifted by init_shift and clamped at 0"),
+    "bz": (("u", "v", "w"), ("eps1", "eps2", "eps3"), "per-process GRF clamped at 0"),
+    "gs": (("u", "v"), ("du", "dv"),
+           "one shared GRF g: u = 1 - init_scale*max(g,0), v = init_scale*max(g,0)"),
+    "burgers": (("u",), ("nu",), "raw GRF"),
+}
+SYSTEM_NAMES = tuple(_SYSTEMS)
 
 # the most ETDRK4 steps one solve may take: 250x burgers' default of 4,000
 MAX_STEPS = 10 ** 6
@@ -247,13 +243,6 @@ def _step_count(horizon: float, dt: float) -> int:
                          f"more than MAX_STEPS = {MAX_STEPS}")
     return max(1, round(horizon / dt))
 
-
-INIT_RECIPES = {
-    "lv": "per-process GRF, shifted by init_shift and clamped at 0",
-    "bz": "per-process GRF clamped at 0",
-    "gs": "one shared GRF g: u = 1 - init_scale*max(g,0), v = init_scale*max(g,0)",
-    "burgers": "raw GRF",
-}
 
 _DEFAULTS = {
     "lv": dict(

@@ -498,8 +498,8 @@ _STATS_FIELDS = {"input": (["object"], None), "output": (["object"], None)}
 _STAT_FIELDS = {"mean": (["number"], None), "std": (["positive"], None)}
 
 
-def load_dataset(directory: str, verify: bool = True) -> FieldDataset:
-    """Read a dataset directory; a fault in its manifest or data raises DataFormatError."""
+def load_dataset(directory: str) -> FieldDataset:
+    """Read a dataset directory, checking its data's sha256; a fault raises DataFormatError."""
     path = os.path.join(directory, MANIFEST_FILENAME)
     manifest = read_manifest(path)
     try:
@@ -510,7 +510,7 @@ def load_dataset(directory: str, verify: bool = True) -> FieldDataset:
     if not (isinstance(name, str) and isinstance(digest, str)):
         raise DataFormatError(f"{path}: manifest files[0].name and .sha256 must be strings")
     data_path = os.path.join(directory, name)
-    header, fields = read_fields(data_path, digest if verify else None)
+    header, fields = read_fields(data_path, digest)
     if header["groups"] != ["input", "output"]:
         raise DataFormatError(f"{data_path}: groups {header['groups']} are not input, output")
     channels = [x.shape[1] for x, _ in fields]

@@ -54,10 +54,10 @@ class LiftProjectParams:
     q2_b: np.ndarray       # [d_out]
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   dtype=np.float64) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """float64 [fan_in, fan_out]; each caller casts it to the model's dtype."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def init_fourier_layer(rng: np.random.Generator, width: int, modes, spatial_dims: int,

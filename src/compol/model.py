@@ -42,7 +42,6 @@ __all__ = [
 _DTYPES = {"real32": np.float32, "real64": np.float64}
 
 AGGREGATION_KINDS = ("gru", "attention", "skip", "none")
-MIX_KINDS = ("linear", "add")
 
 PARAM_COUNT_CONVENTION = "complex entries count as two reals; biases included"
 
@@ -53,20 +52,23 @@ MODEL_KINDS = tuple(KIND_AGGREGATION)
 
 
 # every field of a config dict: (kind, least value or allowed values), see check_fields.
-# Every aggregation map is width to width, the shared state is added, every
-# layer ends in a GELU and attention has one head, so d_mix, key_width, inject,
-# activation and heads only load as null, null, "add", "gelu" and 1.  They are
-# not CompolConfig fields: to_dict writes them from _PINNED, so that config
-# hashes and checkpoint headers keep their bytes.
+# The processes are mixed by a learned map of their concatenated latents, every
+# aggregation map is width to width, the shared state is added, every layer ends
+# in a GELU, attention has one head and process m draws from stream m, so mix,
+# d_mix, key_width, inject, activation, heads and process_seed_offset only load
+# as "linear", null, null, "add", "gelu", 1 and 0.  They are not CompolConfig
+# fields: to_dict writes them from _PINNED, so that config hashes and checkpoint
+# headers keep their bytes.
 _FIELDS = {
     "processes": ("int", 1), "channels": (["int"], 1), "layers": ("int", 1),
     "width": ("int", 1), "modes": (("int", ["int"]), 1), "spatial_dims": ("int", 1),
-    "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", MIX_KINDS),
+    "aggregation": ("str", AGGREGATION_KINDS), "mix": ("str", ("linear",)),
     "d_mix": (None, None), "inject": ("str", ("add",)), "activation": ("str", ("gelu",)),
     "coords": ("bool", None), "key_width": (None, None), "heads": ("int", (1,)),
-    "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", 0),
+    "dtype": ("str", tuple(_DTYPES)), "seed": ("int", 0), "process_seed_offset": ("int", (0,)),
 }
-_PINNED = {"d_mix": None, "inject": "add", "activation": "gelu", "key_width": None, "heads": 1}
+_PINNED = {"mix": "linear", "d_mix": None, "inject": "add", "activation": "gelu",
+           "key_width": None, "heads": 1, "process_seed_offset": 0}
 
 
 @dataclass
@@ -80,11 +82,9 @@ class CompolConfig:
     modes: int | tuple[int, ...] = 16
     spatial_dims: int = 1
     aggregation: str = "attention"
-    mix: str = "linear"
     coords: bool = True
     dtype: str = "real32"
     seed: int = 0
-    process_seed_offset: int = 0
 
     def __post_init__(self):
         if isinstance(self.modes, list):
@@ -143,8 +143,8 @@ class CompolModel:
         return named_arrays(self)
 
 
-def _process_rng(seed: int, m: int, offset: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 0, m + offset]))
+def _process_rng(seed: int, m: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, 0, m]))
 
 
 def _aggregation_rng(seed: int, layer: int) -> np.random.Generator:
@@ -154,9 +154,8 @@ def _aggregation_rng(seed: int, layer: int) -> np.random.Generator:
 def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
     """Build a model with per-branch parameter streams.
 
-    Process m draws from a stream keyed by (seed, m + process_seed_offset)
-    alone, so a separately constructed single-process model with a
-    matching offset reproduces that branch bit-for-bit.
+    Process m draws from a stream keyed by (seed, m) alone, so branch m's
+    arrays do not depend on the process count.
     """
     cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
     dtype = cfg.np_dtype
@@ -167,7 +166,7 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
 
     processes = []
     for m in range(cfg.processes):
-        rng = _process_rng(cfg.seed, m, cfg.process_seed_offset)
+        rng = _process_rng(cfg.seed, m)
         head = L.init_lift_project(rng, cfg.channels[m] + n_coords, cfg.channels[m],
                                    cfg.width, dtype=dtype)
         stack = [L.init_fourier_layer(rng, cfg.width, cfg.modes, cfg.spatial_dims, dtype=dtype)
@@ -179,7 +178,7 @@ def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
         for l in range(cfg.layers):
             rng = _aggregation_rng(cfg.seed, l)
             la = LayerAggregation()
-            if cfg.aggregation in ("gru", "skip") and cfg.mix == "linear":
+            if cfg.aggregation in ("gru", "skip"):
                 la.mix = agg.init_mix(rng, cfg.processes, cfg.width, dtype)
             if cfg.aggregation == "gru":
                 la.gru = agg.init_gru(rng, cfg.width, dtype)
@@ -208,7 +207,7 @@ def _param_elements(cfg: CompolConfig) -> int:
     if cfg.aggregation == "none":
         return total
     per_layer = 0
-    if cfg.aggregation in ("gru", "skip") and cfg.mix == "linear":
+    if cfg.aggregation in ("gru", "skip"):
         per_layer += P * w * w + w
     if cfg.aggregation == "gru":
         per_layer += 3 * (2 * w * w + w)
@@ -240,14 +239,15 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None):
 
     ``inputs`` is one [batch, channels_m, *grid] array or tensor per
     process, and each output is [batch, channels_m, *grid] too.  A forward
-    with no tape lets go of each layer's latents once the next layer has
-    used them.
+    with no tape binds nothing, takes the parameter arrays as they are, and
+    lets go of each layer's latents once the next layer has used them.
     """
     cfg = model.config
     xs = _as_input_tensors(model, inputs)
-    # a tree bound by the caller is used as it is, without a second walk
-    procs = model.processes if is_bound(model.processes) else bind(model.processes, tape)
-    aggs = model.aggregation if is_bound(model.aggregation) else bind(model.aggregation, tape)
+    procs, aggs = model.processes, model.aggregation
+    if tape is not None:    # a tree bound by the caller is used as it is, without a second walk
+        procs = procs if is_bound(procs) else bind(procs, tape)
+        aggs = aggs if is_bound(aggs) else bind(aggs, tape)
 
     v = [L.lift(xs[m], procs[m].head, cfg.coords) for m in range(cfg.processes)]
     z: Tensor | None = None
@@ -259,7 +259,7 @@ def forward(model: CompolModel, inputs, tape: Tape | None = None):
         elif la is not None:                     # gru and skip carry z across layers
             if z is None:
                 z = Tensor(np.zeros(v[0].shape, dtype=cfg.np_dtype))
-            mixed = agg.mix_processes(v, cfg.mix, la.mix)
+            mixed = agg.mix_processes(v, la.mix)
             z = (agg.gru_step(mixed, z, la.gru) if cfg.aggregation == "gru"
                  else agg.skip_aggregate(mixed, z, la.skip))
         v = [L.fourier_layer(v[m] if la is None else agg.inject(v[m], z), procs[m].layers[l])

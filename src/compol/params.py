@@ -4,8 +4,9 @@ Model parameters live in nested dataclasses holding numpy arrays.  One
 walker visits every array (or, in a bound tree, every tensor) under its
 dotted name.  The helpers below use it to flatten a tree (for the
 optimizer, checkpoints and parameter counting), to clone it with every
-array registered as a leaf on a tape (for one forward/backward pass), to
-swap in given leaves, and to overwrite its arrays in place.  :func:`is_bound`
+array registered as a leaf on a tape (for one forward/backward pass; a
+forward without a tape takes the arrays as they are), to swap in given
+leaves, and to overwrite its arrays in place.  :func:`is_bound`
 tells a bound tree from an array tree by its first leaf, without a walk.
 """
 
@@ -92,15 +93,14 @@ def is_bound(obj) -> bool:
     return isinstance(_first_leaf(obj), Tensor)
 
 
-def bind(obj, tape: Tape | None):
+def bind(obj, tape: Tape):
     """Clone a parameter tree with each ndarray registered on ``tape``.
 
-    With ``tape=None`` the arrays are wrapped as raw tensors instead, so
-    the same forward code runs without recording (inference mode).
-    Tensors are passed through, so binding a bound tree returns it.
+    A forward without a tape needs no binding: every op takes the arrays
+    as they are.  Tensors are passed through, so binding a bound tree
+    returns it.
     """
-    wrap = Tensor if tape is None else tape.leaf
-    return _map(obj, lambda _, leaf: wrap(leaf) if isinstance(leaf, np.ndarray) else leaf)
+    return _map(obj, lambda _, leaf: tape.leaf(leaf) if isinstance(leaf, np.ndarray) else leaf)
 
 
 def with_leaves(obj, table: dict):
@@ -108,13 +108,13 @@ def with_leaves(obj, table: dict):
     return _map(obj, lambda name, _: table[name])
 
 
-def load_named(obj, table: dict[str, np.ndarray], prefix: str = "") -> None:
+def load_named(obj, table: dict[str, np.ndarray]) -> None:
     """Overwrite every array in the tree with its entry from ``table``.
 
     Raises KeyError when the names differ and ValueError on a shape or
     dtype mismatch.
     """
-    current = dict(named_arrays(obj, prefix))
+    current = dict(named_arrays(obj))
     if set(current) != set(table):
         missing = sorted(set(current) - set(table))
         extra = sorted(set(table) - set(current))

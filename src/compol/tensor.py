@@ -695,8 +695,8 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     return GradientMap(tape, leaves)
 
 
-def finite_diff_report(f, xs, eps: float = 1e-5):
-    """Compare tape gradients of ``f`` against central differences.
+def finite_diff_report(f, xs):
+    """Compare tape gradients of ``f`` against central differences of step 1e-5.
 
     ``f`` maps one or more tensors to a real scalar tensor and must be
     deterministic.  Returns ``(max_rel_err, (leaf, flat_index, part))``
@@ -723,13 +723,13 @@ def finite_diff_report(f, xs, eps: float = 1e-5):
         for j in range(flat.size):
             x0 = flat[j]
             for part in parts:
-                delta = eps if part == "re" else 1j * eps
+                delta = 1e-5 if part == "re" else 1e-5j
                 flat[j] = x0 + delta
                 hi = f(*raws).item()     # backward has checked that f gives a real scalar
                 flat[j] = x0 - delta
                 lo = f(*raws).item()
                 flat[j] = x0
-                numeric = (hi - lo) / (2.0 * eps)
+                numeric = (hi - lo) / 2e-5
                 a_val = a_flat[j].real if part == "re" else a_flat[j].imag
                 err = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1e-12)
                 if err > worst:

@@ -176,11 +176,7 @@ class EpochRecord:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "epoch", "epoch": self.epoch, "lr": self.lr,
-            "train_loss": self.train_loss, "test_err": self.test_err,
-            "test_aggregate": self.test_aggregate, "wall_ms": self.wall_ms,
-        }
+        return {"kind": "epoch", **dataclasses.asdict(self)}
 
 
 @dataclass
@@ -312,19 +308,18 @@ def _model_inputs(dataset: FieldDataset, stats: dict, idx, dtype, mode: str):
 
 def train(config: "M.CompolConfig", train_data: FieldDataset,
           test_data: "FieldDataset | None" = None, *, epochs: int,
-          batch_size: int = 32, lr: float = 1e-3, schedule: str = "cosine",
+          batch_size: int = 32, lr: float = 1e-3,
           seed: "int | None" = None) -> TrainResult:
     """Seeded mini-batch training; retains the best-test-epoch parameters.
 
-    With no test split the training split doubles as the selection set.
+    Epoch e trains at ``cosine_lr(e, epochs, lr)``.  With no test split the
+    training split doubles as the selection set.
     ``epochs=0`` returns the untouched initialization and no records.
 
     Before the first epoch it sets glibc's trim and mmap thresholds through
     ``mallopt`` (see :func:`compol.dataio._keep_freed_blocks`).  The setting is
     process-wide and stays after ``train`` returns.
     """
-    if schedule not in ("cosine", "constant"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     mode = _channel_mode(config, train_data)
@@ -348,7 +343,7 @@ def train(config: "M.CompolConfig", train_data: FieldDataset,
     _keep_freed_blocks()
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        lr_e = cosine_lr(epoch, epochs, lr) if schedule == "cosine" else lr
+        lr_e = cosine_lr(epoch, epochs, lr)
         order = _shuffle_rng(run_seed, epoch).permutation(n)
         losses = []
         for b0 in range(0, n, batch_size):
@@ -475,7 +470,7 @@ def _fold_seed(seed: int, fold: int) -> int:
 
 def cross_validate(config: "M.CompolConfig", dataset: FieldDataset,
                    folds: int = 5, *, epochs: int, batch_size: int = 32,
-                   lr: float = 1e-3, schedule: str = "cosine",
+                   lr: float = 1e-3,
                    seed: int = 0) -> CVResult:
     """Round-robin fold assignment: sample i tests in fold i % folds."""
     n = dataset.n_samples
@@ -488,7 +483,7 @@ def cross_validate(config: "M.CompolConfig", dataset: FieldDataset,
         train_idx = idx[idx % folds != fold]
         res = train(config, dataset.subset(train_idx), dataset.subset(test_idx),
                     epochs=epochs, batch_size=batch_size, lr=lr,
-                    schedule=schedule, seed=_fold_seed(seed, fold))
+                    seed=_fold_seed(seed, fold))
         results.append(res)
         errors.append(res.best_err)
     return CVResult(fold_results=results, fold_errors=errors,

@@ -22,6 +22,7 @@ from compol import fft as K
 from compol import gradcheck
 from compol import layers as L
 from compol import model as M
+from compol import params as P
 from compol import tensor as T
 from compol import training as TR
 
@@ -50,7 +51,7 @@ def test_c01_gradient_checks_every_operation_and_a_full_model():
         "softmax", "concat", "moveaxis", "reshape",
         "channel_affine", "spectral_conv", "fourier_layer", "spectral_conv_2d",
         "lift", "project",
-        "mix_linear", "mix_add", "gru_step", "attention", "skip",
+        "mix_linear", "gru_step", "attention", "skip",
         "inject_add",
         "compol_gru", "compol_attention"]
     assert elapsed < 120.0, f"gradcheck took {elapsed:.0f}s"
@@ -137,7 +138,7 @@ def test_c04_zero_aggregation_is_bitwise_independent_branches():
     """Zeroed aggregation weights plus additive injection reduce the
     coupled model to M standalone single-branch models, bit for bit."""
     cfg = M.CompolConfig(processes=2, channels=[1, 1], layers=2, width=8,
-                         modes=4, aggregation="gru", mix="add",
+                         modes=4, aggregation="gru",
                          dtype="real64", seed=11)
     model = M.init_params(cfg)
     for name, arr in model.named_parameters():
@@ -148,9 +149,12 @@ def test_c04_zero_aggregation_is_bitwise_independent_branches():
     outs = M.forward(model, xs)
     for m in range(2):
         solo_cfg = dataclasses.replace(cfg, processes=1, channels=[1],
-                                       aggregation="none",
-                                       process_seed_offset=m)
-        solo = M.forward(M.init_params(solo_cfg), [xs[m]])[0]
+                                       aggregation="none")
+        solo_model = M.init_params(solo_cfg)
+        prefix = f"processes.{m}."
+        P.load_named(solo_model, {"processes.0." + n[len(prefix):]: a.copy()
+                                  for n, a in model.named_parameters() if n.startswith(prefix)})
+        solo = M.forward(solo_model, [xs[m]])[0]
         assert np.array_equal(outs[m].data, solo.data), f"branch {m}"
 
 

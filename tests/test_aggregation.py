@@ -187,27 +187,15 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
 # mixing, skip, inject
 
 
-def test_mix_add_equals_sum():
-    rng = np.random.default_rng(7)
-    fields = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
-    out = agg.mix_processes(wrap(*fields), "add").data
-    assert np.max(np.abs(out - sum(fields))) < 1e-15
-
-
 def test_mix_linear_is_concat_then_map():
     rng = np.random.default_rng(8)
     fields = [cl(rng.normal(size=(2, 3, 4))) for _ in range(2)]
     p = agg.init_mix(rng, 2, 3, dtype=np.float64)
-    out = agg.mix_processes(wrap(*fields), "linear", p).data
+    out = agg.mix_processes(wrap(*fields), p).data
     stacked = np.concatenate(fields, axis=-1)
     want = np.einsum("bnc,cd->bnd", stacked, p.w) + p.b
     assert np.max(np.abs(out - want)) < 1e-12
     assert out.shape == (2, 4, 3)
-
-
-def test_mix_linear_requires_params():
-    with pytest.raises(ValueError):
-        agg.mix_processes(wrap(np.ones((1, 2, 3))), "linear", None)
 
 
 def test_skip_is_running_sum():

@@ -54,7 +54,7 @@ def bz_data(tmp_path_factory):
 
 def experiment_doc(data_dir, out_dir, **model_kw):
     model = dict(processes=2, channels=[1, 1], layers=2, width=8, modes=4,
-                 aggregation="gru", mix="add", seed=0)
+                 aggregation="gru", seed=0)
     model.update(model_kw)
     return {
         "system": {"system": "lv", "fine_factor": 2, "horizon": 1.0, "dt": 0.02},
@@ -560,13 +560,14 @@ def test_attend_history_false_loads_and_true_exits_2(run_dir, lv_data, tmp_path,
 
 @pytest.mark.parametrize("field,value", [
     ("inject", "concat_reduce"), ("d_mix", 8), ("key_width", 8), ("key_width", 2 ** 55),
-    ("activation", "tanh"), ("heads", 2),
-], ids=["inject", "d_mix", "key_width", "key_width-past-memory", "activation", "heads"])
+    ("activation", "tanh"), ("heads", 2), ("mix", "add"), ("process_seed_offset", 1),
+], ids=["inject", "d_mix", "key_width", "key_width-past-memory", "activation", "heads",
+        "mix", "process_seed_offset"])
 def test_removed_model_options_exit_2(run_dir, lv_data, tmp_path, capsys, field, value):
-    """inject, d_mix, key_width, activation and heads load only as "add",
-    null, null, "gelu" and 1.  Any other value, in a checkpoint header or a
-    train config, is one error line that names the field and exit 2, even one
-    no memory could hold."""
+    """inject, d_mix, key_width, activation, heads, mix and process_seed_offset
+    load only as "add", null, null, "gelu", 1, "linear" and 0.  Any other
+    value, in a checkpoint header or a train config, is one error line that
+    names the field and exit 2, even one no memory could hold."""
     header, table = D.read_checkpoint(str(run_dir / cli.CHECKPOINT_FILENAME))
     ckpt = tmp_path / "removed-option.ckpt"
     D.write_checkpoint(ckpt, {**header, "config": {**header["config"], field: value}},
@@ -579,6 +580,19 @@ def test_removed_model_options_exit_2(run_dir, lv_data, tmp_path, capsys, field,
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert f"{field} must be" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_schedule_other_than_cosine_exits_2(lv_data, tmp_path, capsys):
+    """Every run decays its learning rate on the cosine schedule; a config that
+    asks for another is one error line that names train.schedule, and exit 2."""
+    doc = experiment_doc(lv_data, tmp_path / "out")
+    doc["train"]["schedule"] = "constant"
+    capsys.readouterr()
+    assert cli.main(["train", "--config", write_config(tmp_path / "exp.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "train.schedule must be" in err, err
     assert not (tmp_path / "out").exists()
 
 

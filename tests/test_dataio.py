@@ -169,9 +169,6 @@ def test_dataset_sha256_verification(tmp_path):
     data_path.write_bytes(bytes(raw))
     with pytest.raises(D.DataFormatError, match="checksum mismatch"):
         D.load_dataset(tmp_path)
-    # but an explicit opt-out still reads it
-    ds = D.load_dataset(tmp_path, verify=False)
-    assert ds.n_samples == 4
 
 
 def test_load_dataset_reads_the_data_file_once(tmp_path, monkeypatch):

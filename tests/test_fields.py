@@ -111,7 +111,7 @@ def run(tmp_path_factory):
     doc = {"system": {"system": "lv", "fine_factor": 1, "horizon": 0.1, "dt": 0.05},
            "data": {"n_train": 2, "n_test": 1, "resolution": 16, "seed": 1},
            "model": {"processes": 2, "channels": [1, 1], "layers": 1, "width": 4, "modes": 2,
-                     "aggregation": "gru", "mix": "add"},
+                     "aggregation": "gru"},
            "train": {"epochs": 1, "batch": 2, "lr": 1e-3, "schedule": "cosine"},
            "paths": {"data": str(root / "data"), "out": str(root / "run")}}
     (root / "exp.json").write_text(json.dumps(doc))

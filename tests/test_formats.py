@@ -21,7 +21,7 @@ from compol import dataio as D
 from compol import model as M
 
 TINY = dict(processes=2, channels=[1, 1], layers=1, width=2, modes=2,
-            aggregation="gru", mix="linear", seed=11)
+            aggregation="gru", seed=11)
 RETYPES = [None, True, -1, 2.5, "x", [], {}, [-1], [2 ** 40], [0, 2 ** 70]]
 
 

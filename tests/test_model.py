@@ -17,7 +17,7 @@ from compol import tensor as T
 
 def small_cfg(**kw):
     base = dict(processes=2, channels=[1, 1], layers=2, width=8, modes=4,
-                spatial_dims=1, aggregation="gru", mix="add", dtype="real64",
+                spatial_dims=1, aggregation="gru", dtype="real64",
                 seed=3)
     base.update(kw)
     return M.CompolConfig(**base)
@@ -109,18 +109,34 @@ def test_forward_is_deterministic():
 # branch independence and seed streams
 
 
+def _branch(model, m):
+    """Branch m's arrays, named as in a one-process model."""
+    prefix = f"processes.{m}."
+    return {"processes.0." + n[len(prefix):]: a for n, a in model.named_parameters()
+            if n.startswith(prefix)}
+
+
+def test_branch_arrays_do_not_depend_on_the_process_count():
+    """Process m draws from its own stream, so adding a process leaves the
+    arrays of the others bit-identical."""
+    two = M.init_params(small_cfg(aggregation="none"))
+    three = M.init_params(small_cfg(aggregation="none", processes=3, channels=[1, 1, 1]))
+    for m in range(2):
+        a, b = _branch(two, m), _branch(three, m)
+        assert set(a) == set(b) and all(np.array_equal(a[n], b[n]) for n in a), m
+
+
 def test_no_aggregation_equals_independent_single_branch_models():
     """With aggregation off, branch m of the coupled model must be
-    bit-identical to a standalone single-process model drawn from the
-    same per-branch parameter stream."""
+    bit-identical to a standalone single-process model that holds branch
+    m's arrays."""
     cfg = small_cfg(aggregation="none")
     coupled = M.init_params(cfg)
     xs = rand_inputs(cfg)
     outs = M.forward(coupled, xs)
     for m in range(2):
-        solo_cfg = dataclasses.replace(cfg, processes=1, channels=[cfg.channels[m]],
-                                       process_seed_offset=m)
-        solo = M.init_params(solo_cfg)
+        solo = M.init_params(dataclasses.replace(cfg, processes=1, channels=[cfg.channels[m]]))
+        P.load_named(solo, _branch(coupled, m))
         solo_out = M.forward(solo, [xs[m]])[0]
         assert np.array_equal(outs[m].data, solo_out.data), f"branch {m}"
 
@@ -283,7 +299,7 @@ def test_forward_tape_nodes_at_the_c07_shape(kind, want):
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
-        M.CompolConfig(processes=2, channels=[1], mix="add")      # count mismatch
+        M.CompolConfig(processes=2, channels=[1])      # count mismatch
     with pytest.raises(ValueError):
         small_cfg(aggregation="mean-field")
     with pytest.raises(ValueError):
@@ -295,6 +311,7 @@ def test_config_rejects_bad_values():
     ("channels", [1.7, 1]), ("channels", "11"), ("heads", True), ("spatial_dims", True),
     ("processes", 2.0), ("d_mix", 8.0), ("key_width", False), ("coords", 1),
     ("mix", 1), ("aggregation", ["gru"]), ("activation", None), ("dtype", 32),
+    ("process_seed_offset", 0.0),
 ])
 def test_config_rejects_wrong_types(field, value):
     """Every field is type-checked, in a config dict and, unless it is pinned,
@@ -329,17 +346,18 @@ def test_config_round_trips_through_dict():
 
 
 def test_pinned_fields_keep_the_config_hash():
-    """d_mix, key_width, inject, activation and heads stay in every config
-    dict, at null, null, "add", "gelu" and 1, so a config holds the bytes and
-    the hash it had while they could take other values.  Every checked field
-    reaches the dict, so none can drop out of the hash."""
+    """mix, d_mix, key_width, inject, activation, heads and
+    process_seed_offset stay in every config dict, at "linear", null, null,
+    "add", "gelu", 1 and 0, so a config holds the bytes and the hash it had
+    while they could take other values.  Every checked field reaches the
+    dict, so none can drop out of the hash."""
     cfg = small_cfg(aggregation="attention")
     d = cfg.to_dict()
     assert set(d) == set(M._FIELDS)
-    assert ((d["d_mix"], d["key_width"], d["inject"], d["activation"], d["heads"])
-            == (None, None, "add", "gelu", 1))
+    assert ((d["mix"], d["d_mix"], d["key_width"], d["inject"], d["activation"], d["heads"],
+             d["process_seed_offset"]) == ("linear", None, None, "add", "gelu", 1, 0))
     assert M.CompolConfig.from_dict(d) == cfg
-    assert config_hash(d) == "821aaa954ba1ebc52cc031fd6fdd6e71e01623c80ff5b9ed46ee0d7b2395aca4"
+    assert config_hash(d) == "7a3eaa4b7190fd67dda2309820f4ebe2452619af03400c5447908fac21fae7a4"
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +382,9 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(aggregation="gru", mix="linear", coords=False),
+    dict(aggregation="gru", coords=False),
     dict(aggregation="attention"),
-    dict(aggregation="skip", mix="linear", spatial_dims=2, modes=(2, 3)),
+    dict(aggregation="skip", spatial_dims=2, modes=(2, 3)),
     dict(aggregation="none", channels=[1, 3]),
 ], ids=["gru", "attention", "skip-2d", "none"])
 def test_param_elements_match_init_params(kw):
@@ -436,12 +454,14 @@ def test_bind_passes_tensors_through_and_registers_arrays():
     # leaf data aliases the model arrays so optimizer updates flow back
     assert pairs[0][1].data is P.named_arrays(model.processes, "processes")[0][1]
     # binding an already-bound tree is a no-op
-    again = P.bind(bound, None)
+    again = P.bind(bound, tape)
     assert P.named_tensors(again, "p")[0][1] is pairs[0][1]
 
 
 @pytest.mark.parametrize("aggregation", ["gru", "attention", "none"])
 def test_forward_binds_array_trees_and_uses_bound_ones_as_they_are(aggregation, monkeypatch):
+    """On a tape, a bound tree is used as it is.  Without a tape, a forward
+    binds nothing and records nothing."""
     model = M.init_params(small_cfg(aggregation=aggregation))
     xs = rand_inputs(model.config)
     want = [o.data for o in M.forward(model, xs)]
@@ -453,8 +473,10 @@ def test_forward_binds_array_trees_and_uses_bound_ones_as_they_are(aggregation, 
     monkeypatch.setattr(M, "bind", lambda tree, t: calls.append(tree) or P.bind(tree, t))
     assert all(np.array_equal(o.data, w) for o, w in zip(M.forward(bound, xs, tape), want))
     assert calls == ([] if aggregation != "none" else [bound.aggregation])
-    M.forward(model, xs)
-    assert calls[-2:] == [model.processes, model.aggregation]
+    calls.clear()
+    outs = M.forward(model, xs)
+    assert calls == [] and all(o.tape is None and o.node_id is None for o in outs)
+    assert all(np.array_equal(o.data, w) for o, w in zip(outs, want))
 
 
 def test_with_leaves_replaces_every_array():

@@ -298,7 +298,7 @@ def test_training_is_deterministic(tmp_path):
 def test_zero_learning_rate_changes_nothing(tmp_path):
     ds = lowpass_dataset(tmp_path, n=8)
     cfg = small_config()
-    res = TR.train(cfg, ds, epochs=2, batch_size=4, lr=0.0, schedule="constant")
+    res = TR.train(cfg, ds, epochs=2, batch_size=4, lr=0.0)
     fresh = M.init_params(cfg)
     for (name, arr), (_, want) in zip(res.model.named_parameters(),
                                       fresh.named_parameters()):
@@ -319,8 +319,7 @@ def test_train_loss_equals_eval_metric_when_frozen(tmp_path):
     # with lr=0 and batches that split the data evenly, the optimizer's
     # loss and the reported metric are the same statistic
     ds = lowpass_dataset(tmp_path, n=8)
-    res = TR.train(small_config(), ds, epochs=1, batch_size=4, lr=0.0,
-                   schedule="constant")
+    res = TR.train(small_config(), ds, epochs=1, batch_size=4, lr=0.0)
     rec = res.records[0]
     assert abs(rec.train_loss - rec.test_aggregate) < 1e-5
 
@@ -348,8 +347,6 @@ def test_non_finite_loss_aborts(tmp_path):
 
 def test_train_validates_arguments(tmp_path):
     ds = lowpass_dataset(tmp_path, n=8)
-    with pytest.raises(ValueError):
-        TR.train(small_config(), ds, epochs=1, schedule="linear")
     with pytest.raises(ValueError):
         TR.train(small_config(), ds, epochs=1, batch_size=0)
     with pytest.raises(TR.TrainingError, match="channels"):
