@@ -30,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import channel_affine, glorot_uniform
+from .layers import channel_affine
 from .tensor import Tensor
 
 __all__ = [
     "MixParams", "GruParams", "AttentionParams", "SkipParams",
     "mix_processes", "gru_step", "attention_aggregate", "skip_aggregate", "inject",
-    "init_mix", "init_gru", "init_attention", "init_skip",
+    "mix_shapes", "gru_shapes", "attention_shapes", "skip_shapes",
 ]
 
 
@@ -85,38 +85,23 @@ class SkipParams:
     b: np.ndarray   # [width]
 
 
-def init_mix(rng, n_proc: int, width: int, dtype=np.float32) -> MixParams:
-    return MixParams(
-        w=glorot_uniform(rng, n_proc * width, width).astype(dtype),
-        b=np.zeros(width, dtype=dtype),
-    )
+# each class's {field: shape}, in field order; layers.draw builds a block from one
+def mix_shapes(n_proc: int, width: int) -> dict:
+    return {"w": (n_proc * width, width), "b": (width,)}
 
 
-def init_gru(rng, width: int, dtype=np.float32) -> GruParams:
-    def pair():
-        return (glorot_uniform(rng, width, width).astype(dtype),
-                glorot_uniform(rng, width, width).astype(dtype),
-                np.zeros(width, dtype=dtype))
-
-    wq, uq, bq = pair()
-    wr, ur, br = pair()
-    wz, uz, bz = pair()
-    return GruParams(wq, uq, bq, wr, ur, br, wz, uz, bz)
+def gru_shapes(width: int) -> dict:
+    return {f"{kind}{gate}": (width,) if kind == "b" else (width, width)
+            for gate in "qrz" for kind in "wub"}
 
 
-def init_attention(rng, width: int, dtype=np.float32) -> AttentionParams:
-    return AttentionParams(
-        wq=glorot_uniform(rng, width, width).astype(dtype),
-        bq=np.zeros(width, dtype=dtype),
-        wk=glorot_uniform(rng, width, width).astype(dtype),
-        wa=glorot_uniform(rng, width, width).astype(dtype),
-        ba=np.zeros(width, dtype=dtype),
-    )
+def attention_shapes(width: int) -> dict:
+    return {"wq": (width, width), "bq": (width,), "wk": (width, width), "wa": (width, width),
+            "ba": (width,)}
 
 
-def init_skip(rng, width: int, dtype=np.float32) -> SkipParams:
-    return SkipParams(w=glorot_uniform(rng, width, width).astype(dtype),
-                      b=np.zeros(width, dtype=dtype))
+def skip_shapes(width: int) -> dict:
+    return {"w": (width, width), "b": (width,)}
 
 
 def mix_processes(fields: list[Tensor], params: MixParams) -> Tensor:

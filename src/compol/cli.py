@@ -39,8 +39,9 @@ from . import datagen as D
 from . import gradcheck as GC
 from . import model as M
 from . import training as TR
-from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, _keep_freed_blocks, check_fields,
-                     config_hash, load_dataset, write_fields, write_file, write_json)
+from .dataio import (FORMAT_VERSION, MAGIC, MANIFEST_FILENAME, CheckpointError, _keep_freed_blocks,
+                     check_fields, check_stats, config_hash, load_dataset, write_fields,
+                     write_file, write_json)
 
 __all__ = ["main", "build_parser", "UsageError", "data_signature"]
 
@@ -116,7 +117,9 @@ def data_signature(manifest: dict) -> str:
 
     Covers the generating system and the channel layout but not the
     sample count or seed, so an independently drawn test set from the
-    same system remains compatible.
+    same system remains compatible.  Such a set has its own manifest
+    stats; ``eval`` normalizes with the training stats that ``train``
+    stores in the checkpoint.
     """
     payload = {"channels": manifest.get("counts", {}).get("channels")}
     if "system" in manifest:
@@ -239,6 +242,7 @@ def cmd_train(args) -> int:
         "model_kind": kind,
         "best_epoch": result.best_epoch,
         "best_err": result.best_err,
+        "stats": dataset.manifest["stats"],     # eval normalizes with the training stats
     })
 
     for rec in result.records:
@@ -269,7 +273,13 @@ def cmd_eval(args) -> int:
             "checkpoint and dataset are incompatible: "
             f"checkpoint data_signature={ckpt_sig} dataset={data_sig}")
 
-    result = TR.evaluate(model, dataset,
+    stats = (extra or {}).get("stats")     # absent from older checkpoints: the dataset's own
+    if stats is not None:
+        try:
+            check_stats(stats, dataset.channels)
+        except ValueError as e:
+            raise CheckpointError(f"{args.checkpoint}: extra.{e}") from e
+    result = TR.evaluate(model, dataset, stats=stats,
                          error_fields=args.dump_error_fields is not None,
                          workers=workers)
 

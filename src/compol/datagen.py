@@ -172,6 +172,10 @@ class SystemSpec:
         _step_count(self.horizon, self.dt)
         if not self.domain_size > 0:
             raise ValueError("domain_size must be positive")
+        if not self.grf_length_scale > 0:
+            raise ValueError(f"grf_length_scale must be positive, got {self.grf_length_scale!r}")
+        if not self.grf_sigma >= 0:
+            raise ValueError(f"grf_sigma must be >= 0, got {self.grf_sigma!r}")
         K._check_pow2(self.resolution, "resolution")
         for name, value in self.diffusivities().items():
             if value < 0:

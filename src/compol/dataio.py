@@ -41,7 +41,7 @@ __all__ = [
     "FieldTypeError", "check_fields", "canonical_json", "config_hash", "sha256_file",
     "write_file", "write_json", "write_fields", "read_fields", "write_checkpoint",
     "read_checkpoint", "read_manifest",
-    "FieldDataset", "write_dataset", "load_dataset", "require_memory",
+    "FieldDataset", "write_dataset", "load_dataset", "check_stats", "require_memory",
 ]
 
 MAGIC = b"CMPLDATA"
@@ -498,6 +498,21 @@ _STATS_FIELDS = {"input": (["object"], None), "output": (["object"], None)}
 _STAT_FIELDS = {"mean": (["number"], None), "std": (["positive"], None)}
 
 
+def check_stats(stats, channels) -> None:
+    """Check normalization ``stats`` against each process's channel count (ValueError)."""
+    check_fields({"stats": stats}, {"stats": ("object", None)})
+    check_fields(stats, _STATS_FIELDS, "stats.", required=tuple(_STATS_FIELDS))
+    for group in _STATS_FIELDS:
+        entries = stats[group]
+        _require(len(entries) == len(channels),
+                 f"stats.{group} has {len(entries)} entries for {len(channels)} processes")
+        for m, (entry, c) in enumerate(zip(entries, channels)):
+            where = f"stats.{group}[{m}]."
+            check_fields(entry, _STAT_FIELDS, where, required=tuple(_STAT_FIELDS))
+            _require(len(entry["mean"]) == len(entry["std"]) == c,
+                     f"{where}mean and {where}std need {c} values each")
+
+
 def load_dataset(directory: str) -> FieldDataset:
     """Read a dataset directory, checking its data's sha256; a fault raises DataFormatError."""
     path = os.path.join(directory, MANIFEST_FILENAME)
@@ -513,21 +528,10 @@ def load_dataset(directory: str) -> FieldDataset:
     header, fields = read_fields(data_path, digest)
     if header["groups"] != ["input", "output"]:
         raise DataFormatError(f"{data_path}: groups {header['groups']} are not input, output")
-    channels = [x.shape[1] for x, _ in fields]
     try:
         check_fields(manifest, _MANIFEST_FIELDS)
-        stats = manifest.get("stats")
-        if stats:           # training alone refuses a dataset without stats
-            check_fields(stats, _STATS_FIELDS, "stats.", required=tuple(_STATS_FIELDS))
-        for group in _STATS_FIELDS if stats else ():
-            entries = stats[group]
-            _require(len(entries) == len(channels),
-                     f"stats.{group} has {len(entries)} entries for {len(channels)} processes")
-            for m, (entry, c) in enumerate(zip(entries, channels)):
-                where = f"stats.{group}[{m}]."
-                check_fields(entry, _STAT_FIELDS, where, required=tuple(_STAT_FIELDS))
-                _require(len(entry["mean"]) == len(entry["std"]) == c,
-                         f"{where}mean and {where}std need {c} values each")
+        if manifest.get("stats"):   # training alone refuses a dataset without stats
+            check_stats(manifest["stats"], [x.shape[1] for x, _ in fields])
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from e
     return FieldDataset(inputs=[x for x, _ in fields], outputs=[y for _, y in fields],

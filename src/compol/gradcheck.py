@@ -127,15 +127,18 @@ _B, _W, _N, _M = 2, 4, 8, 3
 _V = (_B, _N, _W)
 
 
-def _head(rng):
-    return L.init_lift_project(rng, d_in=2, d_out=1, width=_W, dtype=np.float64)
+def _draw(cls, shapes):     # a block drawn as the model draws one, in float64
+    return lambda rng: L.draw(cls, rng, shapes, np.float64)
+
+
+_head = _draw(L.LiftProjectParams, L.lift_project_shapes(2, 1, _W))
 
 
 _LAYERS = (
     ("channel_affine", L.channel_affine, _V, (_W, _W), (_W,)),
     ("spectral_conv", L.spectral_conv, _V, _cplx(_W, _W, _M)),
     ("fourier_layer", L.fourier_layer, _fixed(*_V),
-     lambda rng: L.init_fourier_layer(rng, _W, _M, 1, dtype=np.float64)),
+     _draw(L.FourierLayerParams, L.fourier_shapes(_W, _M, 1))),
     ("spectral_conv_2d", L.spectral_conv, (_B, 8, 8, _W), _cplx(_W, _W, 2, 3)),
     ("lift", L.lift, _fixed(_B, 1, _N), _head),
     ("project", L.project, _fixed(*_V), _head),
@@ -148,12 +151,11 @@ _LAYERS = (
 
 _AGGREGATION = (
     ("mix_linear", lambda f0, f1, f2, p: agg.mix_processes([f0, f1, f2], p),
-     _V, _V, _V, lambda rng: agg.init_mix(rng, 3, _W, dtype=np.float64)),
-    ("gru_step", agg.gru_step, _V, _V, lambda rng: agg.init_gru(rng, _W, dtype=np.float64)),
+     _V, _V, _V, _draw(agg.MixParams, agg.mix_shapes(3, _W))),
+    ("gru_step", agg.gru_step, _V, _V, _draw(agg.GruParams, agg.gru_shapes(_W))),
     ("attention", lambda f0, f1, f2, p: agg.attention_aggregate([f0, f1, f2], p),
-     _V, _V, _V, lambda rng: agg.init_attention(rng, _W, dtype=np.float64)),
-    ("skip", agg.skip_aggregate, _V, _V,
-     lambda rng: agg.init_skip(rng, _W, dtype=np.float64)),
+     _V, _V, _V, _draw(agg.AttentionParams, agg.attention_shapes(_W))),
+    ("skip", agg.skip_aggregate, _V, _V, _draw(agg.SkipParams, agg.skip_shapes(_W))),
     ("inject_add", agg.inject, _V, _V),
 )
 

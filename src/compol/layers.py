@@ -27,7 +27,7 @@ from .tensor import Tensor, full_axis_mode_indices
 __all__ = [
     "FourierLayerParams", "LiftProjectParams",
     "spectral_conv", "fourier_layer", "channel_affine", "lift", "project",
-    "init_fourier_layer", "init_lift_project", "glorot_uniform",
+    "fourier_shapes", "lift_project_shapes", "field_dtype", "draw",
     "full_axis_mode_indices", "coordinate_channels", "PROJECT_HIDDEN",
 ]
 
@@ -54,37 +54,39 @@ class LiftProjectParams:
     q2_b: np.ndarray       # [d_out]
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """float64 [fan_in, fan_out]; each caller casts it to the model's dtype."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+# each class's {field: shape}, in field order; draw builds a block from one
+def fourier_shapes(width: int, modes, spatial_dims: int) -> dict:
+    return {"r": (width, width) + _mode_counts(modes, spatial_dims), "w": (width, width),
+            "b": (width,)}
 
 
-def init_fourier_layer(rng: np.random.Generator, width: int, modes, spatial_dims: int,
-                       dtype=np.float32) -> FourierLayerParams:
-    """Spectral entries: Re and Im each uniform on [0, 1/width**2)."""
-    k = _mode_counts(modes, spatial_dims)
-    shape = (width, width) + k
-    scl = 1.0 / (width * width)
-    r = scl * (rng.random(shape) + 1j * rng.random(shape))
-    cplx = np.complex64 if np.dtype(dtype) == np.float32 else np.complex128
-    return FourierLayerParams(
-        r=r.astype(cplx),
-        w=glorot_uniform(rng, width, width).astype(dtype),
-        b=np.zeros(width, dtype=dtype),
-    )
+def lift_project_shapes(d_in: int, d_out: int, width: int) -> dict:
+    return {"p": (d_in, width), "p_b": (width,), "q1": (width, PROJECT_HIDDEN),
+            "q1_b": (PROJECT_HIDDEN,), "q2": (PROJECT_HIDDEN, d_out), "q2_b": (d_out,)}
 
 
-def init_lift_project(rng: np.random.Generator, d_in: int, d_out: int, width: int,
-                      dtype=np.float32) -> LiftProjectParams:
-    return LiftProjectParams(
-        p=glorot_uniform(rng, d_in, width).astype(dtype),
-        p_b=np.zeros(width, dtype=dtype),
-        q1=glorot_uniform(rng, width, PROJECT_HIDDEN).astype(dtype),
-        q1_b=np.zeros(PROJECT_HIDDEN, dtype=dtype),
-        q2=glorot_uniform(rng, PROJECT_HIDDEN, d_out).astype(dtype),
-        q2_b=np.zeros(d_out, dtype=dtype),
-    )
+def field_dtype(shape, dtype) -> np.dtype:
+    """A spectral weight (rank 3 or more) is complex; every other field has ``dtype``."""
+    return np.dtype(np.result_type(dtype, np.complex64) if len(shape) > 2 else dtype)
+
+
+def draw(cls, rng: np.random.Generator, shapes: dict, dtype=np.float32):
+    """Build ``cls`` from its ``{field: shape}``, drawing the fields in order.
+
+    A vector is a zero bias, a matrix [fan_in, fan_out] is Glorot-uniform
+    (drawn in float64, then cast), and spectral weights [in, out, *modes]
+    have Re and Im each uniform on [0, 1/(in*out)).
+    """
+    def one(s):
+        if len(s) == 1:
+            return np.zeros(s, dtype=dtype)
+        if len(s) == 2:
+            limit = math.sqrt(6.0 / (s[0] + s[1]))
+            return rng.uniform(-limit, limit, size=s).astype(dtype)
+        return (1.0 / (s[0] * s[1]) * (rng.random(s) + 1j * rng.random(s))).astype(
+            field_dtype(s, dtype))
+
+    return cls(**{name: one(s) for name, s in shapes.items()})
 
 
 def _mode_counts(modes, spatial_dims: int) -> tuple[int, ...]:

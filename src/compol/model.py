@@ -13,7 +13,9 @@ lift and the start of the projection every latent is channels-last,
 [batch, *grid, width], so each channel map is a single matmul.
 
 Checkpoints hold the config, extra metadata and every named parameter
-array; :mod:`compol.dataio` owns their framing and byte layout.
+array; :mod:`compol.dataio` owns their framing and byte layout.  One walk
+over the declared block shapes, :func:`_build`, serves ``init_params``
+(which draws) and ``load_checkpoint`` (which copies the file's arrays).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import layers as L
 from . import tensor as T
 from .dataio import (CheckpointError, check_fields, read_checkpoint, require_memory,
                      write_checkpoint)
-from .params import bind, is_bound, load_named, named_arrays
+from .params import bind, is_bound, named_arrays
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -143,79 +145,63 @@ class CompolModel:
         return named_arrays(self)
 
 
-def _process_rng(seed: int, m: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 0, m]))
+def _aggregation_slots(cfg: CompolConfig) -> list:
+    """One aggregation layer's (slot, class, shapes), in draw order."""
+    w = cfg.width
+    mix = [("mix", agg.MixParams, agg.mix_shapes(cfg.processes, w))]
+    return {"gru": mix + [("gru", agg.GruParams, agg.gru_shapes(w))],
+            "attention": [("attn", agg.AttentionParams, agg.attention_shapes(w))],
+            "skip": mix + [("skip", agg.SkipParams, agg.skip_shapes(w))],
+            "none": []}[cfg.aggregation]
 
 
-def _aggregation_rng(seed: int, layer: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, 1, layer]))
-
-
-def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
-    """Build a model with per-branch parameter streams.
-
-    Process m draws from a stream keyed by (seed, m) alone, so branch m's
-    arrays do not depend on the process count.
-    """
-    cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
-    dtype = cfg.np_dtype
-    # the complex spectral weights take twice the real itemsize, so they count twice
-    require_memory((_param_elements(cfg) + _spectral_elements(cfg)) * np.dtype(dtype).itemsize,
-                   "the parameters")
+def _head_shapes(cfg: CompolConfig, m: int) -> dict:
     n_coords = cfg.spatial_dims if cfg.coords else 0
+    return L.lift_project_shapes(cfg.channels[m] + n_coords, cfg.channels[m], cfg.width)
 
+
+def _build(cfg: CompolConfig, make) -> CompolModel:
+    """Assemble a model from ``make(name, cls, shapes, rng)``, one call per block.
+
+    Blocks are visited in draw order under their dotted names.  Process m
+    draws from the stream (seed, 0, m) and aggregation layer l from
+    (seed, 1, l), so branch m's arrays do not depend on the process count.
+    """
+    layer = L.fourier_shapes(cfg.width, cfg.modes, cfg.spatial_dims)
     processes = []
     for m in range(cfg.processes):
-        rng = _process_rng(cfg.seed, m)
-        head = L.init_lift_project(rng, cfg.channels[m] + n_coords, cfg.channels[m],
-                                   cfg.width, dtype=dtype)
-        stack = [L.init_fourier_layer(rng, cfg.width, cfg.modes, cfg.spatial_dims, dtype=dtype)
-                 for _ in range(cfg.layers)]
-        processes.append(ProcessParams(head=head, layers=stack))
-
-    layer_aggs: list[LayerAggregation] = []
-    if cfg.aggregation != "none":
-        for l in range(cfg.layers):
-            rng = _aggregation_rng(cfg.seed, l)
-            la = LayerAggregation()
-            if cfg.aggregation in ("gru", "skip"):
-                la.mix = agg.init_mix(rng, cfg.processes, cfg.width, dtype)
-            if cfg.aggregation == "gru":
-                la.gru = agg.init_gru(rng, cfg.width, dtype)
-            elif cfg.aggregation == "attention":
-                la.attn = agg.init_attention(rng, cfg.width, dtype)
-            elif cfg.aggregation == "skip":
-                la.skip = agg.init_skip(rng, cfg.width, dtype)
-            layer_aggs.append(la)
-
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, m]))
+        head = make(f"processes.{m}.head", L.LiftProjectParams, _head_shapes(cfg, m), rng)
+        processes.append(ProcessParams(head, [
+            make(f"processes.{m}.layers.{l}", L.FourierLayerParams, layer, rng)
+            for l in range(cfg.layers)]))
+    slots = _aggregation_slots(cfg)
+    layer_aggs = []
+    for l in range(cfg.layers if slots else 0):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, l]))
+        layer_aggs.append(LayerAggregation(**{
+            slot: make(f"aggregation.{l}.{slot}", cls, shapes, rng)
+            for slot, cls, shapes in slots}))
     return CompolModel(config=cfg, processes=processes, aggregation=layer_aggs)
 
 
-def _spectral_elements(cfg: CompolConfig) -> int:
-    """Elements of the complex spectral weights ``r`` of every process and layer."""
-    k = math.prod(L._mode_counts(cfg.modes, cfg.spatial_dims))
-    return int(cfg.processes) * int(cfg.layers) * int(cfg.width) ** 2 * k
+def init_params(config: CompolConfig, seed: int | None = None) -> CompolModel:
+    """Build a model with per-branch parameter streams (see :func:`_build`)."""
+    cfg = dataclasses.replace(config) if seed is None else dataclasses.replace(config, seed=seed)
+    require_memory(_param_bytes(cfg), "the parameters")
+    return _build(cfg, lambda _, cls, shapes, rng: L.draw(cls, rng, shapes, cfg.np_dtype))
 
 
-def _param_elements(cfg: CompolConfig) -> int:
-    """Array elements ``init_params(cfg)`` allocates, counted without allocating them."""
-    P, n_layers, w = int(cfg.processes), int(cfg.layers), int(cfg.width)
-    ph = L.PROJECT_HIDDEN
-    n_coords = cfg.spatial_dims if cfg.coords else 0
-    total = sum((c + n_coords + 1 + ph) * w + ph + (ph + 1) * c for c in cfg.channels)
-    total += _spectral_elements(cfg) + P * n_layers * (w * w + w)
-    if cfg.aggregation == "none":
-        return total
-    per_layer = 0
-    if cfg.aggregation in ("gru", "skip"):
-        per_layer += P * w * w + w
-    if cfg.aggregation == "gru":
-        per_layer += 3 * (2 * w * w + w)
-    elif cfg.aggregation == "attention":
-        per_layer += 3 * w * w + 2 * w
-    elif cfg.aggregation == "skip":
-        per_layer += w * w + w
-    return total + n_layers * per_layer
+def _param_bytes(cfg: CompolConfig) -> int:
+    """Bytes ``init_params(cfg)`` allocates, summed over the declared shapes."""
+    def nbytes(shapes):
+        return sum(math.prod(s) * L.field_dtype(s, cfg.np_dtype).itemsize
+                   for s in shapes.values())
+
+    layer = nbytes(L.fourier_shapes(cfg.width, cfg.modes, cfg.spatial_dims))
+    heads = sum(nbytes(_head_shapes(cfg, m)) for m in range(cfg.processes))
+    aggs = sum(nbytes(shapes) for _, _, shapes in _aggregation_slots(cfg))
+    return heads + cfg.layers * (cfg.processes * layer + aggs)
 
 
 def _as_input_tensors(model: CompolModel, inputs) -> list[Tensor]:
@@ -307,15 +293,32 @@ def save_checkpoint(path, model: CompolModel, extra: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[CompolModel, dict]:
+    """Build the model from a checkpoint's arrays, drawing nothing.
+
+    A name that is missing, unexpected, misshapen or of the wrong dtype is
+    a :class:`CheckpointError` that names it.
+    """
     header, table = read_checkpoint(path)
+
+    def take(name, cls, shapes, _):
+        fields = {}
+        for field, shape in shapes.items():
+            key = f"{name}.{field}"
+            if key not in table:
+                raise ValueError(f"parameter {key} is missing")
+            arr, dtype = table.pop(key), L.field_dtype(shape, cfg.np_dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{key}: shape {arr.shape} != expected {shape}")
+            if arr.dtype != dtype:
+                raise ValueError(f"{key}: dtype {arr.dtype} != expected {dtype}")
+            fields[field] = arr.copy()
+        return cls(**fields)
+
     try:
         cfg = CompolConfig.from_dict(header["config"])
-        # A config must not make init_params allocate more than the file holds.
-        implied, stored = _param_elements(cfg), sum(a.size for a in table.values())
-        if implied != stored:
-            raise ValueError(f"config implies {implied} parameter values, file holds {stored}")
-        model = init_params(cfg)
-        load_named(model, table)
+        model = _build(cfg, take)
+        if table:
+            raise ValueError(f"unexpected parameters {sorted(table)}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     return model, header.get("extra", {})

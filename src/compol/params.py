@@ -5,8 +5,8 @@ walker visits every array (or, in a bound tree, every tensor) under its
 dotted name.  The helpers below use it to flatten a tree (for the
 optimizer, checkpoints and parameter counting), to clone it with every
 array registered as a leaf on a tape (for one forward/backward pass; a
-forward without a tape takes the arrays as they are), to swap in given
-leaves, and to overwrite its arrays in place.  :func:`is_bound`
+forward without a tape takes the arrays as they are), and to swap in
+given leaves; no helper writes into a tree's arrays.  :func:`is_bound`
 tells a bound tree from an array tree by its first leaf, without a walk.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import Tape, Tensor
 
-__all__ = ["named_arrays", "named_tensors", "is_bound", "bind", "with_leaves", "load_named"]
+__all__ = ["named_arrays", "named_tensors", "is_bound", "bind", "with_leaves"]
 
 
 @functools.cache
@@ -106,23 +106,3 @@ def bind(obj, tape: Tape):
 def with_leaves(obj, table: dict):
     """Clone a tree with each array replaced by ``table[dotted-name]``."""
     return _map(obj, lambda name, _: table[name])
-
-
-def load_named(obj, table: dict[str, np.ndarray]) -> None:
-    """Overwrite every array in the tree with its entry from ``table``.
-
-    Raises KeyError when the names differ and ValueError on a shape or
-    dtype mismatch.
-    """
-    current = dict(named_arrays(obj))
-    if set(current) != set(table):
-        missing = sorted(set(current) - set(table))
-        extra = sorted(set(table) - set(current))
-        raise KeyError(f"parameter names differ: missing={missing} unexpected={extra}")
-    for name, arr in current.items():
-        new = table[name]
-        if new.shape != arr.shape:
-            raise ValueError(f"{name}: shape {new.shape} != expected {arr.shape}")
-        if new.dtype != arr.dtype:
-            raise ValueError(f"{name}: dtype {new.dtype} != expected {arr.dtype}")
-        arr[...] = new

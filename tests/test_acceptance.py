@@ -105,7 +105,7 @@ def test_c03_translation_equivariance_all_shifts(dtype, tol):
     np_dtype = np.float64 if dtype == "real64" else np.float32
     rng = np.random.default_rng(3)
 
-    params = L.init_fourier_layer(rng, 6, 5, 1, dtype=np_dtype)
+    params = L.draw(L.FourierLayerParams, rng, L.fourier_shapes(6, 5, 1), np_dtype)
     v = rng.normal(size=(6, 64)).astype(np_dtype)
     # the layer holds latents channels-last, [shifts, 64, c]
     _all_shifts_equivariant(
@@ -150,10 +150,11 @@ def test_c04_zero_aggregation_is_bitwise_independent_branches():
     for m in range(2):
         solo_cfg = dataclasses.replace(cfg, processes=1, channels=[1],
                                        aggregation="none")
-        solo_model = M.init_params(solo_cfg)
         prefix = f"processes.{m}."
-        P.load_named(solo_model, {"processes.0." + n[len(prefix):]: a.copy()
-                                  for n, a in model.named_parameters() if n.startswith(prefix)})
+        branch = {"processes.0." + n[len(prefix):]: a
+                  for n, a in model.named_parameters() if n.startswith(prefix)}
+        solo_model = P.with_leaves(M.init_params(solo_cfg), branch)
+        assert [n for n, _ in solo_model.named_parameters()] == list(branch)
         solo = M.forward(solo_model, [xs[m]])[0]
         assert np.array_equal(outs[m].data, solo.data), f"branch {m}"
 
@@ -192,7 +193,7 @@ def test_c05_aggregation_matches_scalar_references():
 
     # attention weights sum to 1: constant-one value map exposes the sum
     width, m = 4, 3
-    ap = A.init_attention(np.random.default_rng(0), width, dtype=np.float64)
+    ap = L.draw(A.AttentionParams, np.random.default_rng(0), A.attention_shapes(width), np.float64)
     ones = A.AttentionParams(wq=ap.wq, bq=ap.bq, wk=ap.wk,
                              wa=np.zeros((width, width)),
                              ba=np.ones(width))

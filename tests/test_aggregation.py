@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compol import aggregation as agg
+from compol import layers as L
 from compol import tensor as T
 
 
@@ -63,7 +64,7 @@ def scalar_gru_reference(x, z, p):
 
 def test_gru_matches_scalar_reference():
     rng = np.random.default_rng(1)
-    p = agg.init_gru(rng, 1, dtype=np.float64)
+    p = L.draw(agg.GruParams, rng, agg.gru_shapes(1), np.float64)
     for x, z in [(0.3, -0.7), (-1.2, 0.4), (2.0, 2.0), (0.0, 0.0)]:
         got = agg.gru_step(*wrap([[[x]]], [[[z]]]), p).data[0, 0, 0]
         want = scalar_gru_reference(x, z, p)
@@ -91,7 +92,7 @@ def test_gru_gate_interpolates_between_states():
 def test_attention_weights_sum_to_one():
     rng = np.random.default_rng(2)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
-    p = agg.init_attention(rng, 4, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(4), np.float64)
     # directly: attention over constant-one values returns exactly 1
     ones = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
                                wa=np.zeros((4, 4)), ba=np.ones(4))
@@ -103,7 +104,7 @@ def test_attention_identical_tokens_uniform_weights():
     rng = np.random.default_rng(3)
     f = cl(rng.normal(size=(2, 4, 8)))
     m = 3
-    p = agg.init_attention(rng, 4, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(4), np.float64)
     out = agg.attention_aggregate(wrap(f, f, f), p).data
     # uniform alpha = 1/m over identical values collapses to one value map
     want = agg.attention_aggregate(wrap(f), p).data
@@ -113,7 +114,7 @@ def test_attention_identical_tokens_uniform_weights():
 def test_attention_scalar_reference():
     """Width-1, two tokens: alpha and output with Python floats."""
     rng = np.random.default_rng(4)
-    p = agg.init_attention(rng, 1, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(1), np.float64)
     a, b = 0.8, -0.45
     out = agg.attention_aggregate(wrap([[[a]]], [[[b]]]), p).data[0, 0, 0]
 
@@ -139,7 +140,7 @@ def test_attention_key_bias_would_be_dead():
     sm = T.softmax(T.Tensor(s), 1).data
     sm_shift = T.softmax(T.Tensor(s + 3.3), 1).data
     assert np.max(np.abs(sm - sm_shift)) < 1e-12
-    assert not hasattr(agg.init_attention(rng, 4, dtype=np.float64), "bk")
+    assert not hasattr(L.draw(agg.AttentionParams, rng, agg.attention_shapes(4), np.float64), "bk")
 
 
 def numpy_attention(fields, p):
@@ -157,7 +158,7 @@ def test_attention_in_one_pass_matches_per_token_reference():
     affine each for the query, the keys and the values."""
     rng = np.random.default_rng(12)
     fields = [cl(rng.normal(size=(2, 4, 8))) for _ in range(3)]
-    p = agg.init_attention(rng, 4, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(4), np.float64)
     out = agg.attention_aggregate(wrap(*fields), p).data
     assert np.max(np.abs(out - numpy_attention(fields, p))) < 1e-12
     tape = T.Tape()
@@ -174,7 +175,7 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
     of the token entries — softmax weights are a convex combination."""
     rng = np.random.default_rng(seed)
     fields = [cl(rng.normal(size=(1, 2, 4))) for _ in range(m)]
-    p = agg.init_attention(rng, 2, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(2), np.float64)
     p_id = agg.AttentionParams(wq=p.wq, bq=p.bq, wk=p.wk,
                                wa=np.eye(2), ba=np.zeros(2))
     out = agg.attention_aggregate(wrap(*fields), p_id).data
@@ -190,7 +191,7 @@ def test_attention_output_in_value_convex_hull_scalarwise(seed, m):
 def test_mix_linear_is_concat_then_map():
     rng = np.random.default_rng(8)
     fields = [cl(rng.normal(size=(2, 3, 4))) for _ in range(2)]
-    p = agg.init_mix(rng, 2, 3, dtype=np.float64)
+    p = L.draw(agg.MixParams, rng, agg.mix_shapes(2, 3), np.float64)
     out = agg.mix_processes(wrap(*fields), p).data
     stacked = np.concatenate(fields, axis=-1)
     want = np.einsum("bnc,cd->bnd", stacked, p.w) + p.b
@@ -200,7 +201,7 @@ def test_mix_linear_is_concat_then_map():
 
 def test_skip_is_running_sum():
     rng = np.random.default_rng(9)
-    p = agg.init_skip(rng, 3, dtype=np.float64)
+    p = L.draw(agg.SkipParams, rng, agg.skip_shapes(3), np.float64)
     mixed = cl(rng.normal(size=(1, 3, 4)))
     z0 = np.zeros((1, 4, 3))
     z1 = agg.skip_aggregate(*wrap(mixed, z0), p).data
@@ -219,7 +220,7 @@ def test_aggregations_commute_with_translation():
     """Everything here acts pointwise, so rolling the grid rolls the output."""
     rng = np.random.default_rng(11)
     fields = [cl(rng.normal(size=(1, 4, 8))) for _ in range(2)]
-    p = agg.init_attention(rng, 4, dtype=np.float64)
+    p = L.draw(agg.AttentionParams, rng, agg.attention_shapes(4), np.float64)
     base = agg.attention_aggregate(wrap(*fields), p).data
     rolled = agg.attention_aggregate(
         wrap(*[np.roll(f, 3, 1) for f in fields]), p).data

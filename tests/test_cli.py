@@ -125,6 +125,12 @@ def test_gen_data_bad_overrides_are_usage_errors(tmp_path, capsys):
     assert cli.main(base + ["--param", "du=-0.5"]) == 2
     assert cli.main(base + ["--param", "malformed"]) == 2
     assert "error:" in capsys.readouterr().err
+    # refused before any solve, under the spec's own field names
+    for param, field in (("grf_sigma=-1.0", "grf_sigma"),
+                         ("grf_length_scale=0", "grf_length_scale")):
+        assert cli.main(base + ["--param", param]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("param", [
@@ -474,6 +480,42 @@ def test_eval_accepts_freshly_drawn_test_set(run_dir, tmp_path):
     assert cli.main(["eval", "--checkpoint",
                      str(run_dir / cli.CHECKPOINT_FILENAME),
                      "--data", str(tmp_path)]) == 0
+
+
+def test_eval_normalizes_with_the_training_stats(run_dir, lv_data, tmp_path, capsys):
+    """A test set drawn apart from the training set has its own manifest
+    stats; eval scores with those the model was trained on, which train
+    stores in the checkpoint."""
+    assert cli.main(["gen-data", "--system", "lv", "--n", "4", "--resolution", "32",
+                     "--seed", "2", "--out", str(tmp_path)] + GEN_LV) == 0
+    ckpt = run_dir / cli.CHECKPOINT_FILENAME
+    model, extra = M.load_checkpoint(ckpt)
+    train_stats = D.read_manifest(lv_data / D.MANIFEST_FILENAME)["stats"]
+    assert extra["stats"] == train_stats
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path)]) == 0
+    printed = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+    test_set = D.load_dataset(tmp_path)
+    want = TR.evaluate(model, test_set, stats=train_stats)
+    own = TR.evaluate(model, test_set)
+    assert printed == [f"{e:.6f}" for e in want.per_process + [want.aggregate]]
+    assert printed != [f"{e:.6f}" for e in own.per_process + [own.aggregate]]
+
+
+@pytest.mark.parametrize("stats", [
+    [1], {"input": []}, {"input": [{"mean": [0.0], "std": [1.0]}] * 2, "output": []},
+    {"input": [{"mean": [0.0], "std": [0.0]}] * 2, "output": [{"mean": [0.0], "std": [1.0]}] * 2},
+], ids=["list", "no-output", "short-output", "zero-std"])
+def test_eval_refuses_bad_training_stats(run_dir, lv_data, tmp_path, capsys, stats):
+    """Training stats in a checkpoint get a manifest's checks: a bad entry is
+    one error line and exit 2."""
+    model, extra = M.load_checkpoint(run_dir / cli.CHECKPOINT_FILENAME)
+    ckpt = tmp_path / "bad.ckpt"
+    M.save_checkpoint(ckpt, model, extra={**extra, "stats": stats})
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(lv_data)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "extra.stats" in err, err
 
 
 def test_eval_dumps_error_fields(run_dir, lv_data, tmp_path):

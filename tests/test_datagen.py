@@ -549,6 +549,16 @@ def test_system_spec_rejections():
         G.system_spec("lv", overrides={"dt": 0.0})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grf_sigma", -1.0), ("grf_length_scale", 0.0), ("grf_length_scale", -0.1)])
+def test_system_spec_refuses_bad_grf_fields_by_name(field, value):
+    """A negative GRF amplitude or a length scale that is not positive is
+    refused when the spec is built, under the spec's own field name."""
+    with pytest.raises(ValueError, match=field):
+        G.system_spec("bz", overrides={field: value})
+    assert G.system_spec("bz", overrides={"grf_sigma": 0.0}).grf_sigma == 0.0
+
+
 def test_system_spec_dict_roundtrip():
     spec = G.system_spec("bz", resolution=64, overrides={"eps1": 0.02})
     back = G.SystemSpec.from_dict(spec.to_dict())

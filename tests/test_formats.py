@@ -165,6 +165,7 @@ CHECKPOINT_PROBES = {
     "config-zero-heads": lambda h: h["config"].update(aggregation="attention", heads=0),
     "config-huge-modes": lambda h: h["config"].update(modes=[2 ** 40]),
     "config-huge-width": lambda h: h["config"].update(width=2 ** 40),
+    "config-huge-layers": lambda h: h["config"].update(layers=2 ** 40),
     "config-infinite-modes": lambda h: h["config"].update(modes=[float("inf")]),
     "config-fractional-width": lambda h: h["config"].update(width=2.5),
     "config-fractional-channels": lambda h: h["config"].update(channels=[1.7, 1]),

@@ -133,7 +133,7 @@ def test_fourier_layer_records_no_transpose():
     through the layer: no moveaxis in 1-D or 2-D."""
     rng = np.random.default_rng(10)
     for v_shape, modes, spatial in [((2, 16, 3), 5, 1), ((2, 8, 8, 3), (4, 3), 2)]:
-        p = L.init_fourier_layer(rng, 3, modes, spatial, dtype=np.float64)
+        p = L.draw(L.FourierLayerParams, rng, L.fourier_shapes(3, modes, spatial), np.float64)
         tape = T.Tape()
         leaves = L.FourierLayerParams(*(tape.leaf(a) for a in (p.r, p.w, p.b)))
         L.fourier_layer(tape.leaf(rng.normal(size=v_shape)), leaves)
@@ -143,8 +143,8 @@ def test_fourier_layer_records_no_transpose():
 def test_lift_and_project_transpose_once():
     """The only layout changes are at the ends: the lift moves its few input
     channels last, the projection moves its d_out channels back."""
-    p = L.init_lift_project(np.random.default_rng(11), d_in=2, d_out=1, width=4,
-                            dtype=np.float64)
+    p = L.draw(L.LiftProjectParams, np.random.default_rng(11), L.lift_project_shapes(2, 1, 4),
+               np.float64)
     tape = T.Tape()
     v = L.lift(tape.leaf(np.ones((2, 1, 8))), p)
     L.project(v, p)
@@ -167,9 +167,10 @@ def test_spectral_conv_too_many_modes():
 def test_spectral_param_count_formula():
     """Retained-mode weights hold exactly 2 * modes * width^2 reals."""
     for width, modes in [(4, 3), (8, 5), (32, 12)]:
-        p = L.init_fourier_layer(np.random.default_rng(0), width, modes, 1)
+        p = L.draw(L.FourierLayerParams, np.random.default_rng(0),
+                   L.fourier_shapes(width, modes, 1))
         assert p.r.size * 2 == 2 * modes * width * width
-    p2 = L.init_fourier_layer(np.random.default_rng(0), 8, (4, 3), 2)
+    p2 = L.draw(L.FourierLayerParams, np.random.default_rng(0), L.fourier_shapes(8, (4, 3), 2))
     assert p2.r.size * 2 == 2 * (4 * 3) * 8 * 8
 
 
@@ -199,7 +200,7 @@ def test_coordinate_channels_values():
 
 def test_lift_appends_coords_then_maps():
     rng = np.random.default_rng(5)
-    p = L.init_lift_project(rng, d_in=1 + 1, d_out=1, width=6, dtype=np.float64)
+    p = L.draw(L.LiftProjectParams, rng, L.lift_project_shapes(1 + 1, 1, 6), np.float64)
     f = rng.normal(size=(2, 1, 8))
     out = L.lift(T.Tensor(f), p, with_coords=True)
     assert out.shape == (2, 8, 6)
@@ -211,14 +212,14 @@ def test_lift_appends_coords_then_maps():
 
 def test_lift_without_coords_needs_matching_width():
     rng = np.random.default_rng(6)
-    p = L.init_lift_project(rng, d_in=2, d_out=1, width=4, dtype=np.float64)
+    p = L.draw(L.LiftProjectParams, rng, L.lift_project_shapes(2, 1, 4), np.float64)
     f = rng.normal(size=(1, 2, 8))
     assert L.lift(T.Tensor(f), p, with_coords=False).shape == (1, 8, 4)
 
 
 def test_project_shapes_and_hidden_width():
     rng = np.random.default_rng(7)
-    p = L.init_lift_project(rng, d_in=1, d_out=3, width=6, dtype=np.float64)
+    p = L.draw(L.LiftProjectParams, rng, L.lift_project_shapes(1, 3, 6), np.float64)
     assert p.q1.shape == (6, L.PROJECT_HIDDEN)
     assert p.q2.shape == (L.PROJECT_HIDDEN, 3)
     v = cl(rng.normal(size=(2, 6, 8)))
@@ -236,7 +237,9 @@ def test_fourier_layer_zero_weights_gives_activation_of_zero():
 
 
 def test_init_respects_dtype():
-    p32 = L.init_fourier_layer(np.random.default_rng(0), 4, 3, 1, dtype=np.float32)
+    p32 = L.draw(L.FourierLayerParams, np.random.default_rng(0), L.fourier_shapes(4, 3, 1),
+                 np.float32)
     assert p32.r.dtype == np.complex64 and p32.w.dtype == np.float32
-    p64 = L.init_fourier_layer(np.random.default_rng(0), 4, 3, 1, dtype=np.float64)
+    p64 = L.draw(L.FourierLayerParams, np.random.default_rng(0), L.fourier_shapes(4, 3, 1),
+                 np.float64)
     assert p64.r.dtype == np.complex128 and p64.w.dtype == np.float64

@@ -4,11 +4,16 @@ parameter streams, counting, and checkpoints."""
 import dataclasses
 import gc
 import os
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+from compol import aggregation as agg
+from compol import cli
+from compol import dataio as D
+from compol import layers as L
 from compol import model as M
 from compol.dataio import config_hash
 from compol import params as P
@@ -135,8 +140,10 @@ def test_no_aggregation_equals_independent_single_branch_models():
     xs = rand_inputs(cfg)
     outs = M.forward(coupled, xs)
     for m in range(2):
-        solo = M.init_params(dataclasses.replace(cfg, processes=1, channels=[cfg.channels[m]]))
-        P.load_named(solo, _branch(coupled, m))
+        branch = _branch(coupled, m)
+        solo = P.with_leaves(M.init_params(
+            dataclasses.replace(cfg, processes=1, channels=[cfg.channels[m]])), branch)
+        assert [n for n, _ in solo.named_parameters()] == list(branch)
         solo_out = M.forward(solo, [xs[m]])[0]
         assert np.array_equal(outs[m].data, solo_out.data), f"branch {m}"
 
@@ -388,9 +395,9 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     dict(aggregation="none", channels=[1, 3]),
 ], ids=["gru", "attention", "skip-2d", "none"])
 def test_param_elements_match_init_params(kw):
-    # load_checkpoint compares this count with the file before it allocates
+    # init_params checks the declared elements, at their itemsizes, against the machine
     cfg = small_cfg(**kw)
-    assert M._param_elements(cfg) == sum(a.size for _, a in M.init_params(cfg).named_parameters())
+    assert M._param_bytes(cfg) == sum(a.nbytes for _, a in M.init_params(cfg).named_parameters())
 
 
 def test_init_params_memory_guard_counts_complex_weights_at_their_size(monkeypatch):
@@ -492,26 +499,66 @@ def test_with_leaves_replaces_every_array():
     assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
 
 
-def test_load_named_overwrites_in_place():
-    src = M.init_params(small_cfg(seed=1))
-    dst = M.init_params(small_cfg(seed=2))
-    before = dict(dst.named_parameters())
-    P.load_named(dst, {n: a.copy() for n, a in src.named_parameters()})
-    for name, arr in src.named_parameters():
-        assert before[name] is dict(dst.named_parameters())[name]
-        assert np.array_equal(before[name], arr)
-
-
-@pytest.mark.parametrize("edit, error, match", [
-    (lambda t: t.pop(next(iter(t))), KeyError, r"missing=\['processes"),
-    (lambda t: t.update(ghost=np.zeros(1)), KeyError, r"unexpected=\['ghost'\]"),
-    (lambda t: t.update({k: v[..., :1] for k, v in list(t.items())[:1]}), ValueError, "shape"),
-    (lambda t: t.update({k: v.astype(np.float32) for k, v in list(t.items())[:1]}),
-     ValueError, "dtype"),
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t.pop("processes.0.head.p"), r"parameter processes\.0\.head\.p is missing"),
+    (lambda t: t.update(ghost=np.zeros(1)), r"unexpected parameters \['ghost'\]"),
+    (lambda t: t.update({"processes.0.head.p": t["processes.0.head.p"][..., :1]}),
+     r"processes\.0\.head\.p: shape"),
+    (lambda t: t.update({"processes.0.head.p": t["processes.0.head.p"].astype(np.float32)}),
+     r"processes\.0\.head\.p: dtype"),
 ], ids=["missing", "unexpected", "shape", "dtype"])
-def test_load_named_rejects_mismatched_tables(edit, error, match):
+def test_load_checkpoint_rejects_mismatched_tables(edit, match, tmp_path, capsys):
+    """A file whose arrays do not fit its config is refused under the name
+    of the first misfit, and ``compol eval`` exits 2 with one error line."""
     model = M.init_params(small_cfg())
-    table = {n: a.copy() for n, a in model.named_parameters()}
+    table = dict(model.named_parameters())
     edit(table)
-    with pytest.raises(error, match=match):
-        P.load_named(model, table)
+    path = tmp_path / "crafted.ckpt"
+    D.write_checkpoint(path, {"config": model.config.to_dict(), "extra": {}}, list(table.items()))
+    with pytest.raises(M.CheckpointError, match=match):
+        M.load_checkpoint(path)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and re.search(match, err)
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    """A load builds the model from the file's arrays: no drawer runs and no
+    generator is asked for a number."""
+    model = M.init_params(small_cfg(aggregation="attention"))
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, model)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"load_checkpoint called Generator.{name}")
+
+    def no_draw(*args):
+        raise AssertionError("load_checkpoint called layers.draw")
+
+    monkeypatch.setattr(L, "draw", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+    loaded, _ = M.load_checkpoint(path)
+    for (name, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(a, b) and a.dtype == b.dtype and b.flags.writeable, name
+
+
+@pytest.mark.parametrize("cls, shapes", [
+    (L.FourierLayerParams, L.fourier_shapes(4, (3, 2), 2)),
+    (L.LiftProjectParams, L.lift_project_shapes(3, 2, 4)),
+    (agg.MixParams, agg.mix_shapes(3, 4)),
+    (agg.GruParams, agg.gru_shapes(4)),
+    (agg.AttentionParams, agg.attention_shapes(4)),
+    (agg.SkipParams, agg.skip_shapes(4)),
+], ids=["fourier", "lift-project", "mix", "gru", "attention", "skip"])
+def test_shape_declarations_list_every_field_in_order(cls, shapes):
+    """Each block's shape function names its dataclass's fields in field
+    order, and ``draw`` gives each field that shape and the rank's dtype."""
+    assert list(shapes) == [f.name for f in dataclasses.fields(cls)]
+    block = L.draw(cls, np.random.default_rng(0), shapes, np.float32)
+    for name, shape in shapes.items():
+        arr = getattr(block, name)
+        assert arr.shape == shape
+        assert arr.dtype == (np.complex64 if len(shape) > 2 else np.float32)
+        assert (len(shape) == 1) == (not arr.any()), name     # only biases start at zero
